@@ -24,7 +24,9 @@ from .arrows import (
     parse_arrow_code,
     serialize_arrow_code,
     subset_pattern,
+    table_polynomials,
     v2,
+    z2_pairings_at_basepoints,
 )
 from .catalog import (
     CatalogEntry,

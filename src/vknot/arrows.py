@@ -16,7 +16,9 @@ heads-first everywhere is ascending, tails-first everywhere descending.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .diagram import basepoint_positions
@@ -283,58 +285,150 @@ def pairing(arrow_diagram, diagram):
     return total
 
 
+def _endpoints(diagram):
+    """Integer endpoint positions: ``(tails, heads, signs, bounds)``.
+
+    The circles are laid end to end; chord ``i`` (in ``chord_ids`` order)
+    has its tail at ``tails[i]`` and its head at ``heads[i]``, and
+    ``bounds`` holds each circle's first position, then the total.
+    """
+    tails, heads = {}, {}
+    bounds = [0]
+    for circle in diagram.circles:
+        for pos, (chord, is_head) in enumerate(circle, start=bounds[-1]):
+            (heads if is_head else tails)[chord] = pos
+        bounds.append(bounds[-1] + len(circle))
+    chords = diagram.chord_ids()
+    return [tails[c] for c in chords], [heads[c] for c in chords], [s for _, s in diagram.signs], bounds
+
+
+def _traverse(points, bounds, partner, chord_at, is_head, circle_at):
+    """Jump traversal over the sorted endpoint positions of one chord subset.
+
+    Returns ``(ascending, descending)`` when the traversal visits every gap
+    of every circle, else None.
+    """
+    if not points:
+        return (True, True) if len(bounds) == 2 else None
+    firsts = [bisect_left(points, b) for b in bounds]
+    if any(a == b for a, b in zip(firsts, firsts[1:])):
+        return None  # a circle carries no endpoint of the subset
+    where = {p: j for j, p in enumerate(points)}
+    first_role = {}
+    j = steps = 0
+    while True:
+        p = points[j]
+        first_role.setdefault(chord_at[p], is_head[p])
+        steps += 1
+        q = partner[p]
+        j = where[q] + 1
+        if j == firsts[circle_at[q] + 1]:
+            j = firsts[circle_at[q]]
+        if j == 0:
+            break
+    if steps < len(points):
+        return None
+    return all(first_role.values()), not any(first_role.values())
+
+
+def _pairing_sums(ends, sizes, required=None):
+    """``{size: (ascending, descending)}`` signed sums over one-component subsets.
+
+    Only subsets of the sizes in ``sizes`` that hold chord index ``required``
+    (if set) are enumerated.  A one-component subset on c circles has
+    c - 1 + 2j chords (its traversal is one cycle, an odd permutation), so
+    other sizes are skipped.
+    """
+    tails, heads, signs, bounds = ends
+    ncirc = len(bounds) - 1
+    m = bounds[-1]
+    partner, chord_at, is_head = [0] * m, [0] * m, [False] * m
+    for i, (t, h) in enumerate(zip(tails, heads)):
+        partner[t], partner[h] = h, t
+        chord_at[t] = chord_at[h] = i
+        is_head[h] = True
+    circle_at = [ci for ci in range(ncirc) for _ in range(bounds[ci], bounds[ci + 1])]
+    base = () if required is None else (required,)
+    others = [i for i in range(len(tails)) if i != required]
+    sums = {}
+    for size in sizes:
+        if size < len(base) or size % 2 != (ncirc - 1) % 2:
+            continue
+        for rest in itertools.combinations(others, size - len(base)):
+            subset = base + rest
+            points = sorted([tails[i] for i in subset] + [heads[i] for i in subset])
+            kind = _traverse(points, bounds, partner, chord_at, is_head, circle_at)
+            if kind is not None:
+                prod = math.prod([signs[i] for i in subset])
+                entry = sums.setdefault(size, [0, 0])
+                entry[0] += prod if kind[0] else 0
+                entry[1] += prod if kind[1] else 0
+    return {size: (a, d) for size, (a, d) in sums.items()}
+
+
+def _z2(ends):
+    """``(ascending, descending)`` degree-2 Conway pairings.
+
+    On one circle the degree-2 Conway sets are ``U1O2O1U2`` (ascending) and
+    ``O1U2U1O2`` (descending), so c2 is a Polyak-Viro Gauss-diagram
+    formula: s_x * s_y summed over the chord pairs with
+    h_x < t_y < t_x < h_y, respectively t_x < h_y < h_x < t_y.
+    """
+    tails, heads, signs, bounds = ends
+    if len(bounds) != 2:
+        return _pairing_sums(ends, (2,)).get(2, (0, 0))
+    chords = list(zip(tails, heads, signs))
+    asc = des = 0
+    for tx, hx, sx in chords:
+        if hx < tx:
+            asc += sx * sum(s for t, h, s in chords if hx < t < tx < h)
+        else:
+            des += sx * sum(s for t, h, s in chords if tx < h < hx < t)
+    return asc, des
+
+
 def conway_pairing(diagram, degree, variant):
     """Pairing of the full degree-``degree`` Conway combination with ``diagram``.
 
     Equals the sum of :func:`pairing` over every member of
-    ``conway_set(degree, ...)`` but runs directly over chord subsets of the
-    diagram, classifying each induced pattern by jump traversal.
+    ``conway_set(degree, ...)`` but runs directly over the C(n, degree)
+    chord subsets of the diagram, classifying each by jump traversal.
+    Degree 2 on one circle is the O(n^2) closed form of :func:`_z2`.
     """
-    want_asc = _variant_name(variant) == "ascending"
-    sign = dict(diagram.signs)
-    total = 0
-    for subset in itertools.combinations(diagram.chord_ids(), degree):
-        words = _subset_words(diagram.circles, frozenset(subset))
-        one, asc, des = _classify(words)
-        if one and (asc if want_asc else des):
-            prod = 1
-            for c in subset:
-                prod *= sign[c]
-            total += prod
-    return total
+    column = 0 if _variant_name(variant) == "ascending" else 1
+    ends = _endpoints(diagram)
+    if degree == 2:
+        return _z2(ends)[column]
+    return _pairing_sums(ends, (degree,)).get(degree, (0, 0))[column]
 
 
-def conway_pairing_table(diagram, required_chord=None):
-    """All Conway pairings of a diagram at once.
+def conway_pairing_table(diagram, required_chord=None, max_degree=None):
+    """All Conway pairings of a diagram up to ``max_degree`` at once.
 
     Returns ``{size: (ascending_sum, descending_sum)}`` over chord-subset
-    sizes.  With ``required_chord`` set, only subsets containing that chord
-    are counted (sums over the remaining subsets cancel in skein
-    differences).
+    sizes up to ``max_degree`` (default: every chord, which is 2^n subsets).
+    With ``required_chord`` set, only subsets containing that chord are
+    counted (sums over the remaining subsets cancel in skein differences).
     """
-    sign = dict(diagram.signs)
-    chords = diagram.chord_ids()
-    base = ()
-    if required_chord is not None:
-        base = (required_chord,)
-        chords = tuple(c for c in chords if c != required_chord)
-    table = {}
-    for r in range(len(chords) + 1):
-        for rest in itertools.combinations(chords, r):
-            subset = base + rest
-            words = _subset_words(diagram.circles, frozenset(subset))
-            one, asc, des = _classify(words)
-            if not one:
-                continue
-            prod = 1
-            for c in subset:
-                prod *= sign[c]
-            entry = table.setdefault(len(subset), [0, 0])
-            if asc:
-                entry[0] += prod
-            if des:
-                entry[1] += prod
-    return {size: (a, d) for size, (a, d) in table.items()}
+    if max_degree is None:
+        max_degree = diagram.num_chords
+    required = None if required_chord is None else diagram.chord_ids().index(required_chord)
+    return _pairing_sums(_endpoints(diagram), range(max_degree + 1), required)
+
+
+def z2_pairings_at_basepoints(diagram):
+    """``(ascending, descending)`` z^2 pairings for every first-basepoint gap.
+
+    Entry ``s`` is the pair for ``basepoint_positions(diagram)[s]``: the
+    first circle's positions shifted by ``s`` on the same arrays.
+    """
+    tails, heads, signs, bounds = _endpoints(diagram)
+    m = bounds[1]
+    pairs = []
+    for shift in range(max(1, m)):
+        move = [(pos - shift) % m for pos in range(m)] + list(range(m, bounds[-1]))
+        pairs.append(_z2(([move[t] for t in tails], [move[h] for h in heads], signs, bounds)))
+    return pairs
 
 
 # -- polynomials -------------------------------------------------------------
@@ -400,25 +494,28 @@ ZERO = IntPolynomial(())
 ONE = IntPolynomial(((0, 1),))
 
 
-def _poly_from_table(diagram, table, column, max_degree):
+def table_polynomials(table, max_degree=None):
+    """The (ascending, descending) polynomials of a :func:`conway_pairing_table`."""
+    kept = [(size, sums) for size, sums in table.items() if max_degree is None or size <= max_degree]
+    return tuple(IntPolynomial.from_dict({size: sums[col] for size, sums in kept}) for col in (0, 1))
+
+
+def _polynomials(diagram, max_degree):
     if diagram.num_circles != 1:
         raise PreconditionError("ascending/descending polynomials are defined for knots")
-    if max_degree is None:
-        max_degree = diagram.num_chords
-    coeffs = {}
-    for size, sums in table.items():
-        if size <= max_degree:
-            coeffs[size] = sums[column]
-    return IntPolynomial.from_dict(coeffs)
+    return table_polynomials(conway_pairing_table(diagram, max_degree=max_degree))
 
 
 def ascending_polynomial(diagram, max_degree=None):
-    """Sum over even degrees of the ascending Conway pairings times z^degree."""
-    return _poly_from_table(diagram, conway_pairing_table(diagram), 0, max_degree)
+    """Sum over even degrees of the ascending Conway pairings times z^degree.
+
+    Only chord subsets of up to ``max_degree`` chords are enumerated.
+    """
+    return _polynomials(diagram, max_degree)[0]
 
 
 def descending_polynomial(diagram, max_degree=None):
-    return _poly_from_table(diagram, conway_pairing_table(diagram), 1, max_degree)
+    return _polynomials(diagram, max_degree)[1]
 
 
 def v2(diagram, p=2, certify=False):
@@ -430,17 +527,19 @@ def v2(diagram, p=2, certify=False):
     """
     from .diagram import is_mod_p_numberable
 
-    base = conway_pairing(diagram, 2, "ascending")
     if certify:
         if not is_mod_p_numberable(diagram, p):
             raise PreconditionError("certified v2 needs a mod %d numberable diagram" % p)
-        for moved in basepoint_positions(diagram):
-            for variant in ("ascending", "descending"):
-                val = conway_pairing(moved, 2, variant)
+        pairs = z2_pairings_at_basepoints(diagram)
+        base = pairs[0][0]
+        for shift, values in enumerate(pairs):
+            for variant, val in zip(("ascending", "descending"), values):
                 agree = (val - base) % p == 0 if p else val == base
                 if not agree:
                     raise PreconditionError(
                         "v2 certification failed on %s (%s, got %d vs %d)"
-                        % (moved, variant, val, base)
+                        % (basepoint_positions(diagram)[shift], variant, val, base)
                     )
+    else:
+        base = conway_pairing(diagram, 2, "ascending")
     return base % p if p else base

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .arrows import ascending_polynomial, conway_pairing, conway_set, descending_polynomial
+from .arrows import conway_pairing_table, conway_set, table_polynomials
 from .catalog import builtin_catalog, find_entry, load_catalog
 from .determinant import determinant
 from .diagram import (
@@ -87,9 +87,11 @@ def _cmd_invariants(args):
     if is_knot:
         out["indices"] = {str(c): index(diagram, c) for c in diagram.chord_ids()}
         out["warping_degree"] = warping_degree(diagram)
-        out["ascending"] = list(ascending_polynomial(diagram, degree).coeffs)
-        out["descending"] = list(descending_polynomial(diagram, degree).coeffs)
-        out["c2"] = conway_pairing(diagram, 2, "ascending")
+        table = conway_pairing_table(diagram, max_degree=max(degree, 2))
+        ascending, descending = table_polynomials(table, degree)
+        out["ascending"] = list(ascending.coeffs)
+        out["descending"] = list(descending.coeffs)
+        out["c2"] = table.get(2, (0, 0))[0]
     out["colorable"] = {str(p): is_mod_p_numberable(diagram, p) for p in moduli}
     if is_knot:
         out["v2"] = {
@@ -120,10 +122,8 @@ def _cmd_invariants(args):
         for p in moduli:
             print("mod %d numberable: %s" % (p, "yes" if out["colorable"][str(p)] else "no"))
         if is_knot:
-            from .arrows import IntPolynomial
-
-            print("ascending:  %s" % IntPolynomial(tuple(map(tuple, out["ascending"]))))
-            print("descending: %s" % IntPolynomial(tuple(map(tuple, out["descending"]))))
+            print("ascending:  %s" % ascending)
+            print("descending: %s" % descending)
             print("z^2 coefficient: %d" % out["c2"])
             for p in moduli:
                 value = out["v2"][str(p)]

@@ -16,10 +16,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .arrows import ascending_polynomial, conway_pairing, conway_pairing_table
+from .arrows import (
+    ascending_polynomial,
+    conway_pairing,
+    conway_pairing_table,
+    z2_pairings_at_basepoints,
+)
 from .determinant import determinant
 from .diagram import (
-    basepoint_positions,
+    _in_open_arc,
     crossing_change,
     is_mod_p_numberable,
     parse_gauss_code,
@@ -137,14 +142,9 @@ def det_vs_ascending_verdict(diagram, config):
 
 def main_theorem_verdict(diagram, config):
     """z^2 pairings mod p agree across basepoints and both variants."""
+    pairs = z2_pairings_at_basepoints(diagram)
     for p in config.moduli:
-        if not is_mod_p_numberable(diagram, p):
-            continue
-        values = set()
-        for moved in basepoint_positions(diagram):
-            values.add(conway_pairing(moved, 2, "ascending") % p)
-            values.add(conway_pairing(moved, 2, "descending") % p)
-        if len(values) > 1:
+        if is_mod_p_numberable(diagram, p) and len({v % p for pair in pairs for v in pair}) > 1:
             return False
     return True
 
@@ -185,23 +185,16 @@ def _smoothing_candidates(diagram):
     m = 2 * diagram.num_chords
     if diagram.num_circles != 1 or m == 0:
         return
-
-    def in_arc(pos, start, end):
-        return (pos - start) % m < (end - start) % m and pos != start
-
     for alpha in diagram.chord_ids():
         _, t = diagram.tail(alpha)
         _, h = diagram.head(alpha)
-        gap_in_th = in_arc(0, t, h) or h == 0
+        gap_in_th = _in_open_arc(0, t, h, m) or h == 0
         ok = True
         for other in diagram.chord_ids():
             if other == alpha:
                 continue
-            _, td = diagram.tail(other)
-            _, hd = diagram.head(other)
-            if in_arc(td, t, h) == in_arc(hd, t, h):
-                continue
-            if in_arc(td, t, h) != gap_in_th:
+            tail_in = _in_open_arc(diagram.tail(other)[1], t, h, m)
+            if tail_in != _in_open_arc(diagram.head(other)[1], t, h, m) and tail_in != gap_in_th:
                 ok = False
                 break
         if ok:
@@ -220,25 +213,19 @@ def warp_and_smoothing_verdict(diagram, config):
     if diagram.num_circles != 1:
         return True
     if warping_degree(diagram) == 0:
-        for degree in range(2, diagram.num_chords + 1, 2):
-            if conway_pairing(diagram, degree, "ascending") != 0:
-                return False
-            if conway_pairing(diagram, degree, "descending") != 0:
-                return False
+        if any(sums != (0, 0) for size, sums in conway_pairing_table(diagram).items() if size):
+            return False
         if is_mod_p_numberable(diagram, 2) and determinant(diagram) != 1:
             return False
-    for p in config.moduli:
-        if not is_mod_p_numberable(diagram, p):
-            continue
+    moduli = [p for p in config.moduli if is_mod_p_numberable(diagram, p)]
+    if moduli:
         for alpha in _smoothing_candidates(diagram):
-            smoothed = smooth(diagram, alpha)
-            if conway_pairing(smoothed, 1, "ascending") != 0:
+            table = conway_pairing_table(smooth(diagram, alpha))
+            asc1, des1 = table.get(1, (0, 0))
+            if asc1 != 0 or any(des1 % p != 0 for p in moduli):
                 return False
-            if conway_pairing(smoothed, 1, "descending") % p != 0:
+            if any(asc != 0 for size, (asc, _) in table.items() if size >= 3):
                 return False
-            for degree in range(3, smoothed.num_chords + 1, 2):
-                if conway_pairing(smoothed, degree, "ascending") != 0:
-                    return False
     return True
 
 

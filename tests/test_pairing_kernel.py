@@ -1,0 +1,145 @@
+"""Differential tests of the position-array pairing kernel.
+
+The reference classifies chord subsets through the public word-based API:
+``subset_pattern`` plus ``is_one_component``, ``is_ascending`` and
+``is_descending``.  Signs never enter the classification, so the reference
+classifies each unsigned structure once and re-signs it per diagram.
+"""
+
+import contextlib
+import io
+import itertools
+import math
+import random
+
+from vknot import cli
+from vknot.arrows import (
+    IntPolynomial,
+    ascending_polynomial,
+    conway_pairing,
+    conway_pairing_table,
+    descending_polynomial,
+    is_ascending,
+    is_descending,
+    is_one_component,
+    subset_pattern,
+    z2_pairings_at_basepoints,
+)
+from vknot.diagram import basepoint_positions
+from vknot.enumeration import enumerate_all_diagrams, random_knot_diagram, random_link_diagram
+
+VARIANTS = ("ascending", "descending")
+
+
+def _classify(G, subsets):
+    """``(subset, ascending, descending)`` for each one-component subset."""
+    out = []
+    for subset in subsets:
+        pattern = subset_pattern(G, subset)
+        if is_one_component(pattern):
+            out.append((subset, is_ascending(pattern), is_descending(pattern)))
+    return out
+
+
+def _all_subsets(G, required=None, sizes=None):
+    base = () if required is None else (required,)
+    rest = [c for c in G.chord_ids() if c != required]
+    if sizes is None:
+        sizes = range(len(rest) + 1)
+    for r in sizes:
+        if r >= len(base):
+            for more in itertools.combinations(rest, r - len(base)):
+                yield base + more
+
+
+def _signed_table(G, classified):
+    table = {}
+    for subset, asc, des in classified:
+        prod = math.prod(G.sign(c) for c in subset)
+        entry = table.setdefault(len(subset), [0, 0])
+        entry[0] += prod if asc else 0
+        entry[1] += prod if des else 0
+    return {size: tuple(sums) for size, sums in table.items()}
+
+
+def reference_table(G, required=None, sizes=None):
+    return _signed_table(G, _classify(G, _all_subsets(G, required, sizes)))
+
+
+def _assert_pairings_match(G, table):
+    for degree in range(G.num_chords + 1):
+        for column, variant in enumerate(VARIANTS):
+            assert conway_pairing(G, degree, variant) == table.get(degree, (0, 0))[column], (
+                str(G), degree, variant)
+
+
+def test_census_matches_reference_at_every_degree():
+    # The census holds every basepoint rotation of every diagram, so this
+    # also covers the degree-2 closed form at every basepoint.
+    classified = {}
+    count = 0
+    for G in enumerate_all_diagrams(4):
+        if G.circles not in classified:
+            classified[G.circles] = _classify(G, _all_subsets(G))
+        table = _signed_table(G, classified[G.circles])
+        assert conway_pairing_table(G) == table, str(G)
+        _assert_pairings_match(G, table)
+        count += 1
+    assert count == 27893
+
+
+def test_rotation_pass_matches_each_basepoint():
+    rng = random.Random(7)
+    diagrams = list(enumerate_all_diagrams(3))
+    diagrams += [random_knot_diagram(rng.randint(4, 7), rng) for _ in range(15)]
+    diagrams += [random_link_diagram(rng.randint(2, 6), rng) for _ in range(15)]
+    for G in diagrams:
+        moved = basepoint_positions(G)
+        pairs = z2_pairings_at_basepoints(G)
+        assert len(pairs) == len(moved)
+        for shift, B in enumerate(moved):
+            want = reference_table(B, sizes=(2,)).get(2, (0, 0))
+            assert pairs[shift] == want, (str(G), shift)
+
+
+def test_two_circle_diagrams_match_reference():
+    rng = random.Random(13)
+    for _ in range(40):
+        G = random_link_diagram(rng.randint(1, 6), rng)
+        assert G.num_circles == 2
+        table = reference_table(G)
+        assert conway_pairing_table(G) == table, str(G)
+        _assert_pairings_match(G, table)
+
+
+def test_required_chord_tables_match_reference():
+    rng = random.Random(17)
+    diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(6)]
+    diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(6)]
+    for G in diagrams:
+        for chord in G.chord_ids():
+            assert conway_pairing_table(G, required_chord=chord) == reference_table(G, chord), (
+                str(G), chord)
+
+
+def test_degree_bound_bounds_the_work():
+    # 2^40 subsets could never be enumerated; the bound keeps it to C(40, <=2).
+    G = random_knot_diagram(40, random.Random(40))
+    assert G.num_chords == 40
+    for polynomial, variant in ((ascending_polynomial, "ascending"),
+                                (descending_polynomial, "descending")):
+        want = IntPolynomial.from_dict({0: 1, 2: conway_pairing(G, 2, variant)})
+        assert polynomial(G, 2) == want
+
+
+def test_invariants_builds_one_table_per_knot(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return conway_pairing_table(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "conway_pairing_table", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["invariants", "6.87548", "--json"]) == 0
+    assert len(calls) == 1
