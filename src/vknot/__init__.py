@@ -70,6 +70,7 @@ from .enumeration import (
     connecting_chords,
     enumerate_all_diagrams,
     enumerate_diagrams,
+    enumerate_structures,
     random_knot_diagram,
     random_link_diagram,
     raw_diagram_count,
@@ -97,12 +98,9 @@ from .oracle import conway_polynomial
 from .verify import (
     CheckReport,
     CHECKS,
+    STRUCTURE_CHECKS,
+    CensusStructure,
     SweepConfig,
-    check_corollary_det,
-    check_det_vs_ascending,
-    check_main_theorem,
-    check_skein_lemmas,
-    check_warp_and_smoothing,
     recheck,
     reports_to_json,
     run_check,

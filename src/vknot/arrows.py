@@ -285,21 +285,26 @@ def pairing(arrow_diagram, diagram):
     return total
 
 
-def _endpoints(diagram):
-    """Integer endpoint positions: ``(tails, heads, signs, bounds)``.
+def _layout(circles, chords):
+    """Integer endpoint positions: ``(tails, heads, bounds)``.
 
-    The circles are laid end to end; chord ``i`` (in ``chord_ids`` order)
-    has its tail at ``tails[i]`` and its head at ``heads[i]``, and
-    ``bounds`` holds each circle's first position, then the total.
+    The circles are laid end to end; chord ``i`` (the ``i``-th of
+    ``chords``) has its tail at ``tails[i]`` and its head at ``heads[i]``,
+    and ``bounds`` holds each circle's first position, then the total.
+    Signs play no part: a sign vector lists chord ``i``'s sign at ``i``.
     """
     tails, heads = {}, {}
     bounds = [0]
-    for circle in diagram.circles:
+    for circle in circles:
         for pos, (chord, is_head) in enumerate(circle, start=bounds[-1]):
             (heads if is_head else tails)[chord] = pos
         bounds.append(bounds[-1] + len(circle))
-    chords = diagram.chord_ids()
-    return [tails[c] for c in chords], [heads[c] for c in chords], [s for _, s in diagram.signs], bounds
+    return [tails[c] for c in chords], [heads[c] for c in chords], bounds
+
+
+def _endpoints(diagram):
+    """``(layout, signs)`` of a diagram, chords in ``chord_ids`` order."""
+    return _layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
 
 
 def _traverse(points, bounds, partner, chord_at, is_head, circle_at):
@@ -331,15 +336,16 @@ def _traverse(points, bounds, partner, chord_at, is_head, circle_at):
     return all(first_role.values()), not any(first_role.values())
 
 
-def _pairing_sums(ends, sizes, required=None):
-    """``{size: (ascending, descending)}`` signed sums over one-component subsets.
+def _qualifying_subsets(layout, sizes, required=None):
+    """Yield ``(subset, ascending, descending)`` for each one-component subset.
 
-    Only subsets of the sizes in ``sizes`` that hold chord index ``required``
-    (if set) are enumerated.  A one-component subset on c circles has
-    c - 1 + 2j chords (its traversal is one cycle, an odd permutation), so
-    other sizes are skipped.
+    ``subset`` is a tuple of chord indices.  Only subsets of the sizes in
+    ``sizes`` that hold chord index ``required`` (if set) are enumerated.  A
+    one-component subset on c circles has c - 1 + 2j chords (its traversal
+    is one cycle, an odd permutation), so other sizes are skipped.  Signs
+    are never read, so one pass serves every sign vector of the layout.
     """
-    tails, heads, signs, bounds = ends
+    tails, heads, bounds = layout
     ncirc = len(bounds) - 1
     m = bounds[-1]
     partner, chord_at, is_head = [0] * m, [0] * m, [False] * m
@@ -350,7 +356,6 @@ def _pairing_sums(ends, sizes, required=None):
     circle_at = [ci for ci in range(ncirc) for _ in range(bounds[ci], bounds[ci + 1])]
     base = () if required is None else (required,)
     others = [i for i in range(len(tails)) if i != required]
-    sums = {}
     for size in sizes:
         if size < len(base) or size % 2 != (ncirc - 1) % 2:
             continue
@@ -359,32 +364,62 @@ def _pairing_sums(ends, sizes, required=None):
             points = sorted([tails[i] for i in subset] + [heads[i] for i in subset])
             kind = _traverse(points, bounds, partner, chord_at, is_head, circle_at)
             if kind is not None:
-                prod = math.prod([signs[i] for i in subset])
-                entry = sums.setdefault(size, [0, 0])
-                entry[0] += prod if kind[0] else 0
-                entry[1] += prod if kind[1] else 0
+                yield subset, kind[0], kind[1]
+
+
+def _pairing_sums(classified, signs):
+    """``{size: (ascending, descending)}`` signed sums over classified subsets."""
+    sums = {}
+    for subset, asc, des in classified:
+        prod = math.prod([signs[i] for i in subset])
+        entry = sums.setdefault(len(subset), [0, 0])
+        entry[0] += prod if asc else 0
+        entry[1] += prod if des else 0
     return {size: (a, d) for size, (a, d) in sums.items()}
 
 
-def _z2(ends):
-    """``(ascending, descending)`` degree-2 Conway pairings.
+def _z2_pairs(layout):
+    """The chord-index pairs counted by the ascending and descending z^2 pairings.
 
     On one circle the degree-2 Conway sets are ``U1O2O1U2`` (ascending) and
     ``O1U2U1O2`` (descending), so c2 is a Polyak-Viro Gauss-diagram
     formula: s_x * s_y summed over the chord pairs with
     h_x < t_y < t_x < h_y, respectively t_x < h_y < h_x < t_y.
     """
-    tails, heads, signs, bounds = ends
+    tails, heads, bounds = layout
+    asc, des = [], []
     if len(bounds) != 2:
-        return _pairing_sums(ends, (2,)).get(2, (0, 0))
-    chords = list(zip(tails, heads, signs))
-    asc = des = 0
-    for tx, hx, sx in chords:
+        for subset, a, d in _qualifying_subsets(layout, (2,)):
+            if a:
+                asc.append(subset)
+            if d:
+                des.append(subset)
+        return asc, des
+    chords = list(zip(itertools.count(), tails, heads))
+    for x, tx, hx in chords:
         if hx < tx:
-            asc += sx * sum(s for t, h, s in chords if hx < t < tx < h)
+            asc.extend([(x, y) for y, t, h in chords if hx < t < tx < h])
         else:
-            des += sx * sum(s for t, h, s in chords if tx < h < hx < t)
+            des.extend([(x, y) for y, t, h in chords if tx < h < hx < t])
     return asc, des
+
+
+def _z2_sums(pair_lists, signs):
+    """``(ascending, descending)`` z^2 pairings: s_x * s_y summed over each list."""
+    return tuple(sum(signs[x] * signs[y] for x, y in pairs) for pairs in pair_lists)
+
+
+def _basepoint_layouts(layout):
+    """The layout with the first circle's basepoint in each of its gaps.
+
+    Entry ``s`` shifts the first circle's positions by ``s``, which is
+    ``basepoint_positions(diagram)[s]``.
+    """
+    tails, heads, bounds = layout
+    m = bounds[1]
+    for shift in range(max(1, m)):
+        move = [(pos - shift) % m for pos in range(m)] + list(range(m, bounds[-1]))
+        yield [move[t] for t in tails], [move[h] for h in heads], bounds
 
 
 def conway_pairing(diagram, degree, variant):
@@ -393,13 +428,14 @@ def conway_pairing(diagram, degree, variant):
     Equals the sum of :func:`pairing` over every member of
     ``conway_set(degree, ...)`` but runs directly over the C(n, degree)
     chord subsets of the diagram, classifying each by jump traversal.
-    Degree 2 on one circle is the O(n^2) closed form of :func:`_z2`.
+    Degree 2 on one circle is the O(n^2) closed form of :func:`_z2_pairs`.
     """
     column = 0 if _variant_name(variant) == "ascending" else 1
-    ends = _endpoints(diagram)
+    layout, signs = _endpoints(diagram)
     if degree == 2:
-        return _z2(ends)[column]
-    return _pairing_sums(ends, (degree,)).get(degree, (0, 0))[column]
+        return _z2_sums(_z2_pairs(layout), signs)[column]
+    table = _pairing_sums(_qualifying_subsets(layout, (degree,)), signs)
+    return table.get(degree, (0, 0))[column]
 
 
 def conway_pairing_table(diagram, required_chord=None, max_degree=None):
@@ -413,22 +449,17 @@ def conway_pairing_table(diagram, required_chord=None, max_degree=None):
     if max_degree is None:
         max_degree = diagram.num_chords
     required = None if required_chord is None else diagram.chord_ids().index(required_chord)
-    return _pairing_sums(_endpoints(diagram), range(max_degree + 1), required)
+    layout, signs = _endpoints(diagram)
+    return _pairing_sums(_qualifying_subsets(layout, range(max_degree + 1), required), signs)
 
 
 def z2_pairings_at_basepoints(diagram):
     """``(ascending, descending)`` z^2 pairings for every first-basepoint gap.
 
-    Entry ``s`` is the pair for ``basepoint_positions(diagram)[s]``: the
-    first circle's positions shifted by ``s`` on the same arrays.
+    Entry ``s`` is the pair for ``basepoint_positions(diagram)[s]``.
     """
-    tails, heads, signs, bounds = _endpoints(diagram)
-    m = bounds[1]
-    pairs = []
-    for shift in range(max(1, m)):
-        move = [(pos - shift) % m for pos in range(m)] + list(range(m, bounds[-1]))
-        pairs.append(_z2(([move[t] for t in tails], [move[h] for h in heads], signs, bounds)))
-    return pairs
+    layout, signs = _endpoints(diagram)
+    return [_z2_sums(_z2_pairs(shifted), signs) for shifted in _basepoint_layouts(layout)]
 
 
 # -- polynomials -------------------------------------------------------------

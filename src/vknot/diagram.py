@@ -198,6 +198,25 @@ def _in_open_arc(pos, start, end, m):
     return (pos - start) % m < (end - start) % m and pos != start
 
 
+def _index_terms(diagram, chord):
+    """``(other, coefficient)`` of every chord interleaved with ``chord``.
+
+    The coefficient is +1 when the other chord's tail lies on the arc from
+    the head of ``chord`` to its tail, else -1; :func:`index` is
+    ``sign(chord) * sum(coefficient * sign(other))``.  Signs are not read.
+    """
+    _, t = diagram.tail(chord)
+    _, h = diagram.head(chord)
+    m = len(diagram.circles[0])
+    for other, _ in diagram.signs:
+        if other == chord:
+            continue
+        _, td = diagram.tail(other)
+        _, hd = diagram.head(other)
+        if _in_open_arc(td, t, h, m) != _in_open_arc(hd, t, h, m):
+            yield other, 1 if _in_open_arc(td, h, t, m) else -1
+
+
 def index(diagram, chord, flip=False):
     """Signed count of chords interleaved with ``chord``.
 
@@ -208,20 +227,8 @@ def index(diagram, chord, flip=False):
     predicate downstream only uses the value modulo p, which is unaffected.
     """
     _require_knot(diagram, "index")
-    eps = diagram.sign(chord)
-    _, t = diagram.tail(chord)
-    _, h = diagram.head(chord)
-    m = len(diagram.circles[0])
-    total = 0
-    for other, s in diagram.signs:
-        if other == chord:
-            continue
-        _, td = diagram.tail(other)
-        _, hd = diagram.head(other)
-        if _in_open_arc(td, t, h, m) == _in_open_arc(hd, t, h, m):
-            continue
-        total += s if _in_open_arc(td, h, t, m) else -s
-    value = eps * total
+    total = sum(coef * diagram.sign(other) for other, coef in _index_terms(diagram, chord))
+    value = diagram.sign(chord) * total
     return -value if flip else value
 
 
@@ -234,15 +241,11 @@ def _congruent(a, b, p):
 def is_mod_p_numberable(diagram, p):
     """True iff the diagram admits a mod ``p`` Alexander numbering.
 
-    For knots this is the index criterion: every chord must have index
-    congruent to 0 mod ``p`` (``p = 0`` meaning exactly zero, ``p = 2``
-    checkerboard colorability).  Multi-circle diagrams fall back to solving
-    the arc-labeling constraints directly.
+    ``p = 0`` asks for an integer numbering and ``p = 2`` is checkerboard
+    colorability.  On a knot this is the index criterion (every chord has
+    index congruent to 0 mod ``p``), decided here in O(n) by the labeling
+    walk of :func:`alexander_numbering`.
     """
-    if p < 0:
-        raise ValueError("modulus must be >= 0")
-    if diagram.num_circles == 1:
-        return all(_congruent(index(diagram, c), 0, p) for c in diagram.chord_ids())
     return alexander_numbering(diagram, p) is not None
 
 

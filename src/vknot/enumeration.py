@@ -16,15 +16,9 @@ def raw_diagram_count(k):
     return total
 
 
-def enumerate_diagrams(k, canonical=False):
-    """All one-circle based diagrams with exactly ``k`` chords.
-
-    Yields every combination of endpoint pairing, chord orientation and
-    signs; with ``canonical=True`` diagrams equal up to rotation (basepoint
-    placement) are emitted once.
-    """
-    if k < 0:
-        raise ValueError("chord count must be >= 0")
+def _signed_structures(k, canonical):
+    """``(word, sign_vectors)`` of each structure with ``k`` chords, in census order."""
+    vectors = list(itertools.product((1, -1), repeat=k))
     seen = set()
     for matching in _matchings(tuple(range(2 * k))):
         for heads in itertools.product((False, True), repeat=k):
@@ -32,16 +26,46 @@ def enumerate_diagrams(k, canonical=False):
             for chord, ((a, b), head_at_a) in enumerate(zip(matching, heads), start=1):
                 slots[a] = (chord, head_at_a)
                 slots[b] = (chord, not head_at_a)
-            for signs in itertools.product((1, -1), repeat=k):
-                diagram = make_diagram(
-                    [slots], {c: s for c, s in zip(range(1, k + 1), signs)}
-                )
-                if canonical:
-                    key = rotation_canonical_key(diagram)
-                    if key in seen:
-                        continue
+            word = tuple(slots)
+            if not canonical:
+                yield word, vectors
+                continue
+            kept = []
+            for signs in vectors:
+                key = rotation_canonical_key(make_diagram([word], zip(range(1, k + 1), signs)))
+                if key not in seen:
                     seen.add(key)
-                yield diagram
+                    kept.append(signs)
+            yield word, kept
+
+
+def enumerate_structures(max_chords, canonical=False):
+    """Each unsigned oriented one-circle structure with at most ``max_chords`` chords.
+
+    Yields ``(word, sign_vectors)``.  ``word`` is the endpoint word
+    (chord matching and orientation) with chords numbered 1..k in order of
+    first occurrence; ``sign_vectors`` lists the sign tuples (chord ``c``
+    has sign ``signs[c - 1]``) whose diagrams :func:`enumerate_diagrams`
+    yields for it, in the same order.  That is all 2^k of them, or with
+    ``canonical=True`` those whose diagram is the first of its rotation
+    class.
+    """
+    for k in range(max_chords + 1):
+        yield from _signed_structures(k, canonical)
+
+
+def enumerate_diagrams(k, canonical=False):
+    """All one-circle based diagrams with exactly ``k`` chords.
+
+    Yields every combination of endpoint pairing, chord orientation and
+    signs, signs varying fastest; with ``canonical=True`` diagrams equal up
+    to rotation (basepoint placement) are emitted once.
+    """
+    if k < 0:
+        raise ValueError("chord count must be >= 0")
+    for word, vectors in _signed_structures(k, canonical):
+        for signs in vectors:
+            yield make_diagram([word], zip(range(1, k + 1), signs))
 
 
 def enumerate_all_diagrams(max_chords, canonical=False):

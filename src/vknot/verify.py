@@ -1,22 +1,34 @@
 """Sweep checks for the determinant/ascending-polynomial relations.
 
 Each check walks a population of diagrams (exhaustive up to a chord bound,
-or seeded random) and applies a pure per-diagram verdict.  Failures never
-abort a sweep: the offending Gauss codes are collected, because a failure
-almost certainly pins down a convention bug and the codes are the debugging
-artifact.  Rerunning a verdict on a recorded code reproduces its failure.
+or seeded random) and applies a pure per-diagram verdict.  The exhaustive
+checks also have a structure form that sweeps run instead: it reaches every
+diagram's verdict from work done once per unsigned chord structure (see
+:class:`CensusStructure`).  Failures never abort a sweep: the offending
+Gauss codes are collected, because a failure almost certainly pins down a
+convention bug and the codes are the debugging artifact.  Rerunning a
+verdict on a recorded code reproduces its failure.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .arrows import (
+    _basepoint_layouts,
+    _layout,
+    _pairing_sums,
+    _qualifying_subsets,
+    _z2_pairs,
+    _z2_sums,
     ascending_polynomial,
     conway_pairing,
     conway_pairing_table,
@@ -24,9 +36,13 @@ from .arrows import (
 )
 from .determinant import determinant
 from .diagram import (
+    _congruent,
     _in_open_arc,
+    _index_terms,
+    _require_knot,
     crossing_change,
     is_mod_p_numberable,
+    make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
     smooth,
@@ -36,6 +52,7 @@ from .diagram import (
 from .enumeration import (
     connecting_chords,
     enumerate_all_diagrams,
+    enumerate_structures,
     random_knot_diagram,
     random_link_diagram,
 )
@@ -127,6 +144,7 @@ def _population_random_skein(config):
 
 def corollary_verdict(diagram, config):
     """det == +-(1 + 4 v2) mod 8 on a checkerboard colorable knot diagram."""
+    _require_knot(diagram, "the cor-det check")
     det = determinant(diagram)
     vv = conway_pairing(diagram, 2, "ascending") % 2
     allowed = {1, 7} if vv == 0 else {3, 5}
@@ -135,6 +153,7 @@ def corollary_verdict(diagram, config):
 
 def det_vs_ascending_verdict(diagram, config):
     """det == +-(ascending polynomial at 2) mod 8, full evaluation."""
+    _require_knot(diagram, "the det-asc check")
     det = determinant(diagram)
     value = ascending_polynomial(diagram)(2)
     return (det - value) % 8 == 0 or (det + value) % 8 == 0
@@ -142,6 +161,7 @@ def det_vs_ascending_verdict(diagram, config):
 
 def main_theorem_verdict(diagram, config):
     """z^2 pairings mod p agree across basepoints and both variants."""
+    _require_knot(diagram, "the main-theorem check")
     pairs = z2_pairings_at_basepoints(diagram)
     for p in config.moduli:
         if is_mod_p_numberable(diagram, p) and len({v % p for pair in pairs for v in pair}) > 1:
@@ -252,6 +272,155 @@ def smoothing_index_observations(config):
     return agree, total
 
 
+# -- the census engine ---------------------------------------------------------
+
+
+class CensusStructure:
+    """One unsigned structure of the census and what its diagrams share.
+
+    The 2^k diagrams of a structure differ only in their chord signs.  None
+    of the following reads a sign, so each is computed once, on first use:
+    mod 2 colorability, the determinant, the warping degree, the z^2 pair
+    lists at every basepoint, the one-component chord subsets of the
+    diagram and of each smoothing candidate's smoothing, and the
+    interleaving rows that make each chord's index a linear form in the
+    signs.  The methods taking ``signs`` evaluate one diagram from them;
+    ``signs[i]`` is the sign of chord ``i + 1``.
+    """
+
+    def __init__(self, word):
+        self.word = word
+        self.chords = tuple(range(1, len(word) // 2 + 1))
+        self.template = make_diagram([word], {c: 1 for c in self.chords})
+
+    def diagram(self, signs):
+        return make_diagram([self.word], zip(self.chords, signs))
+
+    @cached_property
+    def colorable(self):
+        return is_mod_p_numberable(self.template, 2)
+
+    @cached_property
+    def determinant(self):
+        return determinant(self.template)
+
+    @cached_property
+    def warping_degree(self):
+        return warping_degree(self.template)
+
+    @cached_property
+    def index_rows(self):
+        """Per chord, the coefficient of each sign in :func:`index`'s sum.
+
+        The index of chord ``c`` is ``signs[c - 1]`` times the dot product
+        of row ``c - 1`` with ``signs``.
+        """
+        rows = []
+        for chord in self.chords:
+            row = [0] * len(self.chords)
+            for other, coef in _index_terms(self.template, chord):
+                row[other - 1] = coef
+            rows.append(row)
+        return rows
+
+    @cached_property
+    def z2_pairs(self):
+        """:func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions`` order."""
+        layout = _layout((self.word,), self.chords)
+        return [_z2_pairs(shifted) for shifted in _basepoint_layouts(layout)]
+
+    @cached_property
+    def subsets(self):
+        """Every one-component chord subset with its ascending/descending flags."""
+        layout = _layout((self.word,), self.chords)
+        return list(_qualifying_subsets(layout, range(len(self.chords) + 1)))
+
+    @cached_property
+    def smoothed_subsets(self):
+        """:attr:`subsets` of each smoothing candidate's smoothing.
+
+        Subsets hold this structure's chord indices, so ``signs`` applies.
+        """
+        out = []
+        for alpha in _smoothing_candidates(self.template):
+            smoothed = smooth(self.template, alpha)
+            kept = smoothed.chord_ids()
+            layout = _layout(smoothed.circles, kept)
+            out.append([
+                (tuple(kept[i] - 1 for i in subset), asc, des)
+                for subset, asc, des in _qualifying_subsets(layout, range(len(kept) + 1))
+            ])
+        return out
+
+    def numberable(self, signs, p):
+        """``is_mod_p_numberable(self.diagram(signs), p)``."""
+        if p == 2:
+            return self.colorable
+        if p < 0:
+            raise ValueError("modulus must be >= 0")
+        # p divides every chord index iff it divides their gcd
+        return _congruent(math.gcd(*[sum(map(mul, row, signs)) for row in self.index_rows]), 0, p)
+
+    def z2_at_basepoints(self, signs):
+        """``z2_pairings_at_basepoints(self.diagram(signs))``."""
+        return [_z2_sums(pairs, signs) for pairs in self.z2_pairs]
+
+    def table(self, signs):
+        """``conway_pairing_table(self.diagram(signs))``."""
+        return _pairing_sums(self.subsets, signs)
+
+    def smoothed_tables(self, signs):
+        """``conway_pairing_table`` of each candidate's smoothing of ``self.diagram(signs)``."""
+        return [_pairing_sums(subsets, signs) for subsets in self.smoothed_subsets]
+
+
+# Each census verdict takes (structure, signs, config) and returns the
+# per-diagram verdict of that diagram, or None if it is outside the
+# check's population.
+
+
+def _corollary_census(structure, signs, config):
+    if not structure.colorable:
+        return None
+    # c2 sums +-1 over the ascending pairs, so its parity is their count's.
+    vv = len(structure.z2_pairs[0][0]) % 2
+    allowed = {1, 7} if vv == 0 else {3, 5}
+    return structure.determinant % 8 in allowed
+
+
+def _det_vs_ascending_census(structure, signs, config):
+    if not structure.colorable:
+        return None
+    det = structure.determinant
+    value = sum(asc * 2**size for size, (asc, _) in structure.table(signs).items())
+    return (det - value) % 8 == 0 or (det + value) % 8 == 0
+
+
+def _main_theorem_census(structure, signs, config):
+    moduli = [p for p in config.moduli if structure.numberable(signs, p)]
+    if not moduli:
+        return None
+    values = {v for pair in structure.z2_at_basepoints(signs) for v in pair}
+    return all(len({v % p for v in values}) <= 1 for p in moduli)
+
+
+def _warp_and_smoothing_census(structure, signs, config):
+    if structure.warping_degree == 0:
+        if any(sums != (0, 0) for size, sums in structure.table(signs).items() if size):
+            return False
+        if structure.colorable and structure.determinant != 1:
+            return False
+    moduli = [p for p in config.moduli if structure.numberable(signs, p)]
+    if moduli:
+        for table in structure.smoothed_tables(signs):
+            asc1, des1 = table.get(1, (0, 0))
+            if asc1 != 0 or any(des1 % p != 0 for p in moduli):
+                return False
+            if any(asc != 0 for size, (asc, _) in table.items() if size >= 3):
+                return False
+    return True
+
+
 # -- the check registry --------------------------------------------------------
 
 
@@ -263,16 +432,47 @@ CHECKS = {
     "warp-smooth": (_population_all, warp_and_smoothing_verdict),
 }
 
+# Exhaustive checks that sweeps run structure by structure; their reports
+# equal those of the per-diagram (population, verdict) pairs in CHECKS.
+STRUCTURE_CHECKS = {
+    "cor-det": _corollary_census,
+    "det-asc": _det_vs_ascending_census,
+    "main-theorem": _main_theorem_census,
+    "warp-smooth": _warp_and_smoothing_census,
+}
+
+
+def _shard_verdicts(name, config, shard, num_shards):
+    """``(verdict, diagram)`` for this shard's population, in census order.
+
+    A check in STRUCTURE_CHECKS is sharded over structures and builds a
+    diagram only for a failure (``diagram`` is None on a pass); any other
+    check is sharded over the diagrams of its population.
+    """
+    census = STRUCTURE_CHECKS.get(name)
+    if census is None:
+        population_fn, verdict_fn = CHECKS[name]
+        for i, diagram in enumerate(population_fn(config)):
+            if i % num_shards == shard:
+                yield verdict_fn(diagram, config), diagram
+        return
+    structures = enumerate_structures(config.max_chords, config.canonical)
+    for i, (word, vectors) in enumerate(structures):
+        if i % num_shards != shard:
+            continue
+        structure = CensusStructure(word)
+        for signs in vectors:
+            verdict = census(structure, signs, config)
+            if verdict is not None:
+                yield verdict, None if verdict else structure.diagram(signs)
+
 
 def _run_shard(args):
     name, config, shard, num_shards = args
-    population_fn, verdict_fn = CHECKS[name]
     passes = failures = 0
     counterexamples = []
-    for i, diagram in enumerate(population_fn(config)):
-        if i % num_shards != shard:
-            continue
-        if verdict_fn(diagram, config):
+    for verdict, diagram in _shard_verdicts(name, config, shard, num_shards):
+        if verdict:
             passes += 1
         else:
             failures += 1
@@ -319,23 +519,3 @@ def recheck(name, code, config=None):
         config = SweepConfig()
     _, verdict_fn = CHECKS[name]
     return verdict_fn(parse_gauss_code(code), config)
-
-
-def check_corollary_det(config=None):
-    return run_check("cor-det", config)
-
-
-def check_det_vs_ascending(config=None):
-    return run_check("det-asc", config)
-
-
-def check_main_theorem(config=None):
-    return run_check("main-theorem", config)
-
-
-def check_skein_lemmas(config=None):
-    return run_check("skein", config)
-
-
-def check_warp_and_smoothing(config=None):
-    return run_check("warp-smooth", config)

@@ -114,9 +114,11 @@ def test_numberability_examples():
 def test_numbering_matches_numberability():
     # the constructive labeling succeeds exactly when the index test says so
     for G in enumerate_all_diagrams(4):
+        indices = [index(G, c) for c in G.chord_ids()]
         for p in (0, 2, 3, 4):
             numbering = alexander_numbering(G, p)
-            assert (numbering is not None) == is_mod_p_numberable(G, p)
+            index_test = all(i == 0 if p == 0 else i % p == 0 for i in indices)
+            assert (numbering is not None) == is_mod_p_numberable(G, p) == index_test
             if numbering is not None:
                 assert numbering_is_valid(G, numbering)
 

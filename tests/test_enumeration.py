@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from vknot.diagram import parse_gauss_code
+from vknot.diagram import make_diagram, parse_gauss_code
 from vknot.enumeration import (
     connecting_chords,
+    enumerate_all_diagrams,
     enumerate_diagrams,
+    enumerate_structures,
     random_knot_diagram,
     random_link_diagram,
     raw_diagram_count,
@@ -30,6 +32,22 @@ def test_canonical_dedup():
     raw = sum(1 for _ in enumerate_diagrams(2))
     canon = sum(1 for _ in enumerate_diagrams(2, canonical=True))
     assert canon < raw
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_structures_expand_to_the_census(canonical):
+    expanded = [
+        make_diagram([word], zip(range(1, len(word) // 2 + 1), signs))
+        for word, vectors in enumerate_structures(3, canonical)
+        for signs in vectors
+    ]
+    assert expanded == list(enumerate_all_diagrams(3, canonical))
+    words = [word for word, _ in enumerate_structures(3, canonical)]
+    # every matching and orientation once, chords numbered by first occurrence
+    assert len(set(words)) == len(words) == 1 + 2 + 12 + 120
+    for word in words:
+        firsts = list(dict.fromkeys(chord for chord, _ in word))
+        assert firsts == list(range(1, len(word) // 2 + 1))
 
 
 def test_rotation_canonical_key_identifies_rotations():

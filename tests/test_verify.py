@@ -2,11 +2,11 @@ import json
 
 import pytest
 
+from vknot.errors import PreconditionError
 from vknot.verify import (
     CHECKS,
     CheckReport,
     SweepConfig,
-    check_main_theorem,
     recheck,
     reports_to_json,
     run_check,
@@ -32,7 +32,7 @@ def test_unknown_check_rejected():
 
 
 def test_named_wrapper():
-    report = check_main_theorem(SMALL)
+    report = run_check("main-theorem", SMALL)
     assert report.check == "main-theorem" and report.failures == 0
 
 
@@ -87,6 +87,12 @@ def test_counterexamples_round_trip(monkeypatch):
     for code in report.counterexamples:
         assert recheck("always-bad", code, SMALL) is False
     assert recheck("cor-det", "O1+U2+O3+U1+O2+U3+") is True
+
+
+@pytest.mark.parametrize("name", ["cor-det", "det-asc", "main-theorem"])
+def test_knot_checks_refuse_links(name):
+    with pytest.raises(PreconditionError):
+        recheck(name, "O1+U2+;O2+U1+")
 
 
 def test_workers_match_serial():
