@@ -8,6 +8,12 @@ both over and under at the same crossing therefore lands on 1, and a kink's
 single arc on 0.  Every determinant here is computed by fraction-free
 elimination over the integers: residue classes mod 8 are meaningless under
 floating point rounding.
+
+A coloring matrix has at most three nonzeros per row, so :func:`int_det`
+eliminates over sparse rows: the pivot is the shortest row reaching the
+current column, rows that do not reach it are left alone, and the Bareiss
+scaling they skip is applied at their next update, where it telescopes
+into a single exact division.  Its work follows the fill-in, not n^3.
 """
 
 from __future__ import annotations
@@ -57,31 +63,63 @@ def _rows(matrix):
 
 
 def int_det(matrix):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = _rows(matrix)
-    n = len(a)
-    if any(len(r) != n for r in a):
+    """Exact signed determinant of a square integer matrix.
+
+    Sparse Bareiss elimination.  Each row is a ``{column: value}`` dict of
+    its nonzeros.  Step k takes as pivot, among the rows not yet used, the
+    one with the fewest nonzeros that has an entry in column k; each row
+    transposition this implies flips the sign.  Only rows with an entry in
+    column k are updated.  Dense Bareiss would scale every other row by
+    ``p_k / p_(k-1)``; those factors telescope, so a row is left as it was
+    and remembers the pivot ``d`` it was last updated under.  Its next
+    update, under pivot ``p`` with pivot row ``a_k``, is
+    ``(a_ij * p - a_ik * a_kj) // d``, and the pivot row itself is first
+    brought up to date by ``* p_(k-1) // d``.  Every value computed this
+    way is a true Bareiss entry, a minor of the input, so each division is
+    exact.  The work follows the fill-in, not n^3.
+    """
+    dense = _rows(matrix)
+    n = len(dense)
+    if any(len(r) != n for r in dense):
         raise PreconditionError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
+    rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+    # rows[i] holds its entries as of the pivot scale[i]
+    scale = [1] * n
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
+    for k in range(n):
+        best = None
+        for i in range(k, n):
+            if k in rows[i] and (best is None or len(rows[i]) < len(rows[best])):
+                best = i
+        if best is None:
+            return 0
+        if best != k:
+            rows[k], rows[best] = rows[best], rows[k]
+            scale[k], scale[best] = scale[best], scale[k]
+            sign = -sign
+        pivot_row = rows[k]
+        if scale[k] != prev:
+            d = scale[k]
+            pivot_row = {j: v * prev // d for j, v in pivot_row.items()}
+        pivot = pivot_row.pop(k)
+        pivot_get = pivot_row.get
+        pivot_cols = pivot_row.keys()
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+            row = rows[i]
+            f = row.pop(k, 0)
+            if not f:
+                continue
+            get = row.get
+            d = scale[i]
+            rows[i] = {
+                j: v
+                for j in row.keys() | pivot_cols
+                if (v := (get(j, 0) * pivot - f * pivot_get(j, 0)) // d)
+            }
+            scale[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def mock_det(matrix):

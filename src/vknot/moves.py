@@ -21,15 +21,6 @@ def _fresh_ids(diagram, count):
     return list(range(start, start + count))
 
 
-def _with_circle(diagram, ci, word, extra_signs=(), drop=()):
-    circles = list(diagram.circles)
-    circles[ci] = tuple(word)
-    signs = tuple(
-        sorted([(c, s) for c, s in diagram.signs if c not in drop] + list(extra_signs))
-    )
-    return BasedGaussDiagram(tuple(circles), signs)
-
-
 def _with_circles(diagram, replacements, extra_signs=(), drop=()):
     circles = list(diagram.circles)
     for ci, word in replacements.items():
@@ -52,7 +43,7 @@ def r1_insertions(diagram):
                 for sign in (1, -1):
                     kink = [(new, head_first), (new, not head_first)]
                     moved = list(word[:pos]) + kink + list(word[pos:])
-                    out.append(_with_circle(diagram, ci, moved, [(new, sign)]))
+                    out.append(_with_circles(diagram, {ci: moved}, [(new, sign)]))
     return out
 
 
@@ -65,7 +56,7 @@ def r1_deletions(diagram):
             partner, _ = word[(pos + 1) % m]
             if chord == partner:
                 moved = [e for i, e in enumerate(word) if i not in (pos, (pos + 1) % m)]
-                out.append(_with_circle(diagram, ci, moved, drop={chord}))
+                out.append(_with_circles(diagram, {ci: moved}, drop={chord}))
     return out
 
 
@@ -95,7 +86,7 @@ def r2_insertions(diagram):
                         moved = word[:gi] + tails + word[gi:gj] + heads + word[gj:]
                     else:
                         moved = word[:gj] + heads + word[gj:gi] + tails + word[gi:]
-                    out.append(_with_circle(diagram, ci, moved, signs))
+                    out.append(_with_circles(diagram, {ci: moved}, signs))
                 else:
                     wi = list(diagram.circles[ci])
                     wj = list(diagram.circles[cj])

@@ -159,12 +159,17 @@ def det_vs_ascending_verdict(diagram, config):
     return (det - value) % 8 == 0 or (det + value) % 8 == 0
 
 
+def _all_congruent(values, p):
+    """True iff all ``values`` agree mod ``p`` (exactly when ``p = 0``)."""
+    return all(_congruent(v, w, p) for v, w in zip(values, values[1:]))
+
+
 def main_theorem_verdict(diagram, config):
     """z^2 pairings mod p agree across basepoints and both variants."""
     _require_knot(diagram, "the main-theorem check")
-    pairs = z2_pairings_at_basepoints(diagram)
+    values = [v for pair in z2_pairings_at_basepoints(diagram) for v in pair]
     for p in config.moduli:
-        if is_mod_p_numberable(diagram, p) and len({v % p for pair in pairs for v in pair}) > 1:
+        if is_mod_p_numberable(diagram, p) and not _all_congruent(values, p):
             return False
     return True
 
@@ -242,7 +247,7 @@ def warp_and_smoothing_verdict(diagram, config):
         for alpha in _smoothing_candidates(diagram):
             table = conway_pairing_table(smooth(diagram, alpha))
             asc1, des1 = table.get(1, (0, 0))
-            if asc1 != 0 or any(des1 % p != 0 for p in moduli):
+            if asc1 != 0 or not all(_congruent(des1, 0, p) for p in moduli):
                 return False
             if any(asc != 0 for size, (asc, _) in table.items() if size >= 3):
                 return False
@@ -400,8 +405,8 @@ def _main_theorem_census(structure, signs, config):
     moduli = [p for p in config.moduli if structure.numberable(signs, p)]
     if not moduli:
         return None
-    values = {v for pair in structure.z2_at_basepoints(signs) for v in pair}
-    return all(len({v % p for v in values}) <= 1 for p in moduli)
+    values = list({v for pair in structure.z2_at_basepoints(signs) for v in pair})
+    return all(_all_congruent(values, p) for p in moduli)
 
 
 def _warp_and_smoothing_census(structure, signs, config):
@@ -414,7 +419,7 @@ def _warp_and_smoothing_census(structure, signs, config):
     if moduli:
         for table in structure.smoothed_tables(signs):
             asc1, des1 = table.get(1, (0, 0))
-            if asc1 != 0 or any(des1 % p != 0 for p in moduli):
+            if asc1 != 0 or not all(_congruent(des1, 0, p) for p in moduli):
                 return False
             if any(asc != 0 for size, (asc, _) in table.items() if size >= 3):
                 return False

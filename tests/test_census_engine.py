@@ -8,11 +8,13 @@ form (deleting a check from ``STRUCTURE_CHECKS`` switches its sweep to the
 per-diagram path).
 """
 
+import json
 import math
 
 import pytest
 
 from vknot.arrows import conway_pairing_table, z2_pairings_at_basepoints
+from vknot.cli import main
 from vknot.determinant import determinant
 from vknot.diagram import is_mod_p_numberable, smooth, warping_degree
 from vknot.enumeration import enumerate_all_diagrams, enumerate_structures
@@ -71,14 +73,27 @@ def test_structure_values_match_library_on_census():
 @pytest.mark.parametrize("name", CENSUS_CHECKS)
 @pytest.mark.parametrize(
     "config",
-    [SweepConfig(), SweepConfig(max_chords=3, canonical=True), SweepConfig(max_chords=3, moduli=(3, 5))],
-    ids=["default", "canonical", "moduli-3-5"],
+    [
+        SweepConfig(),
+        SweepConfig(max_chords=3, canonical=True),
+        SweepConfig(max_chords=3, moduli=(3, 5)),
+        SweepConfig(max_chords=3, moduli=(0,)),
+    ],
+    ids=["default", "canonical", "moduli-3-5", "moduli-0"],
 )
 def test_reports_match_per_diagram_path(monkeypatch, name, config):
     engine = run_check(name, config)
     reference = _per_diagram_report(monkeypatch, name, config)
     assert _fields(engine) == _fields(reference)
     assert engine.population > 0
+
+
+@pytest.mark.parametrize("name", ["main-theorem", "warp-smooth"])
+def test_cli_modulus_zero_compares_exactly(capsys, name):
+    # p = 0 asks for an integer numbering; its congruence is equality
+    assert main(["verify", name, "-p", "0", "--max-chords", "3", "--json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["population"] > 0 and report["failures"] == 0
 
 
 @pytest.mark.parametrize("name", CENSUS_CHECKS)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from braidutil import braid_closure_gauss_code
 
 from vknot.catalog import find_entry
 from vknot.determinant import (
@@ -18,12 +19,13 @@ from vknot.determinant import (
     skein_block_check,
 )
 from vknot.diagram import is_mod_p_numberable, parse_gauss_code
-from vknot.enumeration import enumerate_all_diagrams, random_link_diagram
+from vknot.enumeration import enumerate_all_diagrams, enumerate_structures, random_link_diagram
 from vknot.errors import (
     NotCheckerboardColorable,
     PreconditionError,
     UnderPassageFreeComponent,
 )
+from vknot.verify import CensusStructure
 
 TREFOIL = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
 
@@ -163,6 +165,111 @@ def test_int_det_against_cofactor_expansion():
         n = rng.randint(0, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert int_det(rows) == _laplace_det(rows)
+
+
+def _dense_bareiss(rows):
+    """Dense Bareiss elimination, the reference the sparse int_det replaced."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _coloring_minor(G):
+    entries = coloring_matrix(G).entries
+    n = len(entries)
+    return [list(row[: n - 1]) for row in entries[: n - 1]]
+
+
+def _braid_knot(rng, crossings, strands):
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(crossings)]
+        code = braid_closure_gauss_code(word, strands)
+        if code is not None:
+            return parse_gauss_code(code)
+
+
+def test_int_det_matches_dense_bareiss_on_random_matrices():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(4000):
+        n = rng.randint(0, 9)
+        density = rng.choice((0.15, 0.3, 0.6, 1.0))
+        rows = [
+            [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        shape = rng.randrange(4)
+        if shape == 1 and n:
+            # zero diagonal entries force pivot searches and row swaps
+            for i in range(rng.randint(1, n)):
+                rows[i][i] = 0
+        elif shape == 2 and n > 2:
+            # one row a combination of two others: singular
+            i, j, k = rng.sample(range(n), 3)
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])]
+        elif shape == 3 and n:
+            # a column of zeros: singular
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        expected = _dense_bareiss(rows)
+        singular += expected == 0
+        assert int_det(rows) == expected, rows
+    assert singular > 500
+
+
+def test_int_det_matches_dense_bareiss_on_census_coloring_minors():
+    checked = 0
+    for word, _ in enumerate_structures(4):
+        G = CensusStructure(word).template
+        if not is_mod_p_numberable(G, 2):
+            continue
+        full = [list(row) for row in coloring_matrix(G).entries]
+        minor = _coloring_minor(G)
+        assert int_det(minor) == _dense_bareiss(minor), str(G)
+        assert int_det(full) == _dense_bareiss(full), str(G)
+        checked += 1
+    assert checked > 100
+
+
+def test_int_det_matches_dense_bareiss_on_braid_closures():
+    rng = random.Random(16)
+    for crossings in range(10, 17):
+        for strands in (3, 4):
+            if crossings % 2 != (strands - 1) % 2:
+                continue
+            minor = _coloring_minor(_braid_knot(rng, crossings, strands))
+            assert int_det(minor) == _dense_bareiss(minor), (crossings, strands)
+
+
+def test_int_det_matches_sympy_on_large_closures():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(80)
+    for crossings in (80, 120):
+        minor = _coloring_minor(_braid_knot(rng, crossings, 5))
+        # Matrix.det()'s default method takes seconds here; the exact
+        # domain determinant of the same Matrix takes milliseconds
+        assert int_det(minor) == sympy.Matrix(minor).to_DM().det(), crossings
 
 
 def test_skein_block_examples():
