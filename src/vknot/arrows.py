@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .diagram import basepoint_positions
+from .diagram import _congruent, basepoint_positions
 from .errors import GaussCodeError, PreconditionError
 
 _ARROW_TOKEN = re.compile(r"([OU])(\d+)")
@@ -307,64 +306,65 @@ def _endpoints(diagram):
     return _layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
 
 
-def _traverse(points, bounds, partner, chord_at, is_head, circle_at):
-    """Jump traversal over the sorted endpoint positions of one chord subset.
-
-    Returns ``(ascending, descending)`` when the traversal visits every gap
-    of every circle, else None.
-    """
-    if not points:
-        return (True, True) if len(bounds) == 2 else None
-    firsts = [bisect_left(points, b) for b in bounds]
-    if any(a == b for a, b in zip(firsts, firsts[1:])):
-        return None  # a circle carries no endpoint of the subset
-    where = {p: j for j, p in enumerate(points)}
-    first_role = {}
-    j = steps = 0
-    while True:
-        p = points[j]
-        first_role.setdefault(chord_at[p], is_head[p])
-        steps += 1
-        q = partner[p]
-        j = where[q] + 1
-        if j == firsts[circle_at[q] + 1]:
-            j = firsts[circle_at[q]]
-        if j == 0:
-            break
-    if steps < len(points):
-        return None
-    return all(first_role.values()), not any(first_role.values())
-
-
 def _qualifying_subsets(layout, sizes, required=None):
-    """Yield ``(subset, ascending, descending)`` for each one-component subset.
+    """Yield ``(subset, ascending, descending)`` for the subsets that can count.
 
     ``subset`` is a tuple of chord indices.  Only subsets of the sizes in
     ``sizes`` that hold chord index ``required`` (if set) are enumerated.  A
     one-component subset on c circles has c - 1 + 2j chords (its traversal
     is one cycle, an odd permutation), so other sizes are skipped.  Signs
     are never read, so one pass serves every sign vector of the layout.
+
+    The jump traversal walks the bits of the subset's endpoint mask.  Only
+    one-component subsets that are ascending or descending are yielded,
+    plus the first one-component subset of each size (so that the size is
+    a key of the table): after it, a walk that has reached one chord
+    head-first and another tail-first stops.
     """
     tails, heads, bounds = layout
-    ncirc = len(bounds) - 1
-    m = bounds[-1]
-    partner, chord_at, is_head = [0] * m, [0] * m, [False] * m
-    for i, (t, h) in enumerate(zip(tails, heads)):
+    # role[p]: 1 if a chord first reached at p is reached head-first, 2 if tail-first
+    partner, role = [0] * bounds[-1], [1] * bounds[-1]
+    for t, h in zip(tails, heads):
         partner[t], partner[h] = h, t
-        chord_at[t] = chord_at[h] = i
-        is_head[h] = True
-    circle_at = [ci for ci in range(ncirc) for _ in range(bounds[ci], bounds[ci + 1])]
+        role[t] = 2
+    circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
+    wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
+    above = [circle & -(2 << q) for q, circle in enumerate(wrap)]
+    bits = [(1 << t) | (1 << h) for t, h in zip(tails, heads)]
     base = () if required is None else (required,)
+    base_mask = sum(bits[i] for i in base)
     others = [i for i in range(len(tails)) if i != required]
+    other_bits = [bits[i] for i in others]
     for size in sizes:
-        if size < len(base) or size % 2 != (ncirc - 1) % 2:
+        if size < len(base) or size % 2 != (len(circles) - 1) % 2:
             continue
-        for rest in itertools.combinations(others, size - len(base)):
-            subset = base + rest
-            points = sorted([tails[i] for i in subset] + [heads[i] for i in subset])
-            kind = _traverse(points, bounds, partner, chord_at, is_head, circle_at)
-            if kind is not None:
-                yield subset, kind[0], kind[1]
+        if size == 0:
+            if len(circles) == 1:
+                yield (), True, True
+            continue
+        seen = False
+        pick = size - len(base)
+        for rest, rest_bits in zip(itertools.combinations(others, pick),
+                                   itertools.combinations(other_bits, pick)):
+            mask = base_mask + sum(rest_bits)  # chords' bits are disjoint
+            if len(circles) > 1 and not all([mask & circle for circle in circles]):
+                continue  # a circle carries no endpoint of the subset
+            start = p = (mask & -mask).bit_length() - 1
+            reached = roles = 0
+            while True:
+                q = partner[p]
+                if not reached >> q & 1:
+                    roles |= role[p]
+                    if roles == 3 and seen:
+                        break
+                reached |= 1 << p
+                p = mask & above[q] or mask & wrap[q]
+                p = (p & -p).bit_length() - 1
+                if p == start:
+                    if reached == mask:
+                        seen = True
+                        yield base + rest, not roles & 2, not roles & 1
+                    break
 
 
 def _pairing_sums(classified, signs):
@@ -565,8 +565,7 @@ def v2(diagram, p=2, certify=False):
         base = pairs[0][0]
         for shift, values in enumerate(pairs):
             for variant, val in zip(("ascending", "descending"), values):
-                agree = (val - base) % p == 0 if p else val == base
-                if not agree:
+                if not _congruent(val, base, p):
                     raise PreconditionError(
                         "v2 certification failed on %s (%s, got %d vs %d)"
                         % (basepoint_positions(diagram)[shift], variant, val, base)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from .arrows import _matchings
-from .diagram import BasedGaussDiagram, make_diagram
+from .diagram import make_diagram
 
 
 def raw_diagram_count(k):
@@ -30,9 +30,10 @@ def _signed_structures(k, canonical):
             if not canonical:
                 yield word, vectors
                 continue
+            rotations = _rotations(word)
             kept = []
             for signs in vectors:
-                key = rotation_canonical_key(make_diagram([word], zip(range(1, k + 1), signs)))
+                key = _rotation_key(rotations, dict(zip(range(1, k + 1), signs)))
                 if key not in seen:
                     seen.add(key)
                     kept.append(signs)
@@ -73,16 +74,27 @@ def enumerate_all_diagrams(max_chords, canonical=False):
         yield from enumerate_diagrams(k, canonical=canonical)
 
 
+def _rotations(word):
+    """Each rotation of a one-circle word as ``(label, is_head, chord)`` slots.
+
+    Labels number the chords by first occurrence, as ``canonical_key`` does.
+    """
+    out = []
+    for r in range(len(word)):
+        labels = {}
+        out.append([(labels.setdefault(c, len(labels)), h, c) for c, h in word[r:] + word[:r]])
+    return out
+
+
+def _rotation_key(rotations, sign):
+    """:func:`rotation_canonical_key` of the word of ``rotations``, chord ``c`` of sign ``sign[c]``."""
+    keys = ((tuple([(label, h, sign[c]) for label, h, c in slots]),) for slots in rotations)
+    return min(keys, default=((),))
+
+
 def rotation_canonical_key(diagram):
     """Minimal canonical key over basepoint rotations of a one-circle diagram."""
-    word = diagram.circles[0]
-    if not word:
-        return ((),)
-    keys = []
-    for r in range(len(word)):
-        rotated = BasedGaussDiagram((word[r:] + word[:r],), diagram.signs)
-        keys.append(rotated.canonical_key())
-    return min(keys)
+    return _rotation_key(_rotations(diagram.circles[0]), dict(diagram.signs))
 
 
 def random_knot_diagram(k, rng):

@@ -286,8 +286,8 @@ class CensusStructure:
     The 2^k diagrams of a structure differ only in their chord signs.  None
     of the following reads a sign, so each is computed once, on first use:
     mod 2 colorability, the determinant, the warping degree, the z^2 pair
-    lists at every basepoint, the one-component chord subsets of the
-    diagram and of each smoothing candidate's smoothing, and the
+    lists at every basepoint, the chord subsets that can add to the Conway
+    table of the diagram and of each smoothing candidate's smoothing, and the
     interleaving rows that make each chord's index a linear form in the
     signs.  The methods taking ``signs`` evaluate one diagram from them;
     ``signs[i]`` is the sign of chord ``i + 1``.
@@ -336,7 +336,11 @@ class CensusStructure:
 
     @cached_property
     def subsets(self):
-        """Every one-component chord subset with its ascending/descending flags."""
+        """Each ascending or descending one-component subset with its flags.
+
+        Also the first one-component subset of each size, which keeps the
+        size a key of the table.
+        """
         layout = _layout((self.word,), self.chords)
         return list(_qualifying_subsets(layout, range(len(self.chords) + 1)))
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vknot.diagram import make_diagram, parse_gauss_code
+from vknot.diagram import BasedGaussDiagram, make_diagram, parse_gauss_code
 from vknot.enumeration import (
     connecting_chords,
     enumerate_all_diagrams,
@@ -55,6 +55,39 @@ def test_rotation_canonical_key_identifies_rotations():
     b = parse_gauss_code("U1+O1+")
     assert rotation_canonical_key(a) == rotation_canonical_key(b)
     assert a != b
+
+
+def _reference_rotation_key(diagram):
+    """The minimal ``canonical_key`` over the diagram's rotated copies."""
+    word = diagram.circles[0]
+    if not word:
+        return ((),)
+    return min(
+        BasedGaussDiagram((word[r:] + word[:r],), diagram.signs).canonical_key()
+        for r in range(len(word))
+    )
+
+
+@pytest.fixture(scope="module")
+def census_keys():
+    return [(G, _reference_rotation_key(G)) for G in enumerate_all_diagrams(4)]
+
+
+def test_rotation_canonical_key_matches_reference(census_keys):
+    assert len(census_keys) == 27893
+    for G, key in census_keys:
+        assert rotation_canonical_key(G) == key, str(G)
+
+
+def test_canonical_census_keeps_first_of_each_rotation_class(census_keys):
+    seen = set()
+    want = []
+    for G, key in census_keys:
+        if key not in seen:
+            seen.add(key)
+            want.append(G)
+    assert list(enumerate_all_diagrams(4, canonical=True)) == want
+    assert len(want) == 3569
 
 
 def test_random_generators_are_seeded():

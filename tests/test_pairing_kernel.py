@@ -25,7 +25,7 @@ from vknot.arrows import (
     subset_pattern,
     z2_pairings_at_basepoints,
 )
-from vknot.diagram import basepoint_positions
+from vknot.diagram import basepoint_positions, make_diagram
 from vknot.enumeration import enumerate_all_diagrams, random_knot_diagram, random_link_diagram
 
 VARIANTS = ("ascending", "descending")
@@ -112,11 +112,38 @@ def test_two_circle_diagrams_match_reference():
         _assert_pairings_match(G, table)
 
 
+def test_three_circle_diagrams_match_reference():
+    # With three circles a subset can miss two of them and keep the parity
+    # of a one-component subset, so only the per-circle check rejects it.
+    rng = random.Random(19)
+    for _ in range(30):
+        K = random_knot_diagram(rng.randint(2, 7), rng)
+        word = K.circles[0]
+        a, b = sorted(rng.sample(range(len(word) + 1), 2))
+        G = make_diagram([word[:a], word[a:b], word[b:]], K.signs)
+        table = reference_table(G)
+        assert conway_pairing_table(G) == table, str(G)
+        _assert_pairings_match(G, table)
+
+
 def test_required_chord_tables_match_reference():
     rng = random.Random(17)
     diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(6)]
     diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(6)]
     for G in diagrams:
+        for chord in G.chord_ids():
+            assert conway_pairing_table(G, required_chord=chord) == reference_table(G, chord), (
+                str(G), chord)
+
+
+def test_larger_tables_match_reference():
+    # Most walks of these tables stop early (a head-first and a tail-first
+    # chord), so every size must still keep its key and every sum its terms.
+    rng = random.Random(23)
+    diagrams = [random_knot_diagram(rng.randint(10, 12), rng) for _ in range(4)]
+    diagrams += [random_link_diagram(rng.randint(6, 9), rng) for _ in range(4)]
+    for G in diagrams:
+        assert conway_pairing_table(G) == reference_table(G), str(G)
         for chord in G.chord_ids():
             assert conway_pairing_table(G, required_chord=chord) == reference_table(G, chord), (
                 str(G), chord)
