@@ -6,13 +6,9 @@ chords the whole batch takes well under a minute.
 Run: python demos/04_verification_sweeps.py
 """
 
-from vknot import SweepConfig, run_checks, smoothing_index_observations
+from vknot import SweepConfig, run_checks
 
 config = SweepConfig(max_chords=4, samples=300, seed=1)
 for report in run_checks(config):
     print(report.to_text())
     print()
-
-agree, total = smoothing_index_observations(SweepConfig(max_chords=3))
-print("exploratory: the degree-1 pairing gap after smoothing equaled +-index")
-print("of the smoothed chord in %d of %d instances (observed, not asserted)" % (agree, total))

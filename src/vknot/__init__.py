@@ -105,7 +105,6 @@ from .verify import (
     reports_to_json,
     run_check,
     run_checks,
-    smoothing_index_observations,
 )
 
 __version__ = "0.1.0"

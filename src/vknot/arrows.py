@@ -306,6 +306,20 @@ def _endpoints(diagram):
     return _layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
 
 
+def _walk_setup(layout):
+    """The tables of a mask walk over ``layout``: ``partner``, ``role`` (2 at a
+    tail, else 1), ``circles``, ``wrap``, ``above`` and the chords' ``bits``."""
+    tails, heads, bounds = layout
+    partner, role = [0] * bounds[-1], [1] * bounds[-1]
+    for t, h in zip(tails, heads):
+        partner[t], partner[h] = h, t
+        role[t] = 2
+    circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
+    wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
+    above = [circle & -(2 << q) for q, circle in enumerate(wrap)]
+    return partner, role, circles, wrap, above, [(1 << t) | (1 << h) for t, h in zip(tails, heads)]
+
+
 def _qualifying_subsets(layout, sizes, required=None):
     """Yield ``(subset, ascending, descending)`` for the subsets that can count.
 
@@ -321,19 +335,10 @@ def _qualifying_subsets(layout, sizes, required=None):
     a key of the table): after it, a walk that has reached one chord
     head-first and another tail-first stops.
     """
-    tails, heads, bounds = layout
-    # role[p]: 1 if a chord first reached at p is reached head-first, 2 if tail-first
-    partner, role = [0] * bounds[-1], [1] * bounds[-1]
-    for t, h in zip(tails, heads):
-        partner[t], partner[h] = h, t
-        role[t] = 2
-    circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
-    wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
-    above = [circle & -(2 << q) for q, circle in enumerate(wrap)]
-    bits = [(1 << t) | (1 << h) for t, h in zip(tails, heads)]
+    partner, role, circles, wrap, above, bits = _walk_setup(layout)
     base = () if required is None else (required,)
     base_mask = sum(bits[i] for i in base)
-    others = [i for i in range(len(tails)) if i != required]
+    others = [i for i in range(len(bits)) if i != required]
     other_bits = [bits[i] for i in others]
     for size in sizes:
         if size < len(base) or size % 2 != (len(circles) - 1) % 2:
@@ -365,6 +370,48 @@ def _qualifying_subsets(layout, sizes, required=None):
                         seen = True
                         yield base + rest, not roles & 2, not roles & 1
                     break
+
+
+def _crossing_change_subsets(layout):
+    """``(same, switched)``: at chord index ``i``, the subsets holding ``i`` that count in D and in D^i.
+
+    Entries are ``(subset, ascending, descending)``; signs are never read.  D^i, the crossing
+    change at chord ``i``, swaps its tail and head in place, so each walk keeps its path and only
+    chord ``i``'s first-reached role flips: a subset is ascending in D when no chord is first
+    reached tail-first, and in D^i when ``i`` is the only one (descending likewise).  The walk is
+    :func:`_qualifying_subsets`'s, kept apart because recording chords there slows every table.
+    """
+    partner, role, circles, wrap, above, bits = _walk_setup(layout)
+    same, switched = [[] for _ in bits], [[] for _ in bits]
+    for size in range(1 + len(circles) % 2, len(bits) + 1, 2):
+        for subset, subset_bits in zip(itertools.combinations(range(len(bits)), size),
+                                       itertools.combinations(bits, size)):
+            mask = sum(subset_bits)
+            if len(circles) > 1 and not all([mask & circle for circle in circles]):
+                continue
+            start = p = (mask & -mask).bit_length() - 1
+            reached = tails = heads = 0  # tails, heads: where chords are first reached
+            while True:
+                q = partner[p]
+                if not reached >> q & 1:
+                    if role[p] == 2:
+                        tails |= 1 << p
+                    else:
+                        heads |= 1 << p
+                    if tails & (tails - 1) and heads & (heads - 1):
+                        break  # no crossing change makes it ascending or descending
+                reached |= 1 << p
+                p = mask & above[q] or mask & wrap[q]
+                p = (p & -p).bit_length() - 1
+                if p == start:
+                    if reached == mask:
+                        for i in subset:
+                            flip = (tails | heads) & bits[i]
+                            for found, t, h in ((same, tails, heads), (switched, tails ^ flip, heads ^ flip)):
+                                if not t or not h:
+                                    found[i].append((subset, not t, not h))
+                    break
+    return same, switched
 
 
 def _pairing_sums(classified, signs):
@@ -451,6 +498,16 @@ def conway_pairing_table(diagram, required_chord=None, max_degree=None):
     required = None if required_chord is None else diagram.chord_ids().index(required_chord)
     layout, signs = _endpoints(diagram)
     return _pairing_sums(_qualifying_subsets(layout, range(max_degree + 1), required), signs)
+
+
+def _crossing_change_tables(diagram):
+    """``{chord: (table, switched)}``: ``conway_pairing_table(·, required_chord=chord)`` of
+    the diagram and of ``crossing_change(diagram, chord)``, less some sizes whose sums are 0."""
+    layout, signs = _endpoints(diagram)
+    same, switched = _crossing_change_subsets(layout)
+    return {chord: (_pairing_sums(same[i], signs),
+                    _pairing_sums(switched[i], signs[:i] + [-signs[i]] + signs[i + 1:]))
+            for i, chord in enumerate(diagram.chord_ids())}
 
 
 def z2_pairings_at_basepoints(diagram):

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 from .arrows import (
     _basepoint_layouts,
+    _crossing_change_tables,
     _layout,
     _pairing_sums,
     _qualifying_subsets,
@@ -40,14 +39,12 @@ from .diagram import (
     _in_open_arc,
     _index_terms,
     _require_knot,
-    crossing_change,
     is_mod_p_numberable,
     make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
     smooth,
     warping_degree,
-    index,
 )
 from .enumeration import (
     connecting_chords,
@@ -63,7 +60,6 @@ class SweepConfig:
     """Knobs shared by all checks; two runs with equal config agree exactly."""
 
     max_chords: int = 4
-    modulus: int = 2
     moduli: tuple = (2, 3)
     samples: int = 1000
     random_max_chords: int = 8
@@ -181,18 +177,12 @@ def skein_verdict(diagram, config):
     joining the circles (smoothing a self-chord leaves the one- or two-circle
     pairing domain).
     """
-    if diagram.num_circles == 1:
-        chords = diagram.chord_ids()
-    else:
-        chords = connecting_chords(diagram)
+    chords = diagram.chord_ids() if diagram.num_circles == 1 else connecting_chords(diagram)
+    tables = _crossing_change_tables(diagram)
     for chord in chords:
-        eps = diagram.sign(chord)
-        switched = crossing_change(diagram, chord)
-        plus, minus = (diagram, switched) if eps > 0 else (switched, diagram)
-        zero = smooth(diagram, chord)
-        t_plus = conway_pairing_table(plus, required_chord=chord)
-        t_minus = conway_pairing_table(minus, required_chord=chord)
-        t_zero = conway_pairing_table(zero)
+        t_plus, t_minus = tables[chord] if diagram.sign(chord) > 0 else tables[chord][::-1]
+        # the smoothing gets its own walk, so the identity stays a check
+        t_zero = conway_pairing_table(smooth(diagram, chord))
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
         for n in sizes:
             if n < 1:
@@ -254,29 +244,6 @@ def warp_and_smoothing_verdict(diagram, config):
     return True
 
 
-def smoothing_index_observations(config):
-    """Exploratory: how often the degree-1 pairing gap equals +-index.
-
-    Not asserted anywhere; returns (agreeing, total) over all smoothing-lemma
-    instances in the sweep population.
-    """
-    agree = total = 0
-    for diagram in _population_all(config):
-        if diagram.num_circles != 1:
-            continue
-        if not is_mod_p_numberable(diagram, config.modulus):
-            continue
-        for alpha in _smoothing_candidates(diagram):
-            smoothed = smooth(diagram, alpha)
-            gap = conway_pairing(smoothed, 1, "ascending") - conway_pairing(
-                smoothed, 1, "descending"
-            )
-            total += 1
-            if gap in (index(diagram, alpha), -index(diagram, alpha)):
-                agree += 1
-    return agree, total
-
-
 # -- the census engine ---------------------------------------------------------
 
 
@@ -315,18 +282,10 @@ class CensusStructure:
 
     @cached_property
     def index_rows(self):
-        """Per chord, the coefficient of each sign in :func:`index`'s sum.
-
-        The index of chord ``c`` is ``signs[c - 1]`` times the dot product
-        of row ``c - 1`` with ``signs``.
-        """
-        rows = []
-        for chord in self.chords:
-            row = [0] * len(self.chords)
-            for other, coef in _index_terms(self.template, chord):
-                row[other - 1] = coef
-            rows.append(row)
-        return rows
+        """Per chord ``c``, ``(i, coefficient)`` of each sign ``signs[i]`` in :func:`index`'s
+        sum: the index of ``c`` is ``signs[c - 1]`` times the row's dot product with ``signs``."""
+        return [[(other - 1, coef) for other, coef in _index_terms(self.template, chord)]
+                for chord in self.chords]
 
     @cached_property
     def z2_pairs(self):
@@ -367,8 +326,13 @@ class CensusStructure:
             return self.colorable
         if p < 0:
             raise ValueError("modulus must be >= 0")
-        # p divides every chord index iff it divides their gcd
-        return _congruent(math.gcd(*[sum(map(mul, row, signs)) for row in self.index_rows]), 0, p)
+        for row in self.index_rows:
+            dot = 0
+            for i, coef in row:
+                dot += coef * signs[i]
+            if not _congruent(dot, 0, p):
+                return False
+        return True
 
     def z2_at_basepoints(self, signs):
         """``z2_pairings_at_basepoints(self.diagram(signs))``."""

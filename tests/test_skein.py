@@ -1,0 +1,114 @@
+"""Differential tests of the skein check's shared crossing-change walk.
+
+``skein_verdict`` reads the tables of a diagram D and of every crossing
+change D^c from one walk of D's subsets.  The reference below is the
+per-chord verdict it replaced: three independent ``conway_pairing_table``
+calls per resolvable chord, on D, on the materialized crossing change and on
+the smoothing.  The verdict is True on every diagram the check sees, so the
+tables themselves are compared, and a deliberately wrong smoothing shows
+that the check can still fail.
+"""
+
+import functools
+import random
+
+from vknot import verify
+from vknot.arrows import _crossing_change_tables, conway_pairing_table
+from vknot.diagram import BasedGaussDiagram, crossing_change, serialize_gauss_code, smooth
+from vknot.enumeration import connecting_chords, enumerate_all_diagrams, random_link_diagram
+from vknot.verify import SweepConfig, recheck, run_check, skein_verdict
+
+# Diagrams are values, so the table comparison and the reference verdict
+# can share each materialized diagram's table.
+reference_table = functools.lru_cache(maxsize=256)(conway_pairing_table)
+
+
+def reference_skein_verdict(diagram, config, smoothing=smooth):
+    """The skein check as it was: per chord, each table by its own walk of its own diagram."""
+    if diagram.num_circles == 1:
+        chords = diagram.chord_ids()
+    else:
+        chords = connecting_chords(diagram)
+    for chord in chords:
+        eps = diagram.sign(chord)
+        switched = crossing_change(diagram, chord)
+        plus, minus = (diagram, switched) if eps > 0 else (switched, diagram)
+        zero = smoothing(diagram, chord)
+        t_plus = reference_table(plus, required_chord=chord)
+        t_minus = reference_table(minus, required_chord=chord)
+        t_zero = reference_table(zero)
+        sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
+        for n in sizes:
+            if n < 1:
+                continue
+            for column in (0, 1):
+                lhs = t_plus.get(n, (0, 0))[column] - t_minus.get(n, (0, 0))[column]
+                rhs = t_zero.get(n - 1, (0, 0))[column]
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def _nonzero(table):
+    return {size: sums for size, sums in table.items() if sums != (0, 0)}
+
+
+def _assert_shared_walk_matches(G, chords):
+    tables = _crossing_change_tables(G)
+    assert set(tables) == set(G.chord_ids()), str(G)
+    for chord in chords:
+        for shared, diagram in zip(tables[chord], (G, crossing_change(G, chord))):
+            reference = reference_table(diagram, required_chord=chord)
+            # the shared walk keeps a size only when a subset of it counts
+            assert set(shared) <= set(reference), (str(G), chord)
+            assert _nonzero(shared) == _nonzero(reference), (str(G), chord)
+
+
+def _seeded_links(count=200, seed=41):
+    rng = random.Random(seed)
+    return [random_link_diagram(rng.randint(1, 8), rng) for _ in range(count)]
+
+
+def test_shared_walk_matches_materialized_tables_on_census():
+    config = SweepConfig()
+    for G in enumerate_all_diagrams(4):
+        _assert_shared_walk_matches(G, G.chord_ids())
+        assert skein_verdict(G, config) is reference_skein_verdict(G, config), str(G)
+
+
+def test_shared_walk_matches_materialized_tables_on_links():
+    config = SweepConfig()
+    for G in _seeded_links():
+        assert connecting_chords(G)
+        _assert_shared_walk_matches(G, connecting_chords(G))
+        assert skein_verdict(G, config) is reference_skein_verdict(G, config), str(G)
+
+
+def _smooth_off_basepoint(diagram, chord):
+    """A wrong smoothing: the first circle's basepoint ends up one endpoint late."""
+    smoothed = smooth(diagram, chord)
+    first, *rest = smoothed.circles
+    return BasedGaussDiagram((first[1:] + first[:1], *rest), smoothed.signs)
+
+
+def test_wrong_smoothing_is_caught(monkeypatch):
+    config = SweepConfig(samples=200, seed=3)
+    expected = [
+        serialize_gauss_code(G)
+        for G in verify._population_random_skein(config)
+        if not reference_skein_verdict(G, config, smoothing=_smooth_off_basepoint)
+    ]
+    monkeypatch.setattr(verify, "smooth", _smooth_off_basepoint)
+    report = run_check("skein", config)
+    assert 0 < report.failures < report.population == 200
+    assert list(report.counterexamples) == expected
+    for code in report.counterexamples:
+        assert recheck("skein", code, config) is False
+
+
+def test_skein_holds_on_larger_random_diagrams():
+    # Up to 10 chords, many subsets reach two head-first and two tail-first
+    # chords, so the walk's early stop is exercised.
+    report = run_check("skein", SweepConfig(samples=200, random_max_chords=10, seed=7))
+    assert report.population == 200
+    assert report.failures == 0 and report.counterexamples == ()

@@ -11,7 +11,6 @@ from vknot.verify import (
     reports_to_json,
     run_check,
     run_checks,
-    smoothing_index_observations,
 )
 
 SMALL = SweepConfig(max_chords=3, samples=40, random_max_chords=6, seed=5)
@@ -104,8 +103,3 @@ def test_workers_match_serial():
         parallel.failures,
     )
 
-
-def test_smoothing_gap_observations_run():
-    agree, total = smoothing_index_observations(SweepConfig(max_chords=2))
-    assert 0 < total
-    assert 0 <= agree <= total
