@@ -98,7 +98,6 @@ from .oracle import conway_polynomial
 from .verify import (
     CheckReport,
     CHECKS,
-    STRUCTURE_CHECKS,
     CensusStructure,
     SweepConfig,
     recheck,

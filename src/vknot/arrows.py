@@ -96,80 +96,53 @@ def serialize_arrow_code(arrow_diagram):
 # -- jump traversal ---------------------------------------------------------
 
 
-def _walk(words):
-    """Run the jump traversal over filtered endpoint words.
-
-    Returns (reached endpoints in travel order as (circle, pos),
-    visited gap count, first-reached role per chord).
-    """
-    positions = {}
-    total_gaps = 0
-    for ci, word in enumerate(words):
-        total_gaps += max(1, len(word))
-        for pos, (chord, is_head) in enumerate(word):
-            positions[(chord, is_head)] = (ci, pos)
-    reached = []
-    first = {}
-    cur = (0, 0)
-    visited = 0
-    for _ in range(total_gaps + 1):
-        visited += 1
-        ci, g = cur
-        word = words[ci]
-        if not word:
-            break
-        chord, is_head = word[g]
-        reached.append((ci, g))
-        if chord not in first:
-            first[chord] = is_head
-        cj, pj = positions[(chord, not is_head)]
-        cur = (cj, (pj + 1) % len(words[cj]))
-        if cur == (0, 0):
-            break
-    else:
-        raise AssertionError("jump traversal failed to close up")
-    return reached, visited, total_gaps, first
-
-
 def jump_traversal(diagram):
     """Travel-reached endpoints in order, plus the set of visited gaps.
 
     Accepts either an :class:`ArrowDiagram` or a
     :class:`~vknot.diagram.BasedGaussDiagram`.  Gap ``(ci, g)`` is the arc
     before endpoint ``g`` of circle ``ci``; the primary basepoint sits in gap
-    ``(0, 0)``.
+    ``(0, 0)``.  Both classes give each chord one head and one tail, so the
+    walk permutes the gaps and returns to ``(0, 0)`` before any repeat.
     """
-    reached, _, _, _ = _walk(diagram.circles)
-    visited_gaps = {(0, 0)}
-    visited_gaps.update(reached)
-    return tuple(reached), frozenset(visited_gaps)
+    words = diagram.circles
+    positions = {end: (ci, pos) for ci, word in enumerate(words) for pos, end in enumerate(word)}
+    reached = []
+    cur = (0, 0)
+    while words[0]:
+        reached.append(cur)
+        chord, is_head = words[cur[0]][cur[1]]
+        cj, pj = positions[(chord, not is_head)]
+        cur = (cj, (pj + 1) % len(words[cj]))
+        if cur == (0, 0):
+            break
+    return tuple(reached), frozenset([(0, 0), *reached])
 
 
-def _classify(words):
-    """(one_component, ascending, descending) for endpoint words."""
-    _, visited, total, first = _walk(words)
-    one = visited == total
-    asc = all(first.values())
-    des = not any(first.values())
-    return one, asc, des
+def _classify(diagram):
+    """``(one_component, ascending, descending)`` from the jump traversal."""
+    reached, gaps = jump_traversal(diagram)
+    first = {}
+    for ci, g in reached:
+        chord, is_head = diagram.circles[ci][g]
+        first.setdefault(chord, is_head)
+    one = len(gaps) == sum(max(1, len(word)) for word in diagram.circles)
+    return one, all(first.values()), not any(first.values())
 
 
 def is_one_component(diagram):
     """True iff the jump traversal visits every arc of every circle."""
-    one, _, _ = _classify(diagram.circles)
-    return one
+    return _classify(diagram)[0]
 
 
 def is_ascending(diagram):
     """True iff every arrow is first reached by travel at its head."""
-    _, asc, _ = _classify(diagram.circles)
-    return asc
+    return _classify(diagram)[1]
 
 
 def is_descending(diagram):
     """True iff every arrow is first reached by travel at its tail."""
-    _, _, des = _classify(diagram.circles)
-    return des
+    return _classify(diagram)[2]
 
 
 # -- Conway combinations ------------------------------------------------------
@@ -233,14 +206,12 @@ def conway_set(degree, circles, variant):
                     slots[a] = (arrow, not tail_first)
                     slots[b] = (arrow, tail_first)
                 if circles == 1:
-                    words = (tuple(slots),)
+                    cand = ArrowDiagram((tuple(slots),))
                 else:
-                    words = (tuple(slots[:m1]), tuple(slots[m1:]))
-                one, asc, des = _classify(words)
-                if not one or not (asc if want_asc else des):
-                    continue
-                cand = ArrowDiagram(words)
-                seen.setdefault(cand.canonical_key(), cand)
+                    cand = ArrowDiagram((tuple(slots[:m1]), tuple(slots[m1:])))
+                one, asc, des = _classify(cand)
+                if one and (asc if want_asc else des):
+                    seen.setdefault(cand.canonical_key(), cand)
     members = tuple(seen[k] for k in sorted(seen))
     return ConwaySet(degree, circles, variant, members)
 

@@ -26,13 +26,21 @@ from .errors import GaussCodeError, PreconditionError, VknotError
 from .verify import CHECKS, SweepConfig, reports_to_json, run_checks
 
 
+def modulus(text):
+    """argparse type of every modulus option; a negative one fails like a precondition."""
+    p = int(text)
+    if p < 0:
+        raise PreconditionError("modulus must be >= 0, got %d" % p)
+    return p
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="vknot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     inv = sub.add_parser("invariants", help="invariants of one knot (code or catalog name)")
     inv.add_argument("knot", help="signed Gauss code, or a catalog entry name")
-    inv.add_argument("-p", "--modulus", type=int, action="append", default=None,
+    inv.add_argument("-p", "--modulus", type=modulus, action="append", default=None,
                      help="modulus for colorability and v2 (repeatable; default 2)")
     inv.add_argument("--degree", type=int, default=None, help="polynomial degree bound")
     inv.add_argument("--catalog", default=None, help="extra catalog file for name lookup")
@@ -41,7 +49,7 @@ def _build_parser():
     ver = sub.add_parser("verify", help="run sweep checks")
     ver.add_argument("checks", nargs="*", help="check names (default: all: %s)" % ", ".join(sorted(CHECKS)))
     ver.add_argument("--max-chords", type=int, default=4)
-    ver.add_argument("-p", "--modulus", type=int, action="append", default=None,
+    ver.add_argument("-p", "--modulus", type=modulus, action="append", default=None,
                      help="moduli for the modular checks (default 2 3)")
     ver.add_argument("--samples", type=int, default=1000)
     ver.add_argument("--seed", type=int, default=0)
@@ -52,7 +60,7 @@ def _build_parser():
     enu.add_argument("chords", type=int)
     enu.add_argument("--canonical", action="store_true",
                      help="deduplicate up to basepoint rotation")
-    enu.add_argument("--colorable", type=int, default=None, metavar="P",
+    enu.add_argument("--colorable", type=modulus, default=None, metavar="P",
                      help="keep only mod-P numberable diagrams")
     enu.add_argument("--limit", type=int, default=None)
 
@@ -194,8 +202,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except GaussCodeError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

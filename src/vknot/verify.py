@@ -1,13 +1,14 @@
 """Sweep checks for the determinant/ascending-polynomial relations.
 
 Each check walks a population of diagrams (exhaustive up to a chord bound,
-or seeded random) and applies a pure per-diagram verdict.  The exhaustive
-checks also have a structure form that sweeps run instead: it reaches every
-diagram's verdict from work done once per unsigned chord structure (see
-:class:`CensusStructure`).  Failures never abort a sweep: the offending
-Gauss codes are collected, because a failure almost certainly pins down a
-convention bug and the codes are the debugging artifact.  Rerunning a
-verdict on a recorded code reproduces its failure.
+or seeded random) and applies a pure verdict.  An exhaustive check's
+verdict reads one diagram of the census as an unsigned chord structure and
+a sign vector, so work done once per structure serves all of its diagrams
+(see :class:`CensusStructure`).  Failures never abort a sweep: the
+offending Gauss codes are collected, because a failure almost certainly
+pins down a convention bug and the codes are the debugging artifact.
+:func:`recheck` runs the verdict the sweep ran on a recorded code, so it
+reproduces the failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .arrows import (
@@ -28,10 +29,7 @@ from .arrows import (
     _qualifying_subsets,
     _z2_pairs,
     _z2_sums,
-    ascending_polynomial,
-    conway_pairing,
     conway_pairing_table,
-    z2_pairings_at_basepoints,
 )
 from .determinant import determinant
 from .diagram import (
@@ -48,11 +46,11 @@ from .diagram import (
 )
 from .enumeration import (
     connecting_chords,
-    enumerate_all_diagrams,
     enumerate_structures,
     random_knot_diagram,
     random_link_diagram,
 )
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -79,26 +77,12 @@ class CheckReport:
     elapsed_ms: int
 
     def to_dict(self):
-        return {
-            "check": self.check,
-            "population": self.population,
-            "passes": self.passes,
-            "failures": self.failures,
-            "counterexamples": list(self.counterexamples),
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return dict(asdict(self), counterexamples=list(self.counterexamples))
 
     def to_text(self):
-        lines = [
-            "check: %s" % self.check,
-            "population: %d" % self.population,
-            "passes: %d" % self.passes,
-            "failures: %d" % self.failures,
-            "elapsed_ms: %d" % self.elapsed_ms,
-        ]
-        for code in self.counterexamples:
-            lines.append("counterexample: %s" % code)
+        keys = ("check", "population", "passes", "failures", "elapsed_ms")
+        lines = ["%s: %s" % (key, getattr(self, key)) for key in keys]
+        lines += ["counterexample: %s" % code for code in self.counterexamples]
         return "\n".join(lines)
 
 
@@ -106,68 +90,14 @@ def reports_to_json(reports):
     return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
 
 
-# -- populations --------------------------------------------------------------
-
-
-def _population_colorable(config):
-    for diagram in enumerate_all_diagrams(config.max_chords, config.canonical):
-        if is_mod_p_numberable(diagram, 2):
-            yield diagram
-
-
-def _population_numberable_any(config):
-    for diagram in enumerate_all_diagrams(config.max_chords, config.canonical):
-        if any(is_mod_p_numberable(diagram, p) for p in config.moduli):
-            yield diagram
-
-
-def _population_all(config):
-    yield from enumerate_all_diagrams(config.max_chords, config.canonical)
+# -- the skein check -----------------------------------------------------------
 
 
 def _population_random_skein(config):
     rng = random.Random(config.seed)
     for i in range(config.samples):
         k = rng.randint(1, config.random_max_chords)
-        if i % 2 == 0:
-            yield random_knot_diagram(k, rng)
-        else:
-            yield random_link_diagram(k, rng)
-
-
-# -- verdicts ------------------------------------------------------------------
-
-
-def corollary_verdict(diagram, config):
-    """det == +-(1 + 4 v2) mod 8 on a checkerboard colorable knot diagram."""
-    _require_knot(diagram, "the cor-det check")
-    det = determinant(diagram)
-    vv = conway_pairing(diagram, 2, "ascending") % 2
-    allowed = {1, 7} if vv == 0 else {3, 5}
-    return det % 8 in allowed
-
-
-def det_vs_ascending_verdict(diagram, config):
-    """det == +-(ascending polynomial at 2) mod 8, full evaluation."""
-    _require_knot(diagram, "the det-asc check")
-    det = determinant(diagram)
-    value = ascending_polynomial(diagram)(2)
-    return (det - value) % 8 == 0 or (det + value) % 8 == 0
-
-
-def _all_congruent(values, p):
-    """True iff all ``values`` agree mod ``p`` (exactly when ``p = 0``)."""
-    return all(_congruent(v, w, p) for v, w in zip(values, values[1:]))
-
-
-def main_theorem_verdict(diagram, config):
-    """z^2 pairings mod p agree across basepoints and both variants."""
-    _require_knot(diagram, "the main-theorem check")
-    values = [v for pair in z2_pairings_at_basepoints(diagram) for v in pair]
-    for p in config.moduli:
-        if is_mod_p_numberable(diagram, p) and not _all_congruent(values, p):
-            return False
-    return True
+        yield (random_link_diagram if i % 2 else random_knot_diagram)(k, rng)
 
 
 def skein_verdict(diagram, config):
@@ -195,6 +125,9 @@ def skein_verdict(diagram, config):
     return True
 
 
+# -- the census engine ---------------------------------------------------------
+
+
 def _smoothing_candidates(diagram):
     """Chords whose interleaving chords all have tails on the basepoint arc."""
     m = 2 * diagram.num_chords
@@ -216,37 +149,6 @@ def _smoothing_candidates(diagram):
             yield alpha
 
 
-def warp_and_smoothing_verdict(diagram, config):
-    """Vanishing pairings on descending diagrams plus the smoothing lemma.
-
-    Warping degree 0 forces every positive-degree Conway pairing to vanish
-    and, on a colorable diagram, determinant 1.  Smoothing a chord whose
-    interleaving tails all sit on the basepoint arc of a mod p numberable
-    diagram kills the degree-1 ascending pairing exactly, the descending one
-    mod p, and all higher odd ascending pairings exactly.
-    """
-    if diagram.num_circles != 1:
-        return True
-    if warping_degree(diagram) == 0:
-        if any(sums != (0, 0) for size, sums in conway_pairing_table(diagram).items() if size):
-            return False
-        if is_mod_p_numberable(diagram, 2) and determinant(diagram) != 1:
-            return False
-    moduli = [p for p in config.moduli if is_mod_p_numberable(diagram, p)]
-    if moduli:
-        for alpha in _smoothing_candidates(diagram):
-            table = conway_pairing_table(smooth(diagram, alpha))
-            asc1, des1 = table.get(1, (0, 0))
-            if asc1 != 0 or not all(_congruent(des1, 0, p) for p in moduli):
-                return False
-            if any(asc != 0 for size, (asc, _) in table.items() if size >= 3):
-                return False
-    return True
-
-
-# -- the census engine ---------------------------------------------------------
-
-
 class CensusStructure:
     """One unsigned structure of the census and what its diagrams share.
 
@@ -265,8 +167,25 @@ class CensusStructure:
         self.chords = tuple(range(1, len(word) // 2 + 1))
         self.template = make_diagram([word], {c: 1 for c in self.chords})
 
+    @classmethod
+    def from_diagram(cls, diagram):
+        """``(structure, signs)`` of a one-circle diagram.
+
+        The chords are relabeled 1..k by first occurrence, as the census
+        numbers them, so ``structure.diagram(signs)`` is ``diagram`` up to
+        that relabeling.
+        """
+        _require_knot(diagram, "a census structure")
+        label = {}
+        word = tuple((label.setdefault(c, len(label) + 1), is_head) for c, is_head in diagram.circles[0])
+        return cls(word), tuple(diagram.sign(chord) for chord in label)
+
     def diagram(self, signs):
         return make_diagram([self.word], zip(self.chords, signs))
+
+    @cached_property
+    def layout(self):
+        return _layout((self.word,), self.chords)
 
     @cached_property
     def colorable(self):
@@ -288,10 +207,17 @@ class CensusStructure:
                 for chord in self.chords]
 
     @cached_property
+    def c2_parity(self):
+        """The parity of c2, the ascending z^2 pairing at the basepoint.
+
+        c2 sums +-1 over the ascending pairs, so its parity is their count's.
+        """
+        return len(_z2_pairs(self.layout)[0]) % 2
+
+    @cached_property
     def z2_pairs(self):
         """:func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions`` order."""
-        layout = _layout((self.word,), self.chords)
-        return [_z2_pairs(shifted) for shifted in _basepoint_layouts(layout)]
+        return [_z2_pairs(shifted) for shifted in _basepoint_layouts(self.layout)]
 
     @cached_property
     def subsets(self):
@@ -300,8 +226,7 @@ class CensusStructure:
         Also the first one-component subset of each size, which keeps the
         size a key of the table.
         """
-        layout = _layout((self.word,), self.chords)
-        return list(_qualifying_subsets(layout, range(len(self.chords) + 1)))
+        return list(_qualifying_subsets(self.layout, range(len(self.chords) + 1)))
 
     @cached_property
     def smoothed_subsets(self):
@@ -347,21 +272,28 @@ class CensusStructure:
         return [_pairing_sums(subsets, signs) for subsets in self.smoothed_subsets]
 
 
-# Each census verdict takes (structure, signs, config) and returns the
-# per-diagram verdict of that diagram, or None if it is outside the
-# check's population.
+# -- the exhaustive checks -----------------------------------------------------
+
+# Each takes (structure, signs, config) and returns the verdict on
+# structure.diagram(signs), or None if that diagram is outside the check's
+# population.
+
+
+def _all_congruent(values, p):
+    """True iff all ``values`` agree mod ``p`` (exactly when ``p = 0``)."""
+    return all(_congruent(v, w, p) for v, w in zip(values, values[1:]))
 
 
 def _corollary_census(structure, signs, config):
+    """det == +-(1 + 4 v2) mod 8 on a checkerboard colorable knot diagram."""
     if not structure.colorable:
         return None
-    # c2 sums +-1 over the ascending pairs, so its parity is their count's.
-    vv = len(structure.z2_pairs[0][0]) % 2
-    allowed = {1, 7} if vv == 0 else {3, 5}
+    allowed = {1, 7} if structure.c2_parity == 0 else {3, 5}
     return structure.determinant % 8 in allowed
 
 
 def _det_vs_ascending_census(structure, signs, config):
+    """det == +-(ascending polynomial at 2) mod 8 on a colorable knot diagram."""
     if not structure.colorable:
         return None
     det = structure.determinant
@@ -370,6 +302,7 @@ def _det_vs_ascending_census(structure, signs, config):
 
 
 def _main_theorem_census(structure, signs, config):
+    """z^2 pairings mod p agree across basepoints and both variants."""
     moduli = [p for p in config.moduli if structure.numberable(signs, p)]
     if not moduli:
         return None
@@ -378,6 +311,14 @@ def _main_theorem_census(structure, signs, config):
 
 
 def _warp_and_smoothing_census(structure, signs, config):
+    """Vanishing pairings on descending diagrams plus the smoothing lemma.
+
+    Warping degree 0 forces every positive-degree Conway pairing to vanish
+    and, on a colorable diagram, determinant 1.  Smoothing a chord whose
+    interleaving tails all sit on the basepoint arc of a mod p numberable
+    diagram kills the degree-1 ascending pairing exactly, the descending one
+    mod p, and all higher odd ascending pairings exactly.
+    """
     if structure.warping_degree == 0:
         if any(sums != (0, 0) for size, sums in structure.table(signs).items() if size):
             return False
@@ -397,54 +338,71 @@ def _warp_and_smoothing_census(structure, signs, config):
 # -- the check registry --------------------------------------------------------
 
 
-CHECKS = {
-    "cor-det": (_population_colorable, corollary_verdict),
-    "det-asc": (_population_colorable, det_vs_ascending_verdict),
-    "main-theorem": (_population_numberable_any, main_theorem_verdict),
-    "skein": (_population_random_skein, skein_verdict),
-    "warp-smooth": (_population_all, warp_and_smoothing_verdict),
-}
+class _Census:
+    """Every one-circle diagram with at most ``max_chords`` chords.
 
-# Exhaustive checks that sweeps run structure by structure; their reports
-# equal those of the per-diagram (population, verdict) pairs in CHECKS.
-STRUCTURE_CHECKS = {
-    "cor-det": _corollary_census,
-    "det-asc": _det_vs_ascending_census,
-    "main-theorem": _main_theorem_census,
-    "warp-smooth": _warp_and_smoothing_census,
-}
-
-
-def _shard_verdicts(name, config, shard, num_shards):
-    """``(verdict, diagram)`` for this shard's population, in census order.
-
-    A check in STRUCTURE_CHECKS is sharded over structures and builds a
-    diagram only for a failure (``diagram`` is None on a pass); any other
-    check is sharded over the diagrams of its population.
+    A sweep shards over the unsigned structures and builds a diagram only
+    for a failure.  ``links`` is what :func:`recheck` answers on a code with
+    more than one circle; None refuses it.
     """
-    census = STRUCTURE_CHECKS.get(name)
-    if census is None:
-        population_fn, verdict_fn = CHECKS[name]
-        for i, diagram in enumerate(population_fn(config)):
+
+    def __init__(self, links=None):
+        self.links = links
+
+    def sweep(self, verdict_fn, config, shard, num_shards):
+        """``(verdict, diagram)`` for this shard, in census order; ``diagram`` is None on a pass."""
+        structures = enumerate_structures(config.max_chords, config.canonical)
+        for i, (word, vectors) in enumerate(structures):
+            if i % num_shards != shard:
+                continue
+            structure = CensusStructure(word)
+            for signs in vectors:
+                verdict = verdict_fn(structure, signs, config)
+                if verdict is not None:
+                    yield verdict, None if verdict else structure.diagram(signs)
+
+    def recheck(self, name, verdict_fn, diagram, config):
+        if diagram.num_circles != 1 and self.links is not None:
+            return self.links
+        _require_knot(diagram, "the %s check" % name)
+        verdict = verdict_fn(*CensusStructure.from_diagram(diagram), config)
+        if verdict is None:
+            raise PreconditionError("%s is outside the %s check's population" % (diagram, name))
+        return verdict
+
+
+class _Diagrams:
+    """The diagrams ``population(config)`` yields, each checked by ``verdict(diagram, config)``."""
+
+    def __init__(self, population):
+        self.population = population
+
+    def sweep(self, verdict_fn, config, shard, num_shards):
+        for i, diagram in enumerate(self.population(config)):
             if i % num_shards == shard:
                 yield verdict_fn(diagram, config), diagram
-        return
-    structures = enumerate_structures(config.max_chords, config.canonical)
-    for i, (word, vectors) in enumerate(structures):
-        if i % num_shards != shard:
-            continue
-        structure = CensusStructure(word)
-        for signs in vectors:
-            verdict = census(structure, signs, config)
-            if verdict is not None:
-                yield verdict, None if verdict else structure.diagram(signs)
+
+    def recheck(self, name, verdict_fn, diagram, config):
+        return verdict_fn(diagram, config)
+
+
+# Each check is (population, verdict): the verdict a sweep runs over the
+# population is the one recheck runs on a recorded code.
+CHECKS = {
+    "cor-det": (_Census(), _corollary_census),
+    "det-asc": (_Census(), _det_vs_ascending_census),
+    "main-theorem": (_Census(), _main_theorem_census),
+    "skein": (_Diagrams(_population_random_skein), skein_verdict),
+    "warp-smooth": (_Census(links=True), _warp_and_smoothing_census),
+}
 
 
 def _run_shard(args):
     name, config, shard, num_shards = args
+    population, verdict_fn = CHECKS[name]
     passes = failures = 0
     counterexamples = []
-    for verdict, diagram in _shard_verdicts(name, config, shard, num_shards):
+    for verdict, diagram in population.sweep(verdict_fn, config, shard, num_shards):
         if verdict:
             passes += 1
         else:
@@ -487,8 +445,13 @@ def run_checks(config=None, names=None):
 
 
 def recheck(name, code, config=None):
-    """Re-run one check's verdict on a recorded counterexample code."""
+    """Run the verdict a sweep of check ``name`` runs on one recorded code.
+
+    A one-circle code outside the check's population raises
+    :class:`PreconditionError`, and so does a code with more than one
+    circle unless the check passes it (``warp-smooth`` does).
+    """
     if config is None:
         config = SweepConfig()
-    _, verdict_fn = CHECKS[name]
-    return verdict_fn(parse_gauss_code(code), config)
+    population, verdict_fn = CHECKS[name]
+    return population.recheck(name, verdict_fn, parse_gauss_code(code), config)

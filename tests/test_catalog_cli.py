@@ -116,3 +116,21 @@ def test_cli_conway_export(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "1\tascending\tU1;O1" in lines
     assert "2\tascending\tU1O2O1U2" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main-theorem", "-p", "-1", "--max-chords", "2"],
+        ["verify", "warp-smooth", "-p", "-3", "--max-chords", "1"],
+        ["invariants", "O1+U2+O3+U1+O2+U3+", "-p", "-1"],
+        ["enumerate", "2", "--colorable", "-1"],
+    ],
+    ids=["verify-main-theorem", "verify-warp-smooth", "invariants", "enumerate"],
+)
+def test_cli_negative_modulus_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [message] = captured.err.splitlines()
+    assert message.startswith("error: modulus must be >= 0")

@@ -6,6 +6,7 @@ from vknot.errors import PreconditionError
 from vknot.verify import (
     CHECKS,
     CheckReport,
+    _Census,
     SweepConfig,
     recheck,
     reports_to_json,
@@ -70,17 +71,12 @@ def test_text_rendering_lists_counterexamples():
 
 
 def test_counterexamples_round_trip(monkeypatch):
-    # wire in a deliberately failing check and confirm its counterexamples
-    # reproduce the failure when re-parsed
-    def population(config):
-        from vknot.enumeration import enumerate_diagrams
+    # wire in a deliberately failing census check and confirm its
+    # counterexamples reproduce the failure when re-parsed
+    def verdict(structure, signs, config):
+        return False if len(signs) == 1 else None
 
-        yield from enumerate_diagrams(1)
-
-    def verdict(diagram, config):
-        return diagram.num_chords == 0
-
-    monkeypatch.setitem(CHECKS, "always-bad", (population, verdict))
+    monkeypatch.setitem(CHECKS, "always-bad", (_Census(), verdict))
     report = run_check("always-bad", SMALL)
     assert report.failures == 4 and report.passes == 0
     for code in report.counterexamples:
@@ -92,6 +88,18 @@ def test_counterexamples_round_trip(monkeypatch):
 def test_knot_checks_refuse_links(name):
     with pytest.raises(PreconditionError):
         recheck(name, "O1+U2+;O2+U1+")
+
+
+def test_warp_smooth_passes_links():
+    assert recheck("warp-smooth", "O1+U2+;O2+U1+") is True
+
+
+@pytest.mark.parametrize("name", ["cor-det", "det-asc", "main-theorem"])
+def test_recheck_refuses_knots_outside_the_population(name):
+    # numberable for no modulus, so neither colorable nor numberable mod 3
+    with pytest.raises(PreconditionError):
+        recheck(name, "O1+O2+U1+U2+")
+    assert recheck("warp-smooth", "O1+O2+U1+U2+") is True
 
 
 def test_workers_match_serial():
