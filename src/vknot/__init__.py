@@ -81,6 +81,7 @@ from .errors import (
     NotCheckerboardColorable,
     PreconditionError,
     UnderPassageFreeComponent,
+    UnknownCheckError,
     UnknownChordError,
     VknotError,
 )

@@ -277,70 +277,83 @@ def _endpoints(diagram):
     return _layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
 
 
-def _walk_setup(layout):
-    """The tables of a mask walk over ``layout``: ``partner``, ``role`` (2 at a
-    tail, else 1), ``circles``, ``wrap``, ``above`` and the chords' ``bits``."""
+def _walks(layout, max_size, required=None, budget=0):
+    """``(subset, tails_first)`` for each one-component subset that the walk keeps.
+
+    ``subset`` holds chord indices of at most ``max_size`` chords, with chord
+    index ``required`` (if set) among them; ``tails_first`` holds those that
+    the jump traversal reaches first at the tail, and the others are reached
+    first at the head.  A subset is kept when at most ``budget`` chords are
+    reached first in one of the two ways (0 for ascending or descending).
+    Signs are never read, so one pass serves every sign vector of the layout.
+
+    The subsets are built while their traversal runs, depth first.  A walk
+    starts at the subset's lowest endpoint ``p0`` (on the first circle), so
+    chords with an endpoint below it are left out.  After each jump to ``q``
+    it scans up the circle of ``q``, wrapping to the circle's start: an
+    endpoint of a chord already in the subset is the landing, a chord left
+    out is passed over, and any other chord is tried both ways, landed on
+    (which adds it, reached first there) or left out.  Landing back on
+    ``p0`` ends the walk, which counts if it landed on every endpoint and
+    every circle carries one.  A branch is cut when it would exceed
+    ``max_size``, leave out ``required``, reach more than ``budget`` chords
+    first at their tails and at their heads, or land on a chord whose other
+    end no later scan can reach.  So the cost follows the partial walks that
+    stay within the budget, not 2^n, and the recursion is at most
+    ``max_size`` deep.
+    """
     tails, heads, bounds = layout
-    partner, role = [0] * bounds[-1], [1] * bounds[-1]
-    for t, h in zip(tails, heads):
+    partner, tail_at, chord = [0] * bounds[-1], [False] * bounds[-1], [0] * bounds[-1]
+    for i, (t, h) in enumerate(zip(tails, heads)):
         partner[t], partner[h] = h, t
-        role[t] = 2
+        tail_at[t] = True
+        chord[t] = chord[h] = i
     circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
     wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
     above = [circle & -(2 << q) for q, circle in enumerate(wrap)]
-    return partner, role, circles, wrap, above, [(1 << t) | (1 << h) for t, h in zip(tails, heads)]
+    # between[p]: the positions between p and its partner q above it on one circle.  If all are
+    # left out, a scan lands on q only from a jump to p, which needs q landed on first.
+    between = [(1 << q) - (2 << p) if p < q and wrap[p] == wrap[q] else -1 for p, q in enumerate(partner)]
+    need = 0 if required is None else 1 << tails[required] | 1 << heads[required]
+    found = [((), ())] if len(circles) == 1 and not need and max_size >= 0 else []  # the empty subset
 
-
-def _qualifying_subsets(layout, sizes, required=None):
-    """Yield ``(subset, ascending, descending)`` for the subsets that can count.
-
-    ``subset`` is a tuple of chord indices.  Only subsets of the sizes in
-    ``sizes`` that hold chord index ``required`` (if set) are enumerated.  A
-    one-component subset on c circles has c - 1 + 2j chords (its traversal
-    is one cycle, an odd permutation), so other sizes are skipped.  Signs
-    are never read, so one pass serves every sign vector of the layout.
-
-    The jump traversal walks the bits of the subset's endpoint mask.  Only
-    one-component subsets that are ascending or descending are yielded,
-    plus the first one-component subset of each size (so that the size is
-    a key of the table): after it, a walk that has reached one chord
-    head-first and another tail-first stops.
-    """
-    partner, role, circles, wrap, above, bits = _walk_setup(layout)
-    base = () if required is None else (required,)
-    base_mask = sum(bits[i] for i in base)
-    others = [i for i in range(len(bits)) if i != required]
-    other_bits = [bits[i] for i in others]
-    for size in sizes:
-        if size < len(base) or size % 2 != (len(circles) - 1) % 2:
-            continue
-        if size == 0:
-            if len(circles) == 1:
-                yield (), True, True
-            continue
-        seen = False
-        pick = size - len(base)
-        for rest, rest_bits in zip(itertools.combinations(others, pick),
-                                   itertools.combinations(other_bits, pick)):
-            mask = base_mask + sum(rest_bits)  # chords' bits are disjoint
-            if len(circles) > 1 and not all([mask & circle for circle in circles]):
-                continue  # a circle carries no endpoint of the subset
-            start = p = (mask & -mask).bit_length() - 1
-            reached = roles = 0
-            while True:
-                q = partner[p]
-                if not reached >> q & 1:
-                    roles |= role[p]
-                    if roles == 3 and seen:
-                        break
+    def walk(q, open_, taken, reached, subset, tails_first):
+        while True:
+            p = open_ & above[q] or open_ & wrap[q]
+            p = (p & -p).bit_length() - 1
+            if taken >> p & 1:
+                if p == p0:
+                    if reached == taken and all([taken & circle for circle in circles]):
+                        found.append((subset, tails_first))
+                    return
                 reached |= 1 << p
-                p = mask & above[q] or mask & wrap[q]
-                p = (p & -p).bit_length() - 1
-                if p == start:
-                    if reached == mask:
-                        seen = True
-                        yield base + rest, not roles & 2, not roles & 1
-                    break
+                q = partner[p]
+                continue
+            c, bits = chord[p], 1 << p | 1 << partner[p]
+            if len(subset) < max_size and open_ & between[p]:
+                first = tails_first + (c,) if tail_at[p] else tails_first
+                if len(first) <= budget or len(subset) + 1 - len(first) <= budget:
+                    walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first)
+            if bits & need:
+                return
+            open_ ^= bits
+
+    open_ = (1 << bounds[-1]) - 1
+    for p0 in range(bounds[1] if max_size > 0 else 0):
+        if open_ & need != need:
+            break
+        if open_ >> p0 & 1:
+            c, bits = chord[p0], 1 << p0 | 1 << partner[p0]
+            if open_ & between[p0]:
+                walk(partner[p0], open_, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
+            open_ ^= bits
+    return found
+
+
+def _qualifying_subsets(layout, max_size, required=None):
+    """``(subset, ascending, descending)`` for each subset of :func:`_walks` that can count."""
+    return [(subset, not first, len(first) == len(subset))
+            for subset, first in _walks(layout, max_size, required)]
 
 
 def _crossing_change_subsets(layout):
@@ -349,51 +362,30 @@ def _crossing_change_subsets(layout):
     Entries are ``(subset, ascending, descending)``; signs are never read.  D^i, the crossing
     change at chord ``i``, swaps its tail and head in place, so each walk keeps its path and only
     chord ``i``'s first-reached role flips: a subset is ascending in D when no chord is first
-    reached tail-first, and in D^i when ``i`` is the only one (descending likewise).  The walk is
-    :func:`_qualifying_subsets`'s, kept apart because recording chords there slows every table.
+    reached tail-first, and in D^i when ``i`` is the only one (descending likewise).  So one
+    :func:`_walks` with a budget of one chord serves D and every D^i.
     """
-    partner, role, circles, wrap, above, bits = _walk_setup(layout)
-    same, switched = [[] for _ in bits], [[] for _ in bits]
-    for size in range(1 + len(circles) % 2, len(bits) + 1, 2):
-        for subset, subset_bits in zip(itertools.combinations(range(len(bits)), size),
-                                       itertools.combinations(bits, size)):
-            mask = sum(subset_bits)
-            if len(circles) > 1 and not all([mask & circle for circle in circles]):
-                continue
-            start = p = (mask & -mask).bit_length() - 1
-            reached = tails = heads = 0  # tails, heads: where chords are first reached
-            while True:
-                q = partner[p]
-                if not reached >> q & 1:
-                    if role[p] == 2:
-                        tails |= 1 << p
-                    else:
-                        heads |= 1 << p
-                    if tails & (tails - 1) and heads & (heads - 1):
-                        break  # no crossing change makes it ascending or descending
-                reached |= 1 << p
-                p = mask & above[q] or mask & wrap[q]
-                p = (p & -p).bit_length() - 1
-                if p == start:
-                    if reached == mask:
-                        for i in subset:
-                            flip = (tails | heads) & bits[i]
-                            for found, t, h in ((same, tails, heads), (switched, tails ^ flip, heads ^ flip)):
-                                if not t or not h:
-                                    found[i].append((subset, not t, not h))
-                    break
+    same, switched = [[] for _ in layout[0]], [[] for _ in layout[0]]
+    for subset, first in _walks(layout, len(layout[0]), budget=1):
+        for i in subset:  # t: the chords first reached tail-first in D, then in D^i
+            for found, t in ((same, len(first)), (switched, len(first) + (-1 if i in first else 1))):
+                if t in (0, len(subset)):
+                    found[i].append((subset, not t, t == len(subset)))
     return same, switched
 
 
 def _pairing_sums(classified, signs):
-    """``{size: (ascending, descending)}`` signed sums over classified subsets."""
+    """``{size: (ascending, descending)}`` signed sums over classified subsets.
+
+    Only the sizes with a nonzero sum are keys, in increasing order.
+    """
     sums = {}
     for subset, asc, des in classified:
         prod = math.prod([signs[i] for i in subset])
         entry = sums.setdefault(len(subset), [0, 0])
         entry[0] += prod if asc else 0
         entry[1] += prod if des else 0
-    return {size: (a, d) for size, (a, d) in sums.items()}
+    return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
 
 
 def _z2_pairs(layout):
@@ -405,14 +397,10 @@ def _z2_pairs(layout):
     h_x < t_y < t_x < h_y, respectively t_x < h_y < h_x < t_y.
     """
     tails, heads, bounds = layout
-    asc, des = [], []
     if len(bounds) != 2:
-        for subset, a, d in _qualifying_subsets(layout, (2,)):
-            if a:
-                asc.append(subset)
-            if d:
-                des.append(subset)
-        return asc, des
+        pairs = [(s, a, d) for s, a, d in _qualifying_subsets(layout, 2) if len(s) == 2]
+        return [s for s, a, _ in pairs if a], [s for s, _, d in pairs if d]
+    asc, des = [], []
     chords = list(zip(itertools.count(), tails, heads))
     for x, tx, hx in chords:
         if hx < tx:
@@ -444,15 +432,15 @@ def conway_pairing(diagram, degree, variant):
     """Pairing of the full degree-``degree`` Conway combination with ``diagram``.
 
     Equals the sum of :func:`pairing` over every member of
-    ``conway_set(degree, ...)`` but runs directly over the C(n, degree)
-    chord subsets of the diagram, classifying each by jump traversal.
-    Degree 2 on one circle is the O(n^2) closed form of :func:`_z2_pairs`.
+    ``conway_set(degree, ...)`` but walks the diagram's chord subsets of at
+    most ``degree`` chords (:func:`_walks`).  Degree 2 on one circle is the
+    O(n^2) closed form of :func:`_z2_pairs`.
     """
     column = 0 if _variant_name(variant) == "ascending" else 1
     layout, signs = _endpoints(diagram)
     if degree == 2:
         return _z2_sums(_z2_pairs(layout), signs)[column]
-    table = _pairing_sums(_qualifying_subsets(layout, (degree,)), signs)
+    table = _pairing_sums(_qualifying_subsets(layout, degree), signs)
     return table.get(degree, (0, 0))[column]
 
 
@@ -460,20 +448,21 @@ def conway_pairing_table(diagram, required_chord=None, max_degree=None):
     """All Conway pairings of a diagram up to ``max_degree`` at once.
 
     Returns ``{size: (ascending_sum, descending_sum)}`` over chord-subset
-    sizes up to ``max_degree`` (default: every chord, which is 2^n subsets).
-    With ``required_chord`` set, only subsets containing that chord are
-    counted (sums over the remaining subsets cancel in skein differences).
+    sizes up to ``max_degree`` (default: every chord); a size is a key
+    only when one of its two sums is nonzero.  With ``required_chord`` set,
+    only subsets containing that chord are counted (sums over the remaining
+    subsets cancel in skein differences).
     """
     if max_degree is None:
         max_degree = diagram.num_chords
     required = None if required_chord is None else diagram.chord_ids().index(required_chord)
     layout, signs = _endpoints(diagram)
-    return _pairing_sums(_qualifying_subsets(layout, range(max_degree + 1), required), signs)
+    return _pairing_sums(_qualifying_subsets(layout, max_degree, required), signs)
 
 
 def _crossing_change_tables(diagram):
     """``{chord: (table, switched)}``: ``conway_pairing_table(·, required_chord=chord)`` of
-    the diagram and of ``crossing_change(diagram, chord)``, less some sizes whose sums are 0."""
+    the diagram and of ``crossing_change(diagram, chord)``."""
     layout, signs = _endpoints(diagram)
     same, switched = _crossing_change_subsets(layout)
     return {chord: (_pairing_sums(same[i], signs),

@@ -34,6 +34,14 @@ def modulus(text):
     return p
 
 
+def count(text):
+    """argparse type of every count option; a negative one fails like a precondition."""
+    n = int(text)
+    if n < 0:
+        raise PreconditionError("count must be >= 0, got %d" % n)
+    return n
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="vknot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,30 +50,30 @@ def _build_parser():
     inv.add_argument("knot", help="signed Gauss code, or a catalog entry name")
     inv.add_argument("-p", "--modulus", type=modulus, action="append", default=None,
                      help="modulus for colorability and v2 (repeatable; default 2)")
-    inv.add_argument("--degree", type=int, default=None, help="polynomial degree bound")
+    inv.add_argument("--degree", type=count, default=None, help="polynomial degree bound")
     inv.add_argument("--catalog", default=None, help="extra catalog file for name lookup")
     inv.add_argument("--json", action="store_true")
 
     ver = sub.add_parser("verify", help="run sweep checks")
     ver.add_argument("checks", nargs="*", help="check names (default: all: %s)" % ", ".join(sorted(CHECKS)))
-    ver.add_argument("--max-chords", type=int, default=4)
+    ver.add_argument("--max-chords", type=count, default=4)
     ver.add_argument("-p", "--modulus", type=modulus, action="append", default=None,
                      help="moduli for the modular checks (default 2 3)")
-    ver.add_argument("--samples", type=int, default=1000)
+    ver.add_argument("--samples", type=count, default=1000)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--json", action="store_true")
 
     enu = sub.add_parser("enumerate", help="stream one-circle diagrams with k chords")
-    enu.add_argument("chords", type=int)
+    enu.add_argument("chords", type=count)
     enu.add_argument("--canonical", action="store_true",
                      help="deduplicate up to basepoint rotation")
     enu.add_argument("--colorable", type=modulus, default=None, metavar="P",
                      help="keep only mod-P numberable diagrams")
-    enu.add_argument("--limit", type=int, default=None)
+    enu.add_argument("--limit", type=count, default=None)
 
     con = sub.add_parser("conway", help="export one-component ascending/descending diagrams")
-    con.add_argument("--degree", type=int, required=True, help="generate all degrees up to this bound")
+    con.add_argument("--degree", type=count, required=True, help="generate all degrees up to this bound")
     con.add_argument("--variant", choices=("ascending", "descending"), default=None)
     return parser
 
@@ -149,12 +157,6 @@ def _cmd_invariants(args):
 
 
 def _cmd_verify(args):
-    names = args.checks or sorted(CHECKS)
-    for name in names:
-        if name not in CHECKS:
-            raise PreconditionError(
-                "unknown check %r; available: %s" % (name, ", ".join(sorted(CHECKS)))
-            )
     config = SweepConfig(
         max_chords=args.max_chords,
         moduli=tuple(args.modulus) if args.modulus else (2, 3),
@@ -162,7 +164,7 @@ def _cmd_verify(args):
         seed=args.seed,
         workers=args.workers,
     )
-    reports = run_checks(config, names)
+    reports = run_checks(config, args.checks or None)
     if args.json:
         print(reports_to_json(reports))
     else:
@@ -171,14 +173,14 @@ def _cmd_verify(args):
 
 
 def _cmd_enumerate(args):
-    count = 0
+    printed = 0
     for diagram in enumerate_diagrams(args.chords, canonical=args.canonical):
+        if args.limit is not None and printed >= args.limit:
+            break
         if args.colorable is not None and not is_mod_p_numberable(diagram, args.colorable):
             continue
         print(serialize_gauss_code(diagram))
-        count += 1
-        if args.limit is not None and count >= args.limit:
-            break
+        printed += 1
     return 0
 
 

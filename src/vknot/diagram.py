@@ -90,9 +90,6 @@ class BasedGaussDiagram:
         self.sign(chord)
         return self._positions[(chord, True)]
 
-    def endpoint_at(self, circle, pos):
-        return self.circles[circle][pos]
-
     def canonical_key(self):
         """Structural key with chords relabeled by first occurrence."""
         relabel = {}

@@ -13,6 +13,12 @@ class UnknownChordError(VknotError, KeyError):
     """An operation referenced a chord id that is not in the diagram."""
 
 
+class UnknownCheckError(VknotError, KeyError):
+    """A sweep was asked for a check name that is not registered."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
+
+
 class PreconditionError(VknotError):
     """An operation was called on input outside its domain."""
 

@@ -50,7 +50,7 @@ from .enumeration import (
     random_knot_diagram,
     random_link_diagram,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, UnknownCheckError
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,8 @@ class CensusStructure:
 
     @cached_property
     def subsets(self):
-        """Each ascending or descending one-component subset with its flags.
-
-        Also the first one-component subset of each size, which keeps the
-        size a key of the table.
-        """
-        return list(_qualifying_subsets(self.layout, range(len(self.chords) + 1)))
+        """Each ascending or descending one-component subset with its flags."""
+        return _qualifying_subsets(self.layout, len(self.chords))
 
     @cached_property
     def smoothed_subsets(self):
@@ -241,7 +237,7 @@ class CensusStructure:
             layout = _layout(smoothed.circles, kept)
             out.append([
                 (tuple(kept[i] - 1 for i in subset), asc, des)
-                for subset, asc, des in _qualifying_subsets(layout, range(len(kept) + 1))
+                for subset, asc, des in _qualifying_subsets(layout, len(kept))
             ])
         return out
 
@@ -411,9 +407,14 @@ def _run_shard(args):
     return passes, failures, counterexamples
 
 
+def _require_checks(names):
+    for name in names:
+        if name not in CHECKS:
+            raise UnknownCheckError("unknown check %r; available: %s" % (name, ", ".join(sorted(CHECKS))))
+
+
 def run_check(name, config=None):
-    if name not in CHECKS:
-        raise KeyError("unknown check %r; expected one of %s" % (name, sorted(CHECKS)))
+    _require_checks([name])
     if config is None:
         config = SweepConfig()
     start = time.monotonic()
@@ -439,8 +440,10 @@ def run_check(name, config=None):
 
 
 def run_checks(config=None, names=None):
+    """Run each check in ``names`` (default: all), refusing an unknown name before any runs."""
     if names is None:
         names = sorted(CHECKS)
+    _require_checks(names)
     return [run_check(name, config) for name in names]
 
 
@@ -451,6 +454,7 @@ def recheck(name, code, config=None):
     :class:`PreconditionError`, and so does a code with more than one
     circle unless the check passes it (``warp-smooth`` does).
     """
+    _require_checks([name])
     if config is None:
         config = SweepConfig()
     population, verdict_fn = CHECKS[name]

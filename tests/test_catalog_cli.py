@@ -81,6 +81,12 @@ def test_cli_parse_error_exit_code(capsys):
 def test_cli_unknown_check(capsys):
     assert main(["verify", "bogus"]) == 2
     assert "unknown check" in capsys.readouterr().err
+    assert main(["verify", "cor-det", "bogus", "--max-chords", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: unknown check 'bogus'; available: cor-det, det-asc, main-theorem, skein, warp-smooth"
+    ]
 
 
 def test_cli_json_is_stable(capsys):
@@ -109,6 +115,8 @@ def test_cli_enumerate(capsys):
     assert len(lines) == 4
     assert main(["enumerate", "2", "--colorable", "2", "--limit", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["enumerate", "2", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_conway_export(capsys):
@@ -134,3 +142,24 @@ def test_cli_negative_modulus_exit_code(capsys, argv):
     assert captured.out == ""
     [message] = captured.err.splitlines()
     assert message.startswith("error: modulus must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-1"],
+        ["verify", "cor-det", "--max-chords", "-1"],
+        ["verify", "skein", "--samples", "-5"],
+        ["enumerate", "2", "--limit", "-1"],
+        ["invariants", "O1+U2+O3+U1+O2+U3+", "--degree", "-1"],
+        ["conway", "--degree", "-1"],
+    ],
+    ids=["enumerate", "verify-max-chords", "verify-samples", "enumerate-limit", "invariants-degree",
+         "conway-degree"],
+)
+def test_cli_negative_count_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [message] = captured.err.splitlines()
+    assert message.startswith("error: count must be >= 0")

@@ -3,7 +3,9 @@
 The reference classifies chord subsets through the public word-based API:
 ``subset_pattern`` plus ``is_one_component``, ``is_ascending`` and
 ``is_descending``.  Signs never enter the classification, so the reference
-classifies each unsigned structure once and re-signs it per diagram.
+classifies each unsigned structure once and re-signs it per diagram.  The
+walk-guided search is also compared subset by subset with the mask walk it
+replaced (``maskwalk``), on knots too large for the word-based reference.
 """
 
 import contextlib
@@ -11,10 +13,15 @@ import io
 import itertools
 import math
 import random
+import sys
 
+from braidutil import braid_closure_gauss_code
+from maskwalk import _qualifying_subsets as mask_qualifying_subsets
 from vknot import cli
 from vknot.arrows import (
     IntPolynomial,
+    _endpoints,
+    _qualifying_subsets,
     ascending_polynomial,
     conway_pairing,
     conway_pairing_table,
@@ -25,8 +32,9 @@ from vknot.arrows import (
     subset_pattern,
     z2_pairings_at_basepoints,
 )
-from vknot.diagram import basepoint_positions, make_diagram
+from vknot.diagram import basepoint_positions, make_diagram, parse_gauss_code
 from vknot.enumeration import enumerate_all_diagrams, random_knot_diagram, random_link_diagram
+from vknot.oracle import conway_polynomial
 
 VARIANTS = ("ascending", "descending")
 
@@ -53,13 +61,14 @@ def _all_subsets(G, required=None, sizes=None):
 
 
 def _signed_table(G, classified):
+    """The signed sums of each size; a size whose two sums are 0 is not a key."""
     table = {}
     for subset, asc, des in classified:
         prod = math.prod(G.sign(c) for c in subset)
         entry = table.setdefault(len(subset), [0, 0])
         entry[0] += prod if asc else 0
         entry[1] += prod if des else 0
-    return {size: tuple(sums) for size, sums in table.items()}
+    return {size: tuple(sums) for size, sums in table.items() if sums != [0, 0]}
 
 
 def reference_table(G, required=None, sizes=None):
@@ -170,3 +179,106 @@ def test_invariants_builds_one_table_per_knot(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["invariants", "6.87548", "--json"]) == 0
     assert len(calls) == 1
+
+
+def _three_circle_diagram(rng, chords):
+    K = random_knot_diagram(chords, rng)
+    word = K.circles[0]
+    a, b = sorted(rng.sample(range(len(word) + 1), 2))
+    return make_diagram([word[:a], word[a:b], word[b:]], K.signs)
+
+
+def _braid_knot(rng, crossings, strands=3):
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(crossings)]
+        code = braid_closure_gauss_code(word, strands)
+        if code is not None:
+            return parse_gauss_code(code)
+
+
+def _counting(classified):
+    """The subsets that add to a sum, with their flags, chords sorted, in sorted order."""
+    return sorted((tuple(sorted(subset)), asc, des) for subset, asc, des in classified if asc or des)
+
+
+def _assert_walk_matches_mask_walk(G, max_sizes):
+    # Subset by subset, not only by sums, so that two errors cannot cancel.
+    layout, _ = _endpoints(G)
+    ids = G.chord_ids()
+    for max_size in max_sizes:
+        for required in (None, *range(len(ids))):
+            walk = _qualifying_subsets(layout, max_size, required)
+            mask = list(mask_qualifying_subsets(layout, range(max_size + 1), required))
+            assert sorted((tuple(sorted(s)), a, d) for s, a, d in walk) == _counting(mask), (
+                str(G), max_size, required)
+            chord = None if required is None else ids[required]
+            named = [(tuple(ids[i] for i in s), a, d) for s, a, d in mask]
+            assert conway_pairing_table(G, chord, max_size) == _signed_table(G, named), (
+                str(G), max_size, required)
+
+
+def test_walk_matches_mask_walk_on_larger_knots():
+    # 13-16 chords: past what the word-based reference can enumerate quickly.
+    rng = random.Random(131)
+    diagrams = [random_knot_diagram(chords, rng) for chords in (13, 14, 15, 16)]
+    diagrams += [_braid_knot(rng, crossings) for crossings in (14, 16)]
+    for G in diagrams:
+        _assert_walk_matches_mask_walk(G, (G.num_chords,))
+
+
+def test_walk_matches_mask_walk_on_multi_circle_diagrams():
+    rng = random.Random(89)
+    diagrams = [random_link_diagram(rng.randint(8, 10), rng) for _ in range(8)]
+    diagrams += [_three_circle_diagram(rng, rng.randint(8, 10)) for _ in range(8)]
+    for G in diagrams:
+        n = G.num_chords
+        _assert_walk_matches_mask_walk(G, (1, 2, 5, n))
+
+
+def test_size_whose_sums_cancel_is_not_a_key():
+    # Two descending z^2 subsets with opposite sign products: size 2 has
+    # one-component subsets but both sums are 0, so it is absent.
+    G = parse_gauss_code("O1+O2-U3+U1+U2-O3+")
+    layout, _ = _endpoints(G)
+    descending = [s for s, a, d in mask_qualifying_subsets(layout, (2,)) if d]
+    assert len(descending) == 2
+    assert conway_pairing_table(G) == {0: (1, 1)}
+    assert conway_pairing(G, 2, "descending") == 0
+
+
+def test_large_braid_closures_match_the_skein_oracle():
+    # The mask walk took 7.6 s for these six polynomials (5.8 s at 22
+    # crossings); the search visits only the partial walks that stay pure.
+    rng = random.Random(2026)
+    for crossings in (18, 20, 22):
+        G = _braid_knot(rng, crossings)
+        assert G.num_chords == crossings
+        want = conway_polynomial(G)
+        assert ascending_polynomial(G) == want, str(G)
+        assert descending_polynomial(G) == want, str(G)
+
+
+def _table_and_walk_calls(G):
+    calls = []
+
+    def count_walks(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            calls.append(frame)
+
+    sys.setprofile(count_walks)
+    try:
+        table = conway_pairing_table(G)
+    finally:
+        sys.setprofile(None)
+    return table, len(calls)
+
+
+def test_walks_never_land_on_a_kink():
+    # A kink's upper end can only be reached by a jump to its lower end, so a
+    # walk never adds a kink: 12 kinks cost no branch, where each used to
+    # double the subsets walked.
+    kinks = "".join("U%d+O%d+" % (i, i) for i in range(4, 16))
+    assert _table_and_walk_calls(parse_gauss_code(kinks)) == ({0: (1, 1)}, 0)
+    base = parse_gauss_code("O1-U2-O3-U1-O2-U3-")
+    for kinked in (kinks + "O1-U2-O3-U1-O2-U3-", "O1-U2-O3-U1-O2-U3-" + kinks):
+        assert _table_and_walk_calls(parse_gauss_code(kinked)) == _table_and_walk_calls(base)

@@ -6,16 +6,23 @@ per-chord verdict it replaced: three independent ``conway_pairing_table``
 calls per resolvable chord, on D, on the materialized crossing change and on
 the smoothing.  The verdict is True on every diagram the check sees, so the
 tables themselves are compared, and a deliberately wrong smoothing shows
-that the check can still fail.
+that the check can still fail.  The shared tables are also compared with the
+mask walk they replaced (``maskwalk``), subset by subset.
 """
 
 import functools
 import random
 
+from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from vknot import verify
-from vknot.arrows import _crossing_change_tables, conway_pairing_table
+from vknot.arrows import _crossing_change_subsets, _crossing_change_tables, _endpoints, conway_pairing_table
 from vknot.diagram import BasedGaussDiagram, crossing_change, serialize_gauss_code, smooth
-from vknot.enumeration import connecting_chords, enumerate_all_diagrams, random_link_diagram
+from vknot.enumeration import (
+    connecting_chords,
+    enumerate_all_diagrams,
+    random_knot_diagram,
+    random_link_diagram,
+)
 from vknot.verify import SweepConfig, recheck, run_check, skein_verdict
 
 # Diagrams are values, so the table comparison and the reference verdict
@@ -49,19 +56,12 @@ def reference_skein_verdict(diagram, config, smoothing=smooth):
     return True
 
 
-def _nonzero(table):
-    return {size: sums for size, sums in table.items() if sums != (0, 0)}
-
-
 def _assert_shared_walk_matches(G, chords):
     tables = _crossing_change_tables(G)
     assert set(tables) == set(G.chord_ids()), str(G)
     for chord in chords:
         for shared, diagram in zip(tables[chord], (G, crossing_change(G, chord))):
-            reference = reference_table(diagram, required_chord=chord)
-            # the shared walk keeps a size only when a subset of it counts
-            assert set(shared) <= set(reference), (str(G), chord)
-            assert _nonzero(shared) == _nonzero(reference), (str(G), chord)
+            assert shared == reference_table(diagram, required_chord=chord), (str(G), chord)
 
 
 def _seeded_links(count=200, seed=41):
@@ -82,6 +82,21 @@ def test_shared_walk_matches_materialized_tables_on_links():
         assert connecting_chords(G)
         _assert_shared_walk_matches(G, connecting_chords(G))
         assert skein_verdict(G, config) is reference_skein_verdict(G, config), str(G)
+
+
+def _by_subset(lists):
+    return [sorted((tuple(sorted(s)), a, d) for s, a, d in found) for found in lists]
+
+
+def test_shared_walk_matches_mask_walk():
+    rng = random.Random(59)
+    diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(60)]
+    diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(60)]
+    for G in diagrams:
+        layout, _ = _endpoints(G)
+        walk = _crossing_change_subsets(layout)
+        mask = mask_crossing_change_subsets(layout)
+        assert [_by_subset(lists) for lists in walk] == [_by_subset(lists) for lists in mask], str(G)
 
 
 def _smooth_off_basepoint(diagram, chord):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vknot.errors import PreconditionError
+from vknot.errors import PreconditionError, UnknownCheckError
 from vknot.verify import (
     CHECKS,
     CheckReport,
@@ -29,6 +29,10 @@ def test_registered_checks_pass_on_small_sweeps(name):
 def test_unknown_check_rejected():
     with pytest.raises(KeyError):
         run_check("nope", SMALL)
+    # one check of the name serves every entry point
+    for call in (lambda: recheck("nope", "O1+U1+"), lambda: run_checks(SMALL, ["cor-det", "nope"])):
+        with pytest.raises(UnknownCheckError, match="unknown check 'nope'; available: cor-det, det-asc"):
+            call()
 
 
 def test_named_wrapper():
