@@ -57,6 +57,7 @@ from .diagram import (
     basepoint_positions,
     crossing_change,
     index,
+    indices,
     is_mod_p_numberable,
     make_diagram,
     numbering_is_valid,

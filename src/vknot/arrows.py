@@ -298,7 +298,10 @@ def _walks(layout, max_size, required=None, budget=0):
     every circle carries one.  A branch is cut when it would exceed
     ``max_size``, leave out ``required``, reach more than ``budget`` chords
     first at their tails and at their heads, or land on a chord whose other
-    end no later scan can reach.  So the cost follows the partial walks that
+    end no later scan can reach.  A chord that no walk can land on that way
+    (a kink, or a chord enclosing only such chords) is left out before the
+    first walk, and once a subset holds ``max_size`` chords its scans pass
+    over every other chord.  So the cost follows the partial walks that
     stay within the budget, not 2^n, and the recursion is at most
     ``max_size`` deep.
     """
@@ -311,11 +314,13 @@ def _walks(layout, max_size, required=None, budget=0):
     circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
     wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
     above = [circle & -(2 << q) for q, circle in enumerate(wrap)]
-    # between[p]: the positions between p and its partner q above it on one circle.  If all are
-    # left out, a scan lands on q only from a jump to p, which needs q landed on first.
+    # between[p]: the positions between p and its partner q above it on one circle (else -1,
+    # which never cuts).  If all are left out, a scan lands on q only from a jump to p, which
+    # needs q landed on first.
     between = [(1 << q) - (2 << p) if p < q and wrap[p] == wrap[q] else -1 for p, q in enumerate(partner)]
     need = 0 if required is None else 1 << tails[required] | 1 << heads[required]
     found = [((), ())] if len(circles) == 1 and not need and max_size >= 0 else []  # the empty subset
+    last = max_size - 1  # a subset of this many chords is full once it lands on one more
 
     def walk(q, open_, taken, reached, subset, tails_first):
         while True:
@@ -333,19 +338,33 @@ def _walks(layout, max_size, required=None, budget=0):
             if len(subset) < max_size and open_ & between[p]:
                 first = tails_first + (c,) if tail_at[p] else tails_first
                 if len(first) <= budget or len(subset) + 1 - len(first) <= budget:
-                    walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first)
+                    if len(subset) < last:
+                        walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first)
+                    else:  # full: it lands only on its own endpoints, every other chord is left out
+                        full = taken | bits
+                        if full & between[p] and full & need == need:
+                            walk(partner[p], full, full, reached | 1 << p, subset + (c,), first)
             if bits & need:
                 return
             open_ ^= bits
 
+    # No scan can land on a chord whose ends enclose only left-out chords (a kink encloses none),
+    # so such chords are left out before the first walk.  The chords they enclose have higher
+    # lower ends, so a downward pass settles those first.
     open_ = (1 << bounds[-1]) - 1
+    for p in range(bounds[-1] - 1, -1, -1):
+        if not open_ & between[p]:
+            open_ &= ~(1 << p | 1 << partner[p])
     for p0 in range(bounds[1] if max_size > 0 else 0):
         if open_ & need != need:
             break
         if open_ >> p0 & 1:
             c, bits = chord[p0], 1 << p0 | 1 << partner[p0]
-            if open_ & between[p0]:
-                walk(partner[p0], open_, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
+            if max_size > 1:
+                if open_ & between[p0]:
+                    walk(partner[p0], open_, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
+            elif bits & between[p0] and bits & need == need:
+                walk(partner[p0], bits, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
             open_ ^= bits
     return found
 

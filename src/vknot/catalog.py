@@ -9,6 +9,7 @@ mismatch fails the build quoting that provenance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -102,13 +103,19 @@ def load_catalog(path):
         return loads_catalog(handle.read())
 
 
-def builtin_catalog():
+@functools.cache
+def _builtin_entries():
     text = resources.files("vknot.data").joinpath("catalog.txt").read_text("utf-8")
-    return loads_catalog(text)
+    return tuple(loads_catalog(text))
+
+
+def builtin_catalog():
+    """The shipped catalog, read and validated once per process; each call returns a new list."""
+    return list(_builtin_entries())
 
 
 def find_entry(name, entries=None):
-    for entry in entries if entries is not None else builtin_catalog():
+    for entry in entries if entries is not None else _builtin_entries():
         if entry.name == name:
             return entry
     return None

@@ -8,6 +8,7 @@ is not checkerboard colorable).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,7 +16,7 @@ from .arrows import conway_pairing_table, conway_set, table_polynomials
 from .catalog import builtin_catalog, find_entry, load_catalog
 from .determinant import determinant
 from .diagram import (
-    index,
+    indices,
     is_mod_p_numberable,
     parse_gauss_code,
     serialize_gauss_code,
@@ -42,7 +43,9 @@ def count(text):
     return n
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every command, built on first use; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(prog="vknot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -101,7 +104,7 @@ def _cmd_invariants(args):
     refusals = []
     is_knot = diagram.num_circles == 1
     if is_knot:
-        out["indices"] = {str(c): index(diagram, c) for c in diagram.chord_ids()}
+        out["indices"] = {str(c): value for c, value in indices(diagram).items()}
         out["warping_degree"] = warping_degree(diagram)
         table = conway_pairing_table(diagram, max_degree=max(degree, 2))
         ascending, descending = table_polynomials(table, degree)

@@ -190,28 +190,41 @@ def _require_knot(diagram, what):
         raise PreconditionError("%s is defined for one-circle diagrams only" % what)
 
 
-def _in_open_arc(pos, start, end, m):
-    """True if ``pos`` lies strictly between ``start`` and ``end`` cyclically."""
-    return (pos - start) % m < (end - start) % m and pos != start
+def _chord_ends(diagram):
+    """``(tails, heads)``: each chord's endpoint positions on its circle, in ``chord_ids`` order."""
+    positions = diagram._positions
+    return ([positions[chord, False][1] for chord, _ in diagram.signs],
+            [positions[chord, True][1] for chord, _ in diagram.signs])
 
 
-def _index_terms(diagram, chord):
-    """``(other, coefficient)`` of every chord interleaved with ``chord``.
+def _index_rows(tails, heads):
+    """Per chord ``i`` of one circle, ``(j, coefficient)`` for every chord ``j`` interleaved with it.
 
-    The coefficient is +1 when the other chord's tail lies on the arc from
-    the head of ``chord`` to its tail, else -1; :func:`index` is
-    ``sign(chord) * sum(coefficient * sign(other))``.  Signs are not read.
+    ``tails[i]`` and ``heads[i]`` are chord ``i``'s endpoint positions.  Chord
+    ``j`` interleaves ``i`` when exactly one of its ends lies strictly
+    between ``i``'s.  The coefficient is +1 when ``j``'s tail lies on the arc
+    from the head of ``i`` to its tail, else -1; :func:`index` of ``i`` is
+    ``sign(i) * sum(coefficient * sign(j))``.  Signs are not read.
     """
-    _, t = diagram.tail(chord)
-    _, h = diagram.head(chord)
-    m = len(diagram.circles[0])
-    for other, _ in diagram.signs:
-        if other == chord:
-            continue
-        _, td = diagram.tail(other)
-        _, hd = diagram.head(other)
-        if _in_open_arc(td, t, h, m) != _in_open_arc(hd, t, h, m):
-            yield other, 1 if _in_open_arc(td, h, t, m) else -1
+    ends = list(zip(tails, heads))
+    rows = []
+    for t, h in ends:
+        lo, hi = (t, h) if t < h else (h, t)
+        # the arc from h to t is the inside of [lo, hi] exactly when h < t
+        head_first = h < t
+        rows.append([(j, 1 if (lo < tj < hi) == head_first else -1)
+                     for j, (tj, hj) in enumerate(ends) if (lo < tj < hi) != (lo < hj < hi)])
+    return rows
+
+
+def indices(diagram):
+    """``{chord: index(diagram, chord)}`` for every chord, from one pass over the endpoints."""
+    _require_knot(diagram, "index")
+    signs = [s for _, s in diagram.signs]
+    return {
+        chord: sign * sum([coef * signs[j] for j, coef in row])
+        for (chord, sign), row in zip(diagram.signs, _index_rows(*_chord_ends(diagram)))
+    }
 
 
 def index(diagram, chord, flip=False):
@@ -223,9 +236,9 @@ def index(diagram, chord, flip=False):
     ``flip`` swaps the left/right convention, negating the result; every
     predicate downstream only uses the value modulo p, which is unaffected.
     """
-    _require_knot(diagram, "index")
-    total = sum(coef * diagram.sign(other) for other, coef in _index_terms(diagram, chord))
-    value = diagram.sign(chord) * total
+    value = indices(diagram).get(chord)
+    if value is None:
+        raise UnknownChordError(chord)
     return -value if flip else value
 
 

@@ -33,11 +33,10 @@ from .arrows import (
 )
 from .determinant import determinant
 from .diagram import (
+    _chord_ends,
     _congruent,
-    _in_open_arc,
-    _index_terms,
+    _index_rows,
     _require_knot,
-    is_mod_p_numberable,
     make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
@@ -130,23 +129,14 @@ def skein_verdict(diagram, config):
 
 def _smoothing_candidates(diagram):
     """Chords whose interleaving chords all have tails on the basepoint arc."""
-    m = 2 * diagram.num_chords
-    if diagram.num_circles != 1 or m == 0:
+    if diagram.num_circles != 1:
         return
-    for alpha in diagram.chord_ids():
-        _, t = diagram.tail(alpha)
-        _, h = diagram.head(alpha)
-        gap_in_th = _in_open_arc(0, t, h, m) or h == 0
-        ok = True
-        for other in diagram.chord_ids():
-            if other == alpha:
-                continue
-            tail_in = _in_open_arc(diagram.tail(other)[1], t, h, m)
-            if tail_in != _in_open_arc(diagram.head(other)[1], t, h, m) and tail_in != gap_in_th:
-                ok = False
-                break
-        if ok:
-            yield alpha
+    tails, heads = _chord_ends(diagram)
+    for chord, t, h, row in zip(diagram.chord_ids(), tails, heads, _index_rows(tails, heads)):
+        # a coefficient is +1 for a tail on the arc from h to t, which holds the basepoint when t < h
+        basepoint_side = 1 if t < h else -1
+        if all(coef == basepoint_side for _, coef in row):
+            yield chord
 
 
 class CensusStructure:
@@ -189,7 +179,8 @@ class CensusStructure:
 
     @cached_property
     def colorable(self):
-        return is_mod_p_numberable(self.template, 2)
+        """Mod 2 colorability: every chord interleaves an even number of others."""
+        return all(len(row) % 2 == 0 for row in self.index_rows)
 
     @cached_property
     def determinant(self):
@@ -203,8 +194,8 @@ class CensusStructure:
     def index_rows(self):
         """Per chord ``c``, ``(i, coefficient)`` of each sign ``signs[i]`` in :func:`index`'s
         sum: the index of ``c`` is ``signs[c - 1]`` times the row's dot product with ``signs``."""
-        return [[(other - 1, coef) for other, coef in _index_terms(self.template, chord)]
-                for chord in self.chords]
+        tails, heads, _ = self.layout
+        return _index_rows(tails, heads)
 
     @cached_property
     def c2_parity(self):

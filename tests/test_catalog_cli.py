@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vknot
 from vknot.catalog import (
+    CatalogEntry,
     CatalogError,
     builtin_catalog,
     find_entry,
@@ -19,6 +24,19 @@ def test_builtin_catalog_loads():
         assert expected in names
     assert find_entry("trefoil").expect("det") == 3
     assert find_entry("missing") is None
+
+
+def test_mutating_the_builtin_catalog_changes_no_later_lookup():
+    entries = builtin_catalog()
+    names = [e.name for e in entries]
+    trefoil = find_entry("trefoil").code
+    entries.insert(0, CatalogEntry("trefoil", "O1+U1+"))
+    entries.append(CatalogEntry("extra", "O1+U1+"))
+    del entries[1:4]
+    assert find_entry("trefoil").code == trefoil
+    assert find_entry("extra") is None
+    assert [e.name for e in builtin_catalog()] == names
+    assert builtin_catalog() is not builtin_catalog()
 
 
 def test_golden_values_rederive():
@@ -56,6 +74,35 @@ def test_external_catalog_file(tmp_path):
     path = tmp_path / "mine.txt"
     path.write_text("myknot\tO1+U2+O3+U1+O2+U3+\tdet=3,source=local\n")
     assert main(["invariants", "myknot", "--catalog", str(path)]) == 0
+
+
+def test_repeated_main_calls_do_not_leak_state(capsys, tmp_path):
+    # One parser and one catalog serve every call; no call's options or
+    # catalog file may reach the next.
+    assert main(["invariants", "trefoil", "-p", "3"]) == 0
+    assert "mod 3 numberable: yes" in capsys.readouterr().out
+    assert main(["invariants", "trefoil", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data["colorable"]) == ["2"] and list(data["v2"]) == ["2"]
+    path = tmp_path / "mine.txt"
+    path.write_text("myknot\tO1+U2+O3+U1+O2+U3+\tdet=3,source=local\n")
+    assert main(["invariants", "myknot", "--catalog", str(path), "--degree", "0"]) == 0
+    assert "name: myknot" in capsys.readouterr().out
+    assert main(["invariants", "myknot"]) == 1
+    assert "parse error" in capsys.readouterr().err
+    assert main(["invariants", "trefoil", "--json"]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert again == data and again["ascending"] == [[0, 1], [2, 1]]
+
+
+def test_parser_and_catalog_are_built_on_first_use():
+    code = (
+        "import vknot.catalog as catalog, vknot.cli as cli\n"
+        "assert cli._build_parser.cache_info().currsize == 0\n"
+        "assert catalog._builtin_entries.cache_info().currsize == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(vknot.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_cli_invariants_trefoil(capsys):

@@ -177,6 +177,15 @@ def test_structure_values_match_library_on_census():
     assert checked == 27893
 
 
+def test_colorable_reads_index_parity_on_census_structures():
+    checked = 0
+    for word, _ in enumerate_structures(5):
+        structure = CensusStructure(word)
+        assert structure.colorable == is_mod_p_numberable(structure.template, 2), word
+        checked += 1
+    assert checked == 32055
+
+
 def test_from_diagram_relabels_chords_by_first_occurrence():
     structure, signs = CensusStructure.from_diagram(parse_gauss_code("O7-U3+O3+U7-"))
     assert structure.word == ((1, False), (2, True), (2, False), (1, True))

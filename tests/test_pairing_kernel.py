@@ -276,9 +276,39 @@ def _table_and_walk_calls(G):
 def test_walks_never_land_on_a_kink():
     # A kink's upper end can only be reached by a jump to its lower end, so a
     # walk never adds a kink: 12 kinks cost no branch, where each used to
-    # double the subsets walked.
+    # double the subsets walked.  Kinks, and a chord enclosing only kinks,
+    # are left out before the first walk, so inside a trefoil chord they
+    # keep no arc open either.
     kinks = "".join("U%d+O%d+" % (i, i) for i in range(4, 16))
     assert _table_and_walk_calls(parse_gauss_code(kinks)) == ({0: (1, 1)}, 0)
     base = parse_gauss_code("O1-U2-O3-U1-O2-U3-")
-    for kinked in (kinks + "O1-U2-O3-U1-O2-U3-", "O1-U2-O3-U1-O2-U3-" + kinks):
-        assert _table_and_walk_calls(parse_gauss_code(kinked)) == _table_and_walk_calls(base)
+    assert _table_and_walk_calls(base) == ({0: (1, 1), 2: (1, 1)}, 5)
+    nested = "O16+O17+U17+O18-U18-U16+"
+    for kinked in (kinks + "O1-U2-O3-U1-O2-U3-", "O1-U2-O3-U1-O2-U3-" + kinks,
+                   "O1-U2-O3-" + kinks + "U1-O2-U3-", "O1-U2-O3-" + nested + "U1-O2-U3-",
+                   "O1-U2-O3-" + kinks + nested + "U1-O2-U3-"):
+        assert _table_and_walk_calls(parse_gauss_code(kinked)) == _table_and_walk_calls(base), kinked
+
+
+def _kinked(rng, G):
+    """``G`` with a kink and a chord enclosing a kink put into random gaps of its circles."""
+    top = max(G.chord_ids(), default=0)
+    circles = [list(circle) for circle in G.circles]
+    extras = ([(top + 1, True), (top + 1, False)],
+              [(top + 2, False), (top + 3, False), (top + 3, True), (top + 2, True)])
+    for extra in extras:
+        circle = rng.choice(circles)
+        at = rng.randint(0, len(circle))
+        circle[at:at] = extra
+    return make_diagram(circles, dict(G.signs) | {top + 1: 1, top + 2: -1, top + 3: 1})
+
+
+def test_walk_matches_mask_walk_at_small_bounds():
+    # A full subset scans only its own endpoints and a branch that cannot
+    # still take the required chord is dropped; kinks never enter a walk.
+    rng = random.Random(97)
+    diagrams = [random_knot_diagram(rng.randint(5, 10), rng) for _ in range(5)]
+    diagrams += [random_link_diagram(rng.randint(3, 8), rng) for _ in range(5)]
+    diagrams += [_kinked(rng, G) for G in list(diagrams)]
+    for G in diagrams:
+        _assert_walk_matches_mask_walk(G, (1, 2, 3))
