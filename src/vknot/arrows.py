@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .diagram import _congruent, basepoint_positions
+from .diagram import _congruent, _layout, basepoint_positions
 from .errors import GaussCodeError, PreconditionError
 
 _ARROW_TOKEN = re.compile(r"([OU])(\d+)")
@@ -253,23 +253,6 @@ def pairing(arrow_diagram, diagram):
                 prod *= sign[c]
             total += prod
     return total
-
-
-def _layout(circles, chords):
-    """Integer endpoint positions: ``(tails, heads, bounds)``.
-
-    The circles are laid end to end; chord ``i`` (the ``i``-th of
-    ``chords``) has its tail at ``tails[i]`` and its head at ``heads[i]``,
-    and ``bounds`` holds each circle's first position, then the total.
-    Signs play no part: a sign vector lists chord ``i``'s sign at ``i``.
-    """
-    tails, heads = {}, {}
-    bounds = [0]
-    for circle in circles:
-        for pos, (chord, is_head) in enumerate(circle, start=bounds[-1]):
-            (heads if is_head else tails)[chord] = pos
-        bounds.append(bounds[-1] + len(circle))
-    return [tails[c] for c in chords], [heads[c] for c in chords], bounds
 
 
 def _endpoints(diagram):

@@ -64,7 +64,7 @@ def _build_parser():
                      help="moduli for the modular checks (default 2 3)")
     ver.add_argument("--samples", type=count, default=1000)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--workers", type=count, default=1)
     ver.add_argument("--json", action="store_true")
 
     enu = sub.add_parser("enumerate", help="stream one-circle diagrams with k chords")

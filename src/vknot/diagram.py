@@ -190,11 +190,21 @@ def _require_knot(diagram, what):
         raise PreconditionError("%s is defined for one-circle diagrams only" % what)
 
 
-def _chord_ends(diagram):
-    """``(tails, heads)``: each chord's endpoint positions on its circle, in ``chord_ids`` order."""
-    positions = diagram._positions
-    return ([positions[chord, False][1] for chord, _ in diagram.signs],
-            [positions[chord, True][1] for chord, _ in diagram.signs])
+def _layout(circles, chords):
+    """Integer endpoint positions: ``(tails, heads, bounds)``.
+
+    The circles are laid end to end; chord ``i`` (the ``i``-th of
+    ``chords``) has its tail at ``tails[i]`` and its head at ``heads[i]``,
+    and ``bounds`` holds each circle's first position, then the total.
+    Signs play no part: a sign vector lists chord ``i``'s sign at ``i``.
+    """
+    tails, heads = {}, {}
+    bounds = [0]
+    for circle in circles:
+        for pos, (chord, is_head) in enumerate(circle, start=bounds[-1]):
+            (heads if is_head else tails)[chord] = pos
+        bounds.append(bounds[-1] + len(circle))
+    return [tails[c] for c in chords], [heads[c] for c in chords], bounds
 
 
 def _index_rows(tails, heads):
@@ -220,10 +230,11 @@ def _index_rows(tails, heads):
 def indices(diagram):
     """``{chord: index(diagram, chord)}`` for every chord, from one pass over the endpoints."""
     _require_knot(diagram, "index")
+    tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
     signs = [s for _, s in diagram.signs]
     return {
         chord: sign * sum([coef * signs[j] for j, coef in row])
-        for (chord, sign), row in zip(diagram.signs, _index_rows(*_chord_ends(diagram)))
+        for (chord, sign), row in zip(diagram.signs, _index_rows(tails, heads))
     }
 
 

@@ -97,8 +97,9 @@ def rotation_canonical_key(diagram):
     return _rotation_key(_rotations(diagram.circles[0]), dict(diagram.signs))
 
 
-def random_knot_diagram(k, rng):
-    """Uniform-ish random one-circle diagram with ``k`` chords."""
+def _random_chords(k, rng):
+    """``(slots, signs)``: ``k`` chords with random endpoint slots among ``2k``,
+    random directions and random signs."""
     order = list(range(2 * k))
     rng.shuffle(order)
     slots = [None] * (2 * k)
@@ -109,6 +110,12 @@ def random_knot_diagram(k, rng):
         slots[a] = (chord, head_at_a)
         slots[b] = (chord, not head_at_a)
         signs[chord] = rng.choice((1, -1))
+    return slots, signs
+
+
+def random_knot_diagram(k, rng):
+    """Uniform-ish random one-circle diagram with ``k`` chords."""
+    slots, signs = _random_chords(k, rng)
     return make_diagram([slots], signs)
 
 
@@ -121,16 +128,7 @@ def random_link_diagram(k, rng, require_connecting=True):
     if k < 1:
         raise ValueError("a two-circle diagram needs at least one chord")
     while True:
-        order = list(range(2 * k))
-        rng.shuffle(order)
-        slots = [None] * (2 * k)
-        signs = {}
-        for chord in range(1, k + 1):
-            a, b = order[2 * chord - 2], order[2 * chord - 1]
-            head_at_a = rng.random() < 0.5
-            slots[a] = (chord, head_at_a)
-            slots[b] = (chord, not head_at_a)
-            signs[chord] = rng.choice((1, -1))
+        slots, signs = _random_chords(k, rng)
         split = rng.randint(0, 2 * k)
         diagram = make_diagram([slots[:split], slots[split:]], signs)
         if not require_connecting or connecting_chords(diagram):

@@ -2,14 +2,16 @@
 
 The generators below produce every diagram reachable by a single move of
 each kind (plus basepoint shifts).  R3 configurations are not hand-listed:
-they are computed once from an explicit planar model of three directed lines
-in general position, which guarantees that every emitted slide is realizable.
+they are computed once, on first use, from an explicit planar model of three
+directed lines in general position, which guarantees that every emitted slide
+is realizable, and a slide is one lookup of its local key among them.
 Moves whose local picture would have to slide across a basepoint are skipped;
 this only thins the generated neighbor set, never invalidates it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -51,7 +53,9 @@ def r1_deletions(diagram):
     out = []
     for ci, word in enumerate(diagram.circles):
         m = len(word)
-        for pos in range(m):
+        # a kink needs two distinct positions: on a circle of one endpoint
+        # that endpoint is its own successor
+        for pos in range(m if m > 1 else 0):
             chord, _ = word[pos]
             partner, _ = word[(pos + 1) % m]
             if chord == partner:
@@ -73,33 +77,19 @@ def r2_insertions(diagram):
         for ci, word in enumerate(diagram.circles)
         for pos in range(len(word) + 1)
     ]
+    c, d = _fresh_ids(diagram, 2)
+    tails = [(c, False), (d, False)]
     for (ci, gi), (cj, gj) in itertools.product(sites, repeat=2):
-        c, d = _fresh_ids(diagram, 2)
-        for nested in (False, True):
-            for sign in (1, -1):
-                tails = [(c, False), (d, False)]
-                heads = [(d, True), (c, True)] if nested else [(c, True), (d, True)]
-                signs = [(c, sign), (d, -sign)]
-                if ci == cj:
-                    word = list(diagram.circles[ci])
-                    if gi <= gj:
-                        moved = word[:gi] + tails + word[gi:gj] + heads + word[gj:]
-                    else:
-                        moved = word[:gj] + heads + word[gj:gi] + tails + word[gi:]
-                    out.append(_with_circles(diagram, {ci: moved}, signs))
-                else:
-                    wi = list(diagram.circles[ci])
-                    wj = list(diagram.circles[cj])
-                    out.append(
-                        _with_circles(
-                            diagram,
-                            {
-                                ci: wi[:gi] + tails + wi[gi:],
-                                cj: wj[:gj] + heads + wj[gj:],
-                            },
-                            signs,
-                        )
-                    )
+        for nested, sign in itertools.product((False, True), (1, -1)):
+            heads = [(d, True), (c, True)] if nested else [(c, True), (d, True)]
+            circles = [list(word) for word in diagram.circles]
+            # the later site first, so the earlier one keeps its position; in
+            # one gap the heads go in first and the tails land in front of them
+            for ck, gk, block in sorted(
+                [(cj, gj, heads), (ci, gi, tails)], key=lambda site: site[:2], reverse=True
+            ):
+                circles[ck][gk:gk] = block
+            out.append(_with_circles(diagram, dict(enumerate(circles)), [(c, sign), (d, -sign)]))
     return out
 
 
@@ -135,14 +125,7 @@ def r2_deletions(diagram):
 
 # -- R3 ----------------------------------------------------------------------
 
-_STRANDS = ("A", "B", "C")
-_CROSSING_OF = {
-    frozenset(("A", "B")): "AB",
-    frozenset(("A", "C")): "AC",
-    frozenset(("B", "C")): "BC",
-}
 _POINTS = {"AB": (0, 0), "AC": (2, 0), "BC": (1, 1)}
-_INCIDENT = {"A": ("AB", "AC"), "B": ("AB", "BC"), "C": ("AC", "BC")}
 
 
 def _triangle_configs():
@@ -156,36 +139,42 @@ def _triangle_configs():
     configs = set()
     for da, db, dc in itertools.product((1, -1), repeat=3):
         dirs = {"A": (da, 0), "B": (db, db), "C": (dc, -dc)}
-        for order in itertools.permutations(_STRANDS):
+        for order in itertools.permutations("ABC"):
             level = {s: i for i, s in enumerate(order)}
-            blocks = {}
-            for s in _STRANDS:
-                x1, x2 = _INCIDENT[s]
-                d = dirs[s]
-                k1 = _POINTS[x1][0] * d[0] + _POINTS[x1][1] * d[1]
-                k2 = _POINTS[x2][0] * d[0] + _POINTS[x2][1] * d[1]
-                first, second = (x1, x2) if k1 < k2 else (x2, x1)
-                blocks[s] = tuple(
-                    (x, level[s] > level[_other_strand(x, s)]) for x in (first, second)
-                )
-            signs = {}
-            for x in ("AB", "AC", "BC"):
-                s1, s2 = x
-                over, under = (s1, s2) if level[s1] > level[s2] else (s2, s1)
-                do, du = dirs[over], dirs[under]
-                cross = do[0] * du[1] - do[1] * du[0]
-                signs[x] = 1 if cross > 0 else -1
-            configs.add(
-                (blocks["A"], blocks["B"], blocks["C"], (signs["AB"], signs["AC"], signs["BC"]))
-            )
+            blocks = []
+            for s, (dx, dy) in dirs.items():
+                crossings = sorted((x for x in _POINTS if s in x),
+                                   key=lambda x: _POINTS[x][0] * dx + _POINTS[x][1] * dy)
+                blocks.append(tuple((x, level[s] > level[x.replace(s, "")]) for x in crossings))
+            signs = []
+            for x in _POINTS:
+                over, under = sorted(x, key=level.get, reverse=True)
+                (ox, oy), (ux, uy) = dirs[over], dirs[under]
+                signs.append(1 if ox * uy - oy * ux > 0 else -1)
+            configs.add((*blocks, tuple(signs)))
     return tuple(sorted(configs))
 
 
-def _other_strand(crossing, strand):
-    return crossing[0] if crossing[1] == strand else crossing[1]
+def _local_key(ends, sign):
+    """``ends``, a list of ``(chord, is_head)`` pairs, with the chords relabeled
+    0, 1, ... by first occurrence, and the sign of each label."""
+    label = {}
+    for chord, _ in ends:
+        label.setdefault(chord, len(label))
+    return tuple((label[chord], is_head) for chord, is_head in ends), tuple(sign[c] for c in label)
 
 
-_R3_CONFIGS = _triangle_configs()
+@functools.cache
+def _r3_keys():
+    """The local key of every :func:`_triangle_configs` pattern, its three
+    strands' blocks taken in every order."""
+    keys = set()
+    for *blocks, signs in _triangle_configs():
+        sign = dict(zip(("AB", "AC", "BC"), signs))
+        for order in itertools.permutations(blocks):
+            ends = [(x, not is_over) for block in order for x, is_over in block]
+            keys.add(_local_key(ends, sign))
+    return keys
 
 
 def _adjacent_blocks(diagram):
@@ -199,65 +188,22 @@ def _adjacent_blocks(diagram):
 
 
 def r3_slides(diagram):
-    out = {}
-    blocks = _adjacent_blocks(diagram)
+    """Swap the endpoints of each three adjacent pairs whose local key is a slide pattern.
+
+    Each chord of a pattern has one head and one tail among the six
+    endpoints, so overlapping pairs never match."""
+    out = []
     sign = dict(diagram.signs)
-    for triple in itertools.combinations(blocks, 3):
-        slots = set()
+    keys = _r3_keys()
+    for triple in itertools.combinations(_adjacent_blocks(diagram), 3):
+        ends = [e for ci, pos in triple for e in diagram.circles[ci][pos : pos + 2]]
+        if _local_key(ends, sign) not in keys:
+            continue
+        circles = [list(word) for word in diagram.circles]
         for ci, pos in triple:
-            slots.update({(ci, pos), (ci, pos + 1)})
-        if len(slots) != 6:
-            continue
-        words = [
-            (diagram.circles[ci][pos], diagram.circles[ci][pos + 1])
-            for ci, pos in triple
-        ]
-        chord_sets = [frozenset(e[0] for e in pair) for pair in words]
-        if len(frozenset().union(*chord_sets)) != 3:
-            continue
-        for perm in itertools.permutations(range(3)):
-            role_block = {s: triple[perm[i]] for i, s in enumerate(_STRANDS)}
-            role_word = {s: words[perm[i]] for i, s in enumerate(_STRANDS)}
-            shared = {}
-            ok = True
-            for s1, s2 in (("A", "B"), ("A", "C"), ("B", "C")):
-                common = {e[0] for e in role_word[s1]} & {e[0] for e in role_word[s2]}
-                if len(common) != 1:
-                    ok = False
-                    break
-                shared[_CROSSING_OF[frozenset((s1, s2))]] = next(iter(common))
-            if not ok:
-                continue
-            for blockA, blockB, blockC, csigns in _R3_CONFIGS:
-                config = {"A": blockA, "B": blockB, "C": blockC}
-                if any(
-                    sign[shared[x]] != s
-                    for x, s in zip(("AB", "AC", "BC"), csigns)
-                ):
-                    continue
-                match = True
-                for s in _STRANDS:
-                    for (crossing, is_over), (chord, is_head) in zip(
-                        config[s], role_word[s]
-                    ):
-                        if shared[crossing] != chord or is_over != (not is_head):
-                            match = False
-                            break
-                    if not match:
-                        break
-                if not match:
-                    continue
-                circles = [list(w) for w in diagram.circles]
-                for ci, pos in triple:
-                    circles[ci][pos], circles[ci][pos + 1] = (
-                        circles[ci][pos + 1],
-                        circles[ci][pos],
-                    )
-                moved = BasedGaussDiagram(
-                    tuple(tuple(w) for w in circles), diagram.signs
-                )
-                out[(moved.circles, moved.signs)] = moved
-    return list(out.values())
+            circles[ci][pos : pos + 2] = circles[ci][pos + 1], circles[ci][pos]
+        out.append(BasedGaussDiagram(tuple(map(tuple, circles)), diagram.signs))
+    return out
 
 
 # -- the full neighbor set ----------------------------------------------------

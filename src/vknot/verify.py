@@ -24,7 +24,6 @@ from functools import cached_property
 from .arrows import (
     _basepoint_layouts,
     _crossing_change_tables,
-    _layout,
     _pairing_sums,
     _qualifying_subsets,
     _z2_pairs,
@@ -33,9 +32,9 @@ from .arrows import (
 )
 from .determinant import determinant
 from .diagram import (
-    _chord_ends,
     _congruent,
     _index_rows,
+    _layout,
     _require_knot,
     make_diagram,
     parse_gauss_code,
@@ -131,7 +130,7 @@ def _smoothing_candidates(diagram):
     """Chords whose interleaving chords all have tails on the basepoint arc."""
     if diagram.num_circles != 1:
         return
-    tails, heads = _chord_ends(diagram)
+    tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
     for chord, t, h, row in zip(diagram.chord_ids(), tails, heads, _index_rows(tails, heads)):
         # a coefficient is +1 for a tail on the arc from h to t, which holds the basepoint when t < h
         basepoint_side = 1 if t < h else -1

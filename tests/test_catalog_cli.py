@@ -97,9 +97,10 @@ def test_repeated_main_calls_do_not_leak_state(capsys, tmp_path):
 
 def test_parser_and_catalog_are_built_on_first_use():
     code = (
-        "import vknot.catalog as catalog, vknot.cli as cli\n"
+        "import vknot.catalog as catalog, vknot.cli as cli, vknot.moves as moves\n"
         "assert cli._build_parser.cache_info().currsize == 0\n"
         "assert catalog._builtin_entries.cache_info().currsize == 0\n"
+        "assert moves._r3_keys.cache_info().currsize == 0\n"
     )
     src = os.path.dirname(os.path.dirname(vknot.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
@@ -200,9 +201,10 @@ def test_cli_negative_modulus_exit_code(capsys, argv):
         ["enumerate", "2", "--limit", "-1"],
         ["invariants", "O1+U2+O3+U1+O2+U3+", "--degree", "-1"],
         ["conway", "--degree", "-1"],
+        ["verify", "cor-det", "--workers", "-1"],
     ],
     ids=["enumerate", "verify-max-chords", "verify-samples", "enumerate-limit", "invariants-degree",
-         "conway-degree"],
+         "conway-degree", "verify-workers"],
 )
 def test_cli_negative_count_exit_code(capsys, argv):
     assert main(argv) == 2

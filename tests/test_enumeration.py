@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from vknot.diagram import BasedGaussDiagram, make_diagram, parse_gauss_code
+from vknot import verify
+from vknot.diagram import BasedGaussDiagram, make_diagram, parse_gauss_code, serialize_gauss_code
 from vknot.enumeration import (
     connecting_chords,
     enumerate_all_diagrams,
@@ -101,3 +103,31 @@ def test_random_generators_are_seeded():
     assert connecting_chords(link)
     with pytest.raises(ValueError):
         random_link_diagram(0, random.Random(0))
+
+
+def test_skein_population_is_pinned():
+    # both generators draw chords through one helper; the draws, and so every
+    # seeded diagram, are those of the generators before it
+    population = verify._population_random_skein(verify.SweepConfig())
+    assert [serialize_gauss_code(G) for G in itertools.islice(population, 20)] == [
+        "U6-O1-U3-O3-O6-O2+U7+U5+O5+O4+U2+U1-O7+U4+",
+        "U2+U1-O3-;O5+U3-U6+O6+O4-U4-U5+O2+O1-",
+        "O2-U1-O1-O3-U3-U2-",
+        "U3-O2+;U1+U4+O4+O1+U2+O3-",
+        "U3-U1+O2-U2-O1+O3-",
+        "O3+U8-U3+;U4+U2+U7+U1+U6+O2+O7+O1+O8-O5+U5+O6+O4+",
+        "O1+U1+",
+        "O2+O1+;U1+U2+",
+        "U2-O2-U1+O1+",
+        "U1+;O1+",
+        "U1+O1+O2-U2-",
+        "O2-O1+O5+U4-;U6+U5+U3-U2-U1+O6+O4-O3-",
+        "U1-O1-U2-O3-U3-O2-",
+        "O2+O4+O1+U1+;U2+U3+U4+O3+",
+        "O3-U5+O5+U3-U2+O1+U4+O4+O2+U1+",
+        "O1-;U1-",
+        "O1+U1+O2-U2-",
+        "O2-O4-O5-U4-U5-O3+O6+U3+U6+O1+U2-;U1+",
+        "O8+O1+U5+U2+O7-U7-O4-U4-U1+O5+U6-O6-O3-U8+U3-O2+",
+        "O5+O6-O1+O7-O2+U7-U4-O4-U5+U2+;O3+U6-U3+U1+",
+    ]

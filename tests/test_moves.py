@@ -98,3 +98,12 @@ def test_index_multiset_constant_under_shift_and_r3():
             assert sorted(index(s, c) for c in s.chord_ids()) == base
         for s in r3_slides(d):
             assert sorted(index(s, c) for c in s.chord_ids()) == base
+
+
+def test_r1_needs_two_distinct_positions():
+    # a circle carrying one endpoint is not a kink: that endpoint is its own successor
+    assert r1_deletions(parse_gauss_code("O1+;U1+")) == []
+    for code in ("O1+;U1+", "O1-O2+U3+;U1-O3+;U2+"):
+        G = parse_gauss_code(code)
+        moves = reidemeister_moves(G)
+        assert moves and all(m.num_circles == G.num_circles for m in moves)
