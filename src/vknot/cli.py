@@ -104,19 +104,25 @@ def _cmd_invariants(args):
     refusals = []
     is_knot = diagram.num_circles == 1
     if is_knot:
-        out["indices"] = {str(c): value for c, value in indices(diagram).items()}
+        chord_indices = indices(diagram)
+        values = chord_indices.values()
+        out["indices"] = {str(c): value for c, value in chord_indices.items()}
         out["warping_degree"] = warping_degree(diagram)
         table = conway_pairing_table(diagram, max_degree=max(degree, 2))
         ascending, descending = table_polynomials(table, degree)
         out["ascending"] = list(ascending.coeffs)
         out["descending"] = list(descending.coeffs)
         out["c2"] = table.get(2, (0, 0))[0]
-    out["colorable"] = {str(p): is_mod_p_numberable(diagram, p) for p in moduli}
-    if is_knot:
+        # a knot is mod p numberable iff every index is 0 mod p (the index criterion)
+        out["colorable"] = {
+            str(p): all(v % p == 0 for v in values) if p else not any(values) for p in moduli
+        }
         out["v2"] = {
             str(p): (out["c2"] % p if p else out["c2"]) if out["colorable"][str(p)] else None
             for p in moduli
         }
+    else:
+        out["colorable"] = {str(p): is_mod_p_numberable(diagram, p) for p in moduli}
     try:
         out["determinant"] = determinant(diagram)
     except PreconditionError as exc:

@@ -9,16 +9,15 @@ single arc on 0.  Every determinant here is computed by fraction-free
 elimination over the integers: residue classes mod 8 are meaningless under
 floating point rounding.
 
-A coloring matrix has at most three nonzeros per row, so :func:`int_det`
-eliminates over sparse rows: the pivot is the shortest row reaching the
-current column, rows that do not reach it are left alone, and the Bareiss
-scaling they skip is applied at their next update, where it telescopes
-into a single exact division.  Its work follows the fill-in, not n^3.
+A coloring matrix has at most three nonzeros per row.  :func:`determinant`
+builds its rows as ``{column: value}`` dicts in one pass over each circle
+and eliminates them with a sparse Bareiss kernel that pivots on the column
+with the fewest nonzeros, so its work follows the fill-in, not n^3.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import heapq
 from dataclasses import dataclass
 
 from .diagram import is_mod_p_numberable
@@ -63,63 +62,99 @@ def _rows(matrix):
 
 
 def int_det(matrix):
-    """Exact signed determinant of a square integer matrix.
-
-    Sparse Bareiss elimination.  Each row is a ``{column: value}`` dict of
-    its nonzeros.  Step k takes as pivot, among the rows not yet used, the
-    one with the fewest nonzeros that has an entry in column k; each row
-    transposition this implies flips the sign.  Only rows with an entry in
-    column k are updated.  Dense Bareiss would scale every other row by
-    ``p_k / p_(k-1)``; those factors telescope, so a row is left as it was
-    and remembers the pivot ``d`` it was last updated under.  Its next
-    update, under pivot ``p`` with pivot row ``a_k``, is
-    ``(a_ij * p - a_ik * a_kj) // d``, and the pivot row itself is first
-    brought up to date by ``* p_(k-1) // d``.  Every value computed this
-    way is a true Bareiss entry, a minor of the input, so each division is
-    exact.  The work follows the fill-in, not n^3.
-    """
+    """Exact signed determinant of a square integer matrix, by :func:`_bareiss` over its nonzeros."""
     dense = _rows(matrix)
     n = len(dense)
     if any(len(r) != n for r in dense):
         raise PreconditionError("determinant of a non-square matrix")
-    rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+    return _bareiss([{j: v for j, v in enumerate(r) if v} for r in dense], n)
+
+
+def _parity(perm):
+    """1 if ``perm``, a permutation of range(len(perm)), is odd, else 0."""
+    perm = list(perm)
+    odd = 0
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            odd ^= 1
+    return odd
+
+
+def _bareiss(rows, n):
+    """Signed determinant of ``n`` sparse rows: ``{column: nonzero value}`` over range(n).
+
+    The rows are consumed.  Fraction-free (Bareiss) elimination in a
+    fill-reducing pivot order.  ``holders[j]`` is the set of live rows with
+    an entry in column ``j``, so a step touches only the rows holding its
+    pivot column, and only the pivot row's columns can gain or lose a
+    holder.  The pivot column is the live column with the fewest holders,
+    from a heap whose stale entries (a retired column, or an old count) are
+    skipped when popped; the pivot row is the shortest row holding it.  The
+    sign is the parity of the map from each pivot row to its pivot column:
+    the parity of the row order times that of the column order.
+
+    Dense Bareiss would scale every row the step leaves alone by
+    ``p_k / p_(k-1)``; those factors telescope, so such a row is left as it
+    was and remembers the pivot ``d`` it was last updated under.  Its next
+    update, under pivot ``p`` with pivot row ``a_k``, is
+    ``(a_ij * p - a_ik * a_kj) // d``, and the pivot row itself is first
+    brought up to date by ``* p_(k-1) // d``.  Every value computed this way
+    is a true Bareiss entry, a minor of the input, so each division is exact.
+    """
+    holders = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    heap = [(len(h), j) for j, h in enumerate(holders)]
+    heapq.heapify(heap)
     # rows[i] holds its entries as of the pivot scale[i]
     scale = [1] * n
-    sign = 1
+    pivot_col = [None] * n
     prev = 1
-    for k in range(n):
-        best = None
-        for i in range(k, n):
-            if k in rows[i] and (best is None or len(rows[i]) < len(rows[best])):
-                best = i
-        if best is None:
+    for _ in range(n):
+        while True:
+            count, col = heapq.heappop(heap)
+            held = holders[col]
+            if held is not None and count == len(held):
+                break
+        if not count:
             return 0
-        if best != k:
-            rows[k], rows[best] = rows[best], rows[k]
-            scale[k], scale[best] = scale[best], scale[k]
-            sign = -sign
-        pivot_row = rows[k]
-        if scale[k] != prev:
-            d = scale[k]
+        holders[col] = None
+        r = min(held, key=lambda i: (len(rows[i]), i))
+        held.discard(r)
+        pivot_col[r] = col
+        pivot_row = rows[r]
+        rows[r] = None
+        if scale[r] != prev:
+            d = scale[r]
             pivot_row = {j: v * prev // d for j, v in pivot_row.items()}
-        pivot = pivot_row.pop(k)
+        p = pivot_row.pop(col)
         pivot_get = pivot_row.get
         pivot_cols = pivot_row.keys()
-        for i in range(k + 1, n):
+        for j in pivot_cols:
+            holders[j].discard(r)
+        for i in held:
             row = rows[i]
-            f = row.pop(k, 0)
-            if not f:
-                continue
+            f = row.pop(col)
             get = row.get
             d = scale[i]
-            rows[i] = {
+            new = rows[i] = {
                 j: v
                 for j in row.keys() | pivot_cols
-                if (v := (get(j, 0) * pivot - f * pivot_get(j, 0)) // d)
+                if (v := (get(j, 0) * p - f * pivot_get(j, 0)) // d)
             }
-            scale[i] = pivot
-        prev = pivot
-    return sign * prev
+            scale[i] = p
+            if new.keys() != row.keys():
+                for j in new.keys() - row.keys():
+                    holders[j].add(i)
+                for j in row.keys() - new.keys():
+                    holders[j].discard(i)
+        for j in pivot_cols:
+            heapq.heappush(heap, (len(holders[j]), j))
+        prev = p
+    return -prev if _parity(pivot_col) else prev
 
 
 def mock_det(matrix):
@@ -178,18 +213,48 @@ def long_arcs(diagram):
     return out
 
 
-def _head_positions(diagram):
-    return [
-        [pos for pos, (_, is_head) in enumerate(circle) if is_head]
-        for circle in diagram.circles
-    ]
+def _coloring_rows(diagram):
+    """The coloring matrix as one ``{column: value}`` dict per chord, and its column count.
 
-
-def _arc_containing(head_positions, pos):
-    """Index of the long arc strictly containing position ``pos``."""
-    if not head_positions:
-        return 0
-    return (bisect_right(head_positions, pos) - 1) % len(head_positions)
+    Rows follow chord ids in sorted order and columns follow
+    :func:`long_arcs`; an entry that accumulates to 0 stays in its dict.
+    One pass over each circle keeps the column of the arc it is on: a head
+    ends that arc and starts the next.  Endpoints before a circle's first
+    head lie on its last arc, which is known once the pass ends.  Raises if
+    the diagram is not mod 2 numberable, or if a link component carries no
+    under-passage.
+    """
+    if not is_mod_p_numberable(diagram, 2):
+        raise NotCheckerboardColorable(
+            "diagram %s is not checkerboard colorable" % diagram
+        )
+    if diagram.num_circles > 1:
+        for ci, circle in enumerate(diagram.circles):
+            if not any(is_head for _, is_head in circle):
+                raise UnderPassageFreeComponent(
+                    "component %d has no under-passage" % ci
+                )
+    chords = diagram.chord_ids()
+    rows = {chord: {} for chord in chords}
+    base = 0
+    for circle in diagram.circles:
+        arc = base - 1
+        wrapped = []
+        for chord, is_head in circle:
+            row = rows[chord]
+            value = -1 if is_head else 2
+            if arc < base:
+                wrapped.append((row, value))
+            else:
+                row[arc] = row.get(arc, 0) + value
+            if is_head:
+                arc += 1
+                row[arc] = row.get(arc, 0) - 1
+        last = max(arc, base)
+        for row, value in wrapped:
+            row[last] = row.get(last, 0) + value
+        base = last + 1
+    return [rows[chord] for chord in chords], base
 
 
 @dataclass(frozen=True)
@@ -223,32 +288,14 @@ def coloring_matrix(diagram):
     :func:`long_arcs`.  Raises if the diagram is not mod 2 numberable, or if
     a link component carries no under-passage.
     """
-    if not is_mod_p_numberable(diagram, 2):
-        raise NotCheckerboardColorable(
-            "diagram %s is not checkerboard colorable" % diagram
-        )
-    if diagram.num_circles > 1:
-        for ci, circle in enumerate(diagram.circles):
-            if not any(is_head for _, is_head in circle):
-                raise UnderPassageFreeComponent(
-                    "component %d has no under-passage" % ci
-                )
-    arcs = long_arcs(diagram)
-    col = {arc: j for j, arc in enumerate(arcs)}
-    heads = _head_positions(diagram)
-    rows = []
-    chords = diagram.chord_ids()
-    for chord in chords:
-        row = [0] * len(arcs)
-        ci, tp = diagram.tail(chord)
-        row[col[(ci, _arc_containing(heads[ci], tp))]] += 2
-        cj, hp = diagram.head(chord)
-        k = heads[cj].index(hp)
-        h = len(heads[cj])
-        row[col[(cj, (k - 1) % h)]] -= 1
-        row[col[(cj, k)]] -= 1
-        rows.append(tuple(row))
-    return ColoringMatrix(tuple(rows), chords, tuple(arcs))
+    rows, ncols = _coloring_rows(diagram)
+    entries = []
+    for row in rows:
+        dense = [0] * ncols
+        for j, v in row.items():
+            dense[j] = v
+        entries.append(tuple(dense))
+    return ColoringMatrix(tuple(entries), diagram.chord_ids(), tuple(long_arcs(diagram)))
 
 
 def determinant(diagram):
@@ -257,16 +304,17 @@ def determinant(diagram):
     Diagrams with at most one crossing return 1.  The choice of minor is
     validated empirically by :func:`minor_independence_check`.
     """
-    matrix = coloring_matrix(diagram)
-    n = matrix.nrows
+    rows, ncols = _coloring_rows(diagram)
+    n = len(rows)
     if n <= 1:
         return 1
-    if n != matrix.ncols:
+    if n != ncols:
         raise UnderPassageFreeComponent(
-            "coloring matrix is %dx%d, expected square" % (n, matrix.ncols)
+            "coloring matrix is %dx%d, expected square" % (n, ncols)
         )
-    minor = [row[: n - 1] for row in matrix.entries[: n - 1]]
-    return abs(int_det(minor))
+    last = n - 1
+    minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:last]]
+    return abs(_bareiss(minor, last))
 
 
 def corank1_minors(matrix):

@@ -54,8 +54,9 @@ def r1_deletions(diagram):
     for ci, word in enumerate(diagram.circles):
         m = len(word)
         # a kink needs two distinct positions: on a circle of one endpoint
-        # that endpoint is its own successor
-        for pos in range(m if m > 1 else 0):
+        # that endpoint is its own successor, and on a circle of two the
+        # kink read at position 1 across the wrap is the one read at 0
+        for pos in range(m if m > 2 else m - 1):
             chord, _ = word[pos]
             partner, _ = word[(pos + 1) % m]
             if chord == partner:

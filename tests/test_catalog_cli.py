@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,8 @@ from vknot.catalog import (
     verify_entry,
 )
 from vknot.cli import main
+from vknot.diagram import is_mod_p_numberable
+from vknot.enumeration import enumerate_all_diagrams
 
 
 def test_builtin_catalog_loads():
@@ -212,3 +216,22 @@ def test_cli_negative_count_exit_code(capsys, argv):
     assert captured.out == ""
     [message] = captured.err.splitlines()
     assert message.startswith("error: count must be >= 0")
+
+
+def test_cli_knot_colorability_matches_numberability():
+    # on a knot `invariants` reads colorability from the chord indices
+    census = [G for k in range(4) for G in enumerate_all_diagrams(k)]
+    census += list(enumerate_all_diagrams(4))[::23]
+    moduli = (0, 2, 3, 5)
+    argv = [flag for p in moduli for flag in ("-p", str(p))]
+    counts = dict.fromkeys(moduli, 0)
+    for G in census:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["invariants", str(G), "--json", *argv])
+        colorable = json.loads(out.getvalue())["colorable"]
+        for p in moduli:
+            assert colorable[str(p)] == is_mod_p_numberable(G, p), (str(G), p)
+            counts[p] += colorable[str(p)]
+    # every modulus sees both answers
+    assert all(0 < counts[p] < len(census) for p in moduli), counts

@@ -107,3 +107,10 @@ def test_r1_needs_two_distinct_positions():
         G = parse_gauss_code(code)
         moves = reidemeister_moves(G)
         assert moves and all(m.num_circles == G.num_circles for m in moves)
+
+
+def test_r1_reads_a_lone_kink_once():
+    # on a circle of exactly two endpoints, the pair across the wrap is the same kink
+    for code in ("O1+U1+", "U1+O1+", "O1-U1-"):
+        assert [str(d) for d in r1_deletions(parse_gauss_code(code))] == [""], code
+    assert [str(d) for d in r1_deletions(parse_gauss_code("O1+U1+;U2-O2-"))] == [";U2-O2-", "O1+U1+;"]
