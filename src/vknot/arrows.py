@@ -391,30 +391,69 @@ def _pairing_sums(classified, signs):
 
 
 def _z2_pairs(layout):
-    """The chord-index pairs counted by the ascending and descending z^2 pairings.
+    """The chord pairs counted by the ascending and descending z^2 pairings, as bitmask rows.
 
     On one circle the degree-2 Conway sets are ``U1O2O1U2`` (ascending) and
     ``O1U2U1O2`` (descending), so c2 is a Polyak-Viro Gauss-diagram
     formula: s_x * s_y summed over the chord pairs with
     h_x < t_y < t_x < h_y, respectively t_x < h_y < h_x < t_y.
+
+    Returns ``(ascending, descending)``, lists of rows ``(x, mask)``, each
+    standing for the pairs ``(x, y)`` with bit ``y`` set in ``mask``; empty
+    rows are left out.  On a knot one sweep up the positions keeps two
+    bitmasks, the chords whose tail and whose head it has passed.  The head
+    of a head-first chord x saves the passed tails, and its tail emits the
+    passed tails not saved whose heads are not passed yet: the y with
+    h_x < t_y < t_x < h_y, the ascending row of x.  A tail-first x gives its
+    descending row with tails and heads swapped.  That is O(n) big-integer
+    operations, not n^2 comparisons.  On links the rows hold the pairs of
+    :func:`_qualifying_subsets`, one bit each.
     """
     tails, heads, bounds = layout
     if len(bounds) != 2:
         pairs = [(s, a, d) for s, a, d in _qualifying_subsets(layout, 2) if len(s) == 2]
-        return [s for s, a, _ in pairs if a], [s for s, _, d in pairs if d]
+        return [(x, 1 << y) for (x, y), a, _ in pairs if a], [(x, 1 << y) for (x, y), _, d in pairs if d]
+    ends = [0] * bounds[1]  # chord index x at its head, ~x at its tail
+    for x, (t, h) in enumerate(zip(tails, heads)):
+        ends[t] = ~x
+        ends[h] = x
+    passed_tails = passed_heads = 0
+    saved = [-1] * len(tails)
     asc, des = [], []
-    chords = list(zip(itertools.count(), tails, heads))
-    for x, tx, hx in chords:
-        if hx < tx:
-            asc.extend([(x, y) for y, t, h in chords if hx < t < tx < h])
+    for x in ends:
+        if x >= 0:
+            first = saved[x]
+            if first < 0:
+                saved[x] = passed_tails
+            elif mask := passed_heads & ~(first | passed_tails):
+                des.append((x, mask))
+            passed_heads |= 1 << x
         else:
-            des.extend([(x, y) for y, t, h in chords if tx < h < hx < t])
+            x = ~x
+            first = saved[x]
+            if first < 0:
+                saved[x] = passed_heads
+            elif mask := passed_tails & ~(first | passed_heads):
+                asc.append((x, mask))
+            passed_tails |= 1 << x
     return asc, des
 
 
-def _z2_sums(pair_lists, signs):
-    """``(ascending, descending)`` z^2 pairings: s_x * s_y summed over each list."""
-    return tuple(sum(signs[x] * signs[y] for x, y in pairs) for pairs in pair_lists)
+def _plus_mask(signs):
+    """The bitmask of the chord indices with sign +1."""
+    return sum([1 << i for i, s in enumerate(signs) if s > 0])
+
+
+def _z2_sums(row_lists, signs, plus):
+    """``(ascending, descending)`` z^2 pairings from the rows of :func:`_z2_pairs`.
+
+    A row ``(x, mask)`` adds s_x times the sum of s_y over ``mask``, which
+    is its count of positive chords minus its count of negative ones;
+    ``plus`` is ``_plus_mask(signs)``.
+    """
+    asc, des = row_lists
+    return (sum([signs[x] * (2 * (mask & plus).bit_count() - mask.bit_count()) for x, mask in asc]),
+            sum([signs[x] * (2 * (mask & plus).bit_count() - mask.bit_count()) for x, mask in des]))
 
 
 def _basepoint_layouts(layout):
@@ -435,13 +474,14 @@ def conway_pairing(diagram, degree, variant):
 
     Equals the sum of :func:`pairing` over every member of
     ``conway_set(degree, ...)`` but walks the diagram's chord subsets of at
-    most ``degree`` chords (:func:`_walks`).  Degree 2 on one circle is the
-    O(n^2) closed form of :func:`_z2_pairs`.
+    most ``degree`` chords (:func:`_walks`).  Degree 2 reads the bitmask
+    rows of :func:`_z2_pairs`, one sweep over the endpoints, so it is O(n)
+    big-integer operations on a knot.
     """
     column = 0 if _variant_name(variant) == "ascending" else 1
     layout, signs = _endpoints(diagram)
     if degree == 2:
-        return _z2_sums(_z2_pairs(layout), signs)[column]
+        return _z2_sums(_z2_pairs(layout), signs, _plus_mask(signs))[column]
     table = _pairing_sums(_qualifying_subsets(layout, degree), signs)
     return table.get(degree, (0, 0))[column]
 
@@ -478,7 +518,8 @@ def z2_pairings_at_basepoints(diagram):
     Entry ``s`` is the pair for ``basepoint_positions(diagram)[s]``.
     """
     layout, signs = _endpoints(diagram)
-    return [_z2_sums(_z2_pairs(shifted), signs) for shifted in _basepoint_layouts(layout)]
+    plus = _plus_mask(signs)
+    return [_z2_sums(_z2_pairs(shifted), signs, plus) for shifted in _basepoint_layouts(layout)]
 
 
 # -- polynomials -------------------------------------------------------------

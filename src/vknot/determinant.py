@@ -222,13 +222,16 @@ def _coloring_rows(diagram):
     ends that arc and starts the next.  Endpoints before a circle's first
     head lie on its last arc, which is known once the pass ends.  Raises if
     the diagram is not mod 2 numberable, or if a link component carries no
-    under-passage.
+    under-passage.  A knot is mod 2 numberable exactly when each chord's
+    ends sit at positions of opposite parity (the endpoints between them
+    pair off, two per chord wholly inside, so the chord interleaves an even
+    number of others), which the same pass sums; a link runs
+    :func:`is_mod_p_numberable` first.
     """
-    if not is_mod_p_numberable(diagram, 2):
-        raise NotCheckerboardColorable(
-            "diagram %s is not checkerboard colorable" % diagram
-        )
-    if diagram.num_circles > 1:
+    knot = diagram.num_circles == 1
+    if not knot:
+        if not is_mod_p_numberable(diagram, 2):
+            raise _not_colorable(diagram)
         for ci, circle in enumerate(diagram.circles):
             if not any(is_head for _, is_head in circle):
                 raise UnderPassageFreeComponent(
@@ -236,11 +239,13 @@ def _coloring_rows(diagram):
                 )
     chords = diagram.chord_ids()
     rows = {chord: {} for chord in chords}
+    position_sums = dict.fromkeys(chords, 0)
     base = 0
     for circle in diagram.circles:
         arc = base - 1
         wrapped = []
-        for chord, is_head in circle:
+        for pos, (chord, is_head) in enumerate(circle):
+            position_sums[chord] += pos
             row = rows[chord]
             value = -1 if is_head else 2
             if arc < base:
@@ -254,7 +259,13 @@ def _coloring_rows(diagram):
         for row, value in wrapped:
             row[last] = row.get(last, 0) + value
         base = last + 1
+    if knot and not all([total & 1 for total in position_sums.values()]):
+        raise _not_colorable(diagram)
     return [rows[chord] for chord in chords], base
+
+
+def _not_colorable(diagram):
+    return NotCheckerboardColorable("diagram %s is not checkerboard colorable" % diagram)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .arrows import (
     _basepoint_layouts,
     _crossing_change_tables,
     _pairing_sums,
+    _plus_mask,
     _qualifying_subsets,
     _z2_pairs,
     _z2_sums,
@@ -202,11 +203,11 @@ class CensusStructure:
 
         c2 sums +-1 over the ascending pairs, so its parity is their count's.
         """
-        return len(_z2_pairs(self.layout)[0]) % 2
+        return sum([mask.bit_count() for _, mask in _z2_pairs(self.layout)[0]]) % 2
 
     @cached_property
     def z2_pairs(self):
-        """:func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions`` order."""
+        """The rows of :func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions`` order."""
         return [_z2_pairs(shifted) for shifted in _basepoint_layouts(self.layout)]
 
     @cached_property
@@ -247,7 +248,8 @@ class CensusStructure:
 
     def z2_at_basepoints(self, signs):
         """``z2_pairings_at_basepoints(self.diagram(signs))``."""
-        return [_z2_sums(pairs, signs) for pairs in self.z2_pairs]
+        plus = _plus_mask(signs)
+        return [_z2_sums(rows, signs, plus) for rows in self.z2_pairs]
 
     def table(self, signs):
         """``conway_pairing_table(self.diagram(signs))``."""

@@ -10,6 +10,7 @@ over its population must report exactly what ``run_check`` reports.
 
 import json
 import math
+import random
 
 import pytest
 
@@ -30,7 +31,7 @@ from vknot.diagram import (
     smooth,
     warping_degree,
 )
-from vknot.enumeration import enumerate_all_diagrams, enumerate_structures
+from vknot.enumeration import enumerate_all_diagrams, enumerate_structures, random_knot_diagram
 from vknot.verify import (
     CHECKS,
     CensusStructure,
@@ -175,6 +176,13 @@ def test_structure_values_match_library_on_census():
             checked += 1
     assert next(diagrams, None) is None
     assert checked == 27893
+    # past the census: a seeded 7-chord sample of the z^2 values
+    rng = random.Random(7)
+    for _ in range(500):
+        G = random_knot_diagram(7, rng)
+        structure, signs = CensusStructure.from_diagram(G)
+        assert structure.c2_parity == conway_pairing(G, 2, "ascending") % 2, str(G)
+        assert structure.z2_at_basepoints(signs) == z2_pairings_at_basepoints(G), str(G)
 
 
 def test_colorable_reads_index_parity_on_census_structures():
