@@ -11,8 +11,10 @@ floating point rounding.
 
 A coloring matrix has at most three nonzeros per row.  :func:`determinant`
 builds its rows as ``{column: value}`` dicts in one pass over each circle
-and eliminates them with a sparse Bareiss kernel that pivots on the column
-with the fewest nonzeros, so its work follows the fill-in, not n^3.
+and eliminates them in two phases: ±1 pivots in columns held by at most two
+rows, which need no division and only merge two rows, then a sparse Bareiss
+kernel that pivots on the column with the fewest nonzeros, so its work
+follows the fill-in, not n^3.
 """
 
 from __future__ import annotations
@@ -85,35 +87,79 @@ def _parity(perm):
 def _bareiss(rows, n):
     """Signed determinant of ``n`` sparse rows: ``{column: nonzero value}`` over range(n).
 
-    The rows are consumed.  Fraction-free (Bareiss) elimination in a
-    fill-reducing pivot order.  ``holders[j]`` is the set of live rows with
-    an entry in column ``j``, so a step touches only the rows holding its
-    pivot column, and only the pivot row's columns can gain or lose a
-    holder.  The pivot column is the live column with the fewest holders,
-    from a heap whose stale entries (a retired column, or an old count) are
-    skipped when popped; the pivot row is the shortest row holding it.  The
-    sign is the parity of the map from each pivot row to its pivot column:
-    the parity of the row order times that of the column order.
+    The rows are consumed.  ``holders[j]`` is the set of live rows with an
+    entry in column ``j``, so a step touches only the rows holding its pivot
+    column, and only the pivot row's columns can gain or lose a holder.  The
+    elimination runs in two phases, and the sign is the parity of the map
+    from each pivot row to its pivot column across both: the parity of the
+    row order times that of the column order.
 
-    Dense Bareiss would scale every row the step leaves alone by
+    Contraction: while a live column has at most two holders and one of
+    them holds a ±1 ``u`` there, pivot on the shorter row holding such a
+    unit and subtract the multiple of it that clears the column, in place,
+    from the other holder, if any.  No division is needed, the determinant
+    is ``u`` times that of what is left, and the step only merges two rows,
+    so the count of nonzeros never grows.  A column becomes a candidate
+    again whenever a step changes it.
+
+    Then fraction-free (Bareiss) elimination of what is left, in a
+    fill-reducing order.  The pivot column is the live column with the
+    fewest holders, from a heap whose stale entries (a retired column, or an
+    old count) are skipped when popped; the pivot row is the shortest row
+    holding it.  Dense Bareiss would scale every row the step leaves alone by
     ``p_k / p_(k-1)``; those factors telescope, so such a row is left as it
     was and remembers the pivot ``d`` it was last updated under.  Its next
     update, under pivot ``p`` with pivot row ``a_k``, is
     ``(a_ij * p - a_ik * a_kj) // d``, and the pivot row itself is first
     brought up to date by ``* p_(k-1) // d``.  Every value computed this way
-    is a true Bareiss entry, a minor of the input, so each division is exact.
+    is a true Bareiss entry, a minor of the matrix left by the contraction,
+    so each division is exact.
     """
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
-    heap = [(len(h), j) for j, h in enumerate(holders)]
+    pivot_col = [None] * n
+    units = 1
+    candidates = [j for j, h in enumerate(holders) if len(h) <= 2]
+    while candidates:
+        col = candidates.pop()
+        held = holders[col]
+        if held is None or len(held) > 2:
+            continue
+        r = None
+        for i in held:
+            if rows[i][col] in (1, -1) and (r is None or len(rows[i]) < len(rows[r])):
+                r = i
+        if r is None:
+            continue
+        holders[col] = None
+        held.discard(r)
+        pivot_col[r] = col
+        pivot_row = rows[r]
+        rows[r] = None
+        u = pivot_row.pop(col)
+        units *= u
+        for j in pivot_row:
+            holders[j].discard(r)
+        for i in held:
+            row = rows[i]
+            f = row.pop(col) * u
+            for j, v in pivot_row.items():
+                if new := row.get(j, 0) - f * v:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        candidates.extend(j for j in pivot_row if len(holders[j]) <= 2)
+    heap = [(len(h), j) for j, h in enumerate(holders) if h is not None]
     heapq.heapify(heap)
     # rows[i] holds its entries as of the pivot scale[i]
     scale = [1] * n
-    pivot_col = [None] * n
     prev = 1
-    for _ in range(n):
+    for _ in range(len(heap)):
         while True:
             count, col = heapq.heappop(heap)
             held = holders[col]
@@ -154,7 +200,8 @@ def _bareiss(rows, n):
         for j in pivot_cols:
             heapq.heappush(heap, (len(holders[j]), j))
         prev = p
-    return -prev if _parity(pivot_col) else prev
+    det = units * prev
+    return -det if _parity(pivot_col) else det
 
 
 def mock_det(matrix):
@@ -221,17 +268,13 @@ def _coloring_rows(diagram):
     One pass over each circle keeps the column of the arc it is on: a head
     ends that arc and starts the next.  Endpoints before a circle's first
     head lie on its last arc, which is known once the pass ends.  Raises if
-    the diagram is not mod 2 numberable, or if a link component carries no
-    under-passage.  A knot is mod 2 numberable exactly when each chord's
-    ends sit at positions of opposite parity (the endpoints between them
-    pair off, two per chord wholly inside, so the chord interleaves an even
-    number of others), which the same pass sums; a link runs
-    :func:`is_mod_p_numberable` first.
+    the diagram is not mod 2 numberable (on a knot, the parity test of
+    :func:`is_mod_p_numberable`), or if a link component carries no
+    under-passage.
     """
-    knot = diagram.num_circles == 1
-    if not knot:
-        if not is_mod_p_numberable(diagram, 2):
-            raise _not_colorable(diagram)
+    if not is_mod_p_numberable(diagram, 2):
+        raise _not_colorable(diagram)
+    if diagram.num_circles > 1:
         for ci, circle in enumerate(diagram.circles):
             if not any(is_head for _, is_head in circle):
                 raise UnderPassageFreeComponent(
@@ -239,13 +282,11 @@ def _coloring_rows(diagram):
                 )
     chords = diagram.chord_ids()
     rows = {chord: {} for chord in chords}
-    position_sums = dict.fromkeys(chords, 0)
     base = 0
     for circle in diagram.circles:
         arc = base - 1
         wrapped = []
-        for pos, (chord, is_head) in enumerate(circle):
-            position_sums[chord] += pos
+        for chord, is_head in circle:
             row = rows[chord]
             value = -1 if is_head else 2
             if arc < base:
@@ -259,8 +300,6 @@ def _coloring_rows(diagram):
         for row, value in wrapped:
             row[last] = row.get(last, 0) + value
         base = last + 1
-    if knot and not all([total & 1 for total in position_sums.values()]):
-        raise _not_colorable(diagram)
     return [rows[chord] for chord in chords], base
 
 

@@ -133,16 +133,8 @@ def parse_gauss_code(text):
         word = []
         star_at = None
         pos = 0
-        while pos < len(chunk):
-            if chunk[pos] == "*" and pos == len(chunk) - 1:
-                # trailing star: gap after the last token, i.e. the default gap
-                if star_at is not None:
-                    raise GaussCodeError("circle has more than one basepoint marker")
-                star_at = 0
-                pos += 1
-                continue
-            m = _TOKEN.match(chunk, pos)
-            if not m:
+        for m in _TOKEN.finditer(chunk):
+            if m.start() != pos:
                 raise GaussCodeError("bad token at %r" % chunk[pos : pos + 8])
             star, ou, label, sgn = m.groups()
             if star:
@@ -160,6 +152,12 @@ def parse_gauss_code(text):
             chord_sign[chord] = sign
             word.append((chord, is_head))
             pos = m.end()
+        if pos < len(chunk):
+            if chunk[pos:] != "*":
+                raise GaussCodeError("bad token at %r" % chunk[pos : pos + 8])
+            # trailing star: gap after the last token, i.e. the default gap
+            if star_at is not None:
+                raise GaussCodeError("circle has more than one basepoint marker")
         if star_at:
             word = word[star_at:] + word[:star_at]
         circles.append(tuple(word))
@@ -259,14 +257,30 @@ def _congruent(a, b, p):
     return (a - b) % p == 0
 
 
+def _ends_of_opposite_parity(word):
+    """True iff each chord of the one-circle ``word`` has its two ends at positions of opposite parity.
+
+    The endpoints strictly between a chord's ends pair off, two for each
+    chord lying wholly inside, so the chord interleaves an even number of
+    others exactly when its ends have opposite parity: this is the index
+    criterion mod 2, checkerboard colorability of a knot.  It holds exactly
+    when the even positions hold every chord once.
+    """
+    return len({chord for chord, _ in word[::2]}) * 2 == len(word)
+
+
 def is_mod_p_numberable(diagram, p):
     """True iff the diagram admits a mod ``p`` Alexander numbering.
 
     ``p = 0`` asks for an integer numbering and ``p = 2`` is checkerboard
     colorability.  On a knot this is the index criterion (every chord has
-    index congruent to 0 mod ``p``), decided here in O(n) by the labeling
-    walk of :func:`alexander_numbering`.
+    index congruent to 0 mod ``p``); mod 2 it is read from the parity of
+    each chord's endpoint positions (:func:`_ends_of_opposite_parity`).
+    Other moduli and links run the labeling walk of
+    :func:`alexander_numbering`.
     """
+    if p == 2 and diagram.num_circles == 1:
+        return _ends_of_opposite_parity(diagram.circles[0])
     return alexander_numbering(diagram, p) is not None
 
 

@@ -34,6 +34,7 @@ from .arrows import (
 from .determinant import determinant
 from .diagram import (
     _congruent,
+    _ends_of_opposite_parity,
     _index_rows,
     _layout,
     _require_knot,
@@ -180,7 +181,7 @@ class CensusStructure:
     @cached_property
     def colorable(self):
         """Mod 2 colorability: every chord interleaves an even number of others."""
-        return all(len(row) % 2 == 0 for row in self.index_rows)
+        return _ends_of_opposite_parity(self.word)
 
     @cached_property
     def determinant(self):

@@ -4,15 +4,17 @@ and the minimum-degree kernel in ``vknot.determinant``.
 ``coloring_matrix`` builds each dense row by locating the chord's head with
 ``list.index`` and its tail by bisection; ``int_det`` turns the dense rows
 into dicts and, at step k, scans the unused rows for the shortest one with
-an entry in column k.  They are kept here, unchanged apart from returning
-the entries alone, as the reference that ``determinant``, ``coloring_matrix``
-and ``int_det`` must agree with.
+an entry in column k.  They are kept here as the reference that
+``determinant``, ``coloring_matrix`` and ``int_det`` must agree with,
+unchanged apart from returning the entries alone and from calling the
+labeling walk ``alexander_numbering`` directly, which is what
+``is_mod_p_numberable`` ran on every diagram when they were written.
 """
 
 from bisect import bisect_right
 
 from vknot.determinant import long_arcs
-from vknot.diagram import is_mod_p_numberable
+from vknot.diagram import alexander_numbering
 from vknot.errors import (
     NotCheckerboardColorable,
     PreconditionError,
@@ -81,7 +83,7 @@ def _arc_containing(head_positions, pos):
 
 def coloring_matrix(diagram):
     """The entries of the coloring matrix, rows by sorted chord id."""
-    if not is_mod_p_numberable(diagram, 2):
+    if alexander_numbering(diagram, 2) is None:
         raise NotCheckerboardColorable(
             "diagram %s is not checkerboard colorable" % diagram
         )

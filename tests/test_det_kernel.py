@@ -7,17 +7,23 @@ oracles for ``int_det``'s sign and value.
 """
 
 import functools
+import heapq
+import importlib
 import random
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import detref
 import pytest
 
+from vknot.arrows import v2
 from vknot.determinant import coloring_matrix, determinant, int_det, long_arcs
 from vknot.diagram import make_diagram, parse_gauss_code
 from vknot.enumeration import enumerate_all_diagrams, random_knot_diagram
 from vknot.errors import NotCheckerboardColorable, UnderPassageFreeComponent
+
+det_module = importlib.import_module("vknot.determinant")
 
 # run as a script, not imported, so that no bytecode is written under bench/
 BENCH_INPUTS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "inputs.py"))
@@ -157,3 +163,157 @@ def test_int_det_matches_sympy_on_40x40():
         values.append(int_det(rows))
         assert values[-1] == sympy.Matrix(rows).det()
     assert values[0] != 0 and values[2] == 0
+
+
+# -- the contraction phase of _bareiss ------------------------------------------
+
+
+class _Row(dict):
+    """A sparse row that counts the entries the kernel writes into it in place."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def _kernel_run(dense, monkeypatch):
+    """``(det, in-place writes, rows left for the Bareiss phase)`` of ``_bareiss`` on ``dense``."""
+    residual = []
+
+    def heapify(heap):
+        residual.append(len(heap))
+        heapq.heapify(heap)
+
+    rows = [_Row({j: v for j, v in enumerate(row) if v}) for row in dense]
+    with monkeypatch.context() as patch:
+        patch.setattr(det_module, "heapq", SimpleNamespace(
+            heapify=heapify, heappop=heapq.heappop, heappush=heapq.heappush))
+        det = det_module._bareiss(list(rows), len(dense))
+    return det, sum(row.writes for row in rows), residual[0]
+
+
+def _shuffled(rows, rng):
+    """``rows`` with their rows and their columns each in a random order."""
+    n = len(rows)
+    order, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[rows[i][j] for j in cols] for i in order]
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+def _unit_triangular(rng, n):
+    """A shuffled triangular matrix with ±1 on its diagonal and entries in [-3, 3] above it."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice((1, -1))
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                rows[i][j] = rng.randint(-3, 3)
+    return _shuffled(rows, rng)
+
+
+def _assert_det(rows, monkeypatch, *, contracted=None):
+    want = detref.int_det(rows)
+    if len(rows) <= 9:
+        assert _cofactor_det(rows) == want
+    det, writes, residual = _kernel_run(rows, monkeypatch)
+    assert det == int_det(rows) == want, rows
+    if contracted is not None:
+        assert (residual == 0) == contracted, (rows, residual)
+    return det, writes
+
+
+def test_contraction_eliminates_signed_permutations(monkeypatch):
+    rng = random.Random(61)
+    negative = 0
+    for _ in range(300):
+        rows = _signed_permutation(rng, rng.randint(1, 40))
+        det, writes = _assert_det(rows, monkeypatch, contracted=True)
+        assert writes == 0
+        negative += det < 0
+    assert 100 < negative < 200
+
+
+def test_contraction_eliminates_unit_triangular_matrices(monkeypatch):
+    rng = random.Random(62)
+    dets = set()
+    for _ in range(300):
+        det, _ = _assert_det(_unit_triangular(rng, rng.randint(1, 40)), monkeypatch, contracted=True)
+        dets.add(det)
+    assert dets == {1, -1}
+
+
+def test_contraction_leaves_even_matrices_to_bareiss(monkeypatch):
+    rng = random.Random(63)
+    nonzero = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        rows = [[2 * rng.randint(-2, 2) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        det, writes = _assert_det(rows, monkeypatch)
+        assert writes == 0
+        if det:
+            assert _kernel_run(rows, monkeypatch)[2] == n
+            nonzero += 1
+    assert nonzero > 50
+
+
+def test_column_emptied_by_contraction_gives_zero(monkeypatch):
+    # rows 0 and 1 differ by e_2: once row 2 has cleared column 2, the unit
+    # steps cancel row 1 against row 0 and leave one column with no holder
+    rows = [[1, 1, 0], [1, 1, 1], [0, 0, 1]]
+    assert _assert_det(rows, monkeypatch)[0] == 0
+    assert _kernel_run(rows, monkeypatch)[2] == 1
+    rng = random.Random(64)
+    for _ in range(200):
+        rows = _unit_triangular(rng, rng.randint(2, 30))
+        a, b = rng.sample(range(len(rows)), 2)
+        rows[b] = list(rows[a])
+        assert _assert_det(rows, monkeypatch)[0] == 0
+
+
+def test_contraction_pivots_on_the_shorter_unit_row(monkeypatch):
+    # column 0 is held by rows 0 and 1, both with a unit there, and every
+    # other column by at least three rows with even entries only: the one
+    # unit step pivots on row 0 and subtracts it from row 1, whose entry in
+    # column 1 cancels, so nothing is written; pivoting on row 1 would
+    # write three entries into row 0
+    rows = [
+        [1, 2, 0, 0, 0],
+        [1, 2, 2, 2, 2],
+        [0, 2, 4, 2, 0],
+        [0, 2, 0, 4, 2],
+        [0, 0, 2, 0, 4],
+    ]
+    det, writes = _assert_det(rows, monkeypatch)
+    assert det and writes == 0 and _kernel_run(rows, monkeypatch)[2] == 4
+    rows[0], rows[1] = rows[1], rows[0]
+    det, writes = _assert_det(rows, monkeypatch)
+    assert det and writes == 0
+
+
+def test_contraction_mixes_with_bareiss_on_random_matrices(monkeypatch):
+    # unit-rich sparse matrices: both phases run, with cancellations
+    rng = random.Random(65)
+    both = 0
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        rows = [[rng.choice((-1, 1, 1, -2, 2, 3)) if rng.random() < 0.35 else 0 for _ in range(n)]
+                for _ in range(n)]
+        want = _cofactor_det(rows)
+        det, _, residual = _kernel_run(rows, monkeypatch)
+        assert det == want, rows
+        both += want != 0 and 0 < residual < n
+    assert both > 100
+
+
+def test_contraction_on_large_closures():
+    for crossings in (1000, 2000):
+        G = parse_gauss_code(BENCH_INPUTS["seeded_braid_knot"](random.Random("ci:%d" % crossings), crossings, 5))
+        det = determinant(G)
+        assert det == detref.determinant(G), crossings
+        assert det % 8 in ({1, 7} if v2(G, 2) == 0 else {3, 5}), crossings
