@@ -32,7 +32,7 @@ from vknot import (
     r1_deletions,
     r2_deletions,
 )
-from vknot.arrows import _matchings
+from vknot.enumeration import _matchings
 
 MATRIX_490 = [(1, -1, 0, 0), (1, 0, 0, -1), (2, 0, -1, -1), (2, -1, -1, 0)]
 

@@ -20,7 +20,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .diagram import _congruent, _layout, basepoint_positions
+from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _layout, basepoint_positions,
+                      is_mod_p_numberable)
+from .enumeration import _words
 from .errors import GaussCodeError, PreconditionError
 
 _ARROW_TOKEN = re.compile(r"([OU])(\d+)")
@@ -33,14 +35,8 @@ class ArrowDiagram:
     circles: tuple
 
     def __post_init__(self):
-        seen = {}
-        for circle in self.circles:
-            for chord, is_head in circle:
-                key = (chord, is_head)
-                if key in seen:
-                    raise GaussCodeError("arrow %r has two %s endpoints" % (chord, "head" if is_head else "tail"))
-                seen[key] = True
-        for chord, is_head in list(seen):
+        seen = _endpoint_positions(self.circles, "arrow")
+        for chord, is_head in seen:
             if (chord, not is_head) not in seen:
                 raise GaussCodeError("arrow %r is missing an endpoint" % chord)
 
@@ -53,16 +49,8 @@ class ArrowDiagram:
         return sum(len(c) for c in self.circles) // 2
 
     def canonical_key(self):
-        relabel = {}
-        out = []
-        for circle in self.circles:
-            word = []
-            for chord, is_head in circle:
-                if chord not in relabel:
-                    relabel[chord] = len(relabel)
-                word.append((relabel[chord], is_head))
-            out.append(tuple(word))
-        return tuple(out)
+        label = _first_occurrence(chord for circle in self.circles for chord, _ in circle)
+        return tuple(tuple((label[c], is_head) for c, is_head in circle) for circle in self.circles)
 
     def __str__(self):
         return serialize_arrow_code(self)
@@ -106,7 +94,7 @@ def jump_traversal(diagram):
     walk permutes the gaps and returns to ``(0, 0)`` before any repeat.
     """
     words = diagram.circles
-    positions = {end: (ci, pos) for ci, word in enumerate(words) for pos, end in enumerate(word)}
+    positions = _endpoint_positions(words, "chord")
     reached = []
     cur = (0, 0)
     while words[0]:
@@ -161,18 +149,6 @@ class ConwaySet:
         return len(self.members)
 
 
-def _matchings(items):
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        pair = (first, items[i])
-        rest = items[1:i] + items[i + 1 :]
-        for sub in _matchings(rest):
-            yield (pair,) + sub
-
-
 def _variant_name(variant):
     v = variant.lower()
     if v in ("asc", "ascending"):
@@ -186,34 +162,24 @@ def conway_set(degree, circles, variant):
     """Enumerate the one-component ascending/descending arrow diagrams.
 
     Even degrees live on one circle, odd degrees on two; anything else is a
-    parity mismatch.  Members are deduplicated up to based isomorphism
-    (relabeling of arrows).
+    parity mismatch.  Candidates are census words (:func:`_words`), cut in two
+    for two circles; each numbers its arrows by first occurrence, so no two are
+    isomorphic, and members are sorted by :meth:`ArrowDiagram.canonical_key`.
     """
     variant = _variant_name(variant)
     if degree < 0 or circles not in (1, 2):
         raise ValueError("degree must be >= 0 and circles 1 or 2")
     if (degree % 2 == 0) != (circles == 1):
         raise ValueError("degree %d cannot live on %d circle(s)" % (degree, circles))
-    n = 2 * degree
-    splits = [n] if circles == 1 else list(range(n + 1))
     want_asc = variant == "ascending"
-    seen = {}
-    for m1 in splits:
-        for matching in _matchings(tuple(range(n))):
-            for dirs in itertools.product((False, True), repeat=degree):
-                slots = [None] * n
-                for arrow, ((a, b), tail_first) in enumerate(zip(matching, dirs), start=1):
-                    slots[a] = (arrow, not tail_first)
-                    slots[b] = (arrow, tail_first)
-                if circles == 1:
-                    cand = ArrowDiagram((tuple(slots),))
-                else:
-                    cand = ArrowDiagram((tuple(slots[:m1]), tuple(slots[m1:])))
-                one, asc, des = _classify(cand)
-                if one and (asc if want_asc else des):
-                    seen.setdefault(cand.canonical_key(), cand)
-    members = tuple(seen[k] for k in sorted(seen))
-    return ConwaySet(degree, circles, variant, members)
+    members = []
+    for word in _words(degree):
+        for cut in [None] if circles == 1 else range(2 * degree + 1):
+            cand = ArrowDiagram((word,) if cut is None else (word[:cut], word[cut:]))
+            one, asc, des = _classify(cand)
+            if one and (asc if want_asc else des):
+                members.append(cand)
+    return ConwaySet(degree, circles, variant, tuple(sorted(members, key=ArrowDiagram.canonical_key)))
 
 
 # -- pairings ---------------------------------------------------------------
@@ -616,8 +582,6 @@ def v2(diagram, p=2, certify=False):
     position and for the descending variant; all of them must agree mod
     ``p``, which requires the diagram to be mod ``p`` numberable.
     """
-    from .diagram import is_mod_p_numberable
-
     if certify:
         if not is_mod_p_numberable(diagram, p):
             raise PreconditionError("certified v2 needs a mod %d numberable diagram" % p)

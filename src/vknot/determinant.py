@@ -354,14 +354,10 @@ def determinant(diagram):
     Diagrams with at most one crossing return 1.  The choice of minor is
     validated empirically by :func:`minor_independence_check`.
     """
-    rows, ncols = _coloring_rows(diagram)
+    rows, _ = _coloring_rows(diagram)
     n = len(rows)
     if n <= 1:
         return 1
-    if n != ncols:
-        raise UnderPassageFreeComponent(
-            "coloring matrix is %dx%d, expected square" % (n, ncols)
-        )
     last = n - 1
     minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:last]]
     return abs(_bareiss(minor, last))
@@ -384,8 +380,6 @@ def corank1_minors(matrix):
 def minor_independence_check(diagram):
     """True iff all corank-1 minors of the coloring matrix agree in |det|."""
     matrix = coloring_matrix(diagram)
-    if matrix.nrows != matrix.ncols:
-        raise UnderPassageFreeComponent("coloring matrix is not square")
     if matrix.nrows <= 1:
         return True
     values = set(corank1_minors(matrix.entries))

@@ -25,6 +25,26 @@ Endpoint = tuple  # (int, bool)
 _TOKEN = re.compile(r"(\*?)([OU])(\d+)([+-])")
 
 
+def _first_occurrence(chords):
+    """``{chord: label}``, labeling the chords of ``chords`` 0, 1, ... by first occurrence."""
+    return {chord: label for label, chord in enumerate(dict.fromkeys(chords))}
+
+
+def _endpoint_positions(circles, noun):
+    """``{(chord, is_head): (circle, pos)}`` of the endpoint words ``circles``.
+
+    A second head or tail of one chord is refused, naming the chord a ``noun``.
+    """
+    positions = {}
+    for ci, circle in enumerate(circles):
+        for pos, (chord, is_head) in enumerate(circle):
+            if (chord, is_head) in positions:
+                end = "head" if is_head else "tail"
+                raise GaussCodeError("%s %r has two %s endpoints" % (noun, chord, end))
+            positions[chord, is_head] = (ci, pos)
+    return positions
+
+
 @dataclass(frozen=True)
 class BasedGaussDiagram:
     """Circles of endpoint slots plus chord signs.
@@ -42,15 +62,7 @@ class BasedGaussDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "_sign_map", dict(self.signs))
-        positions = {}
-        for ci, circle in enumerate(self.circles):
-            for pos, (chord, is_head) in enumerate(circle):
-                key = (chord, is_head)
-                if key in positions:
-                    raise GaussCodeError(
-                        "chord %r has two %s endpoints" % (chord, "head" if is_head else "tail")
-                    )
-                positions[key] = (ci, pos)
+        positions = _endpoint_positions(self.circles, "chord")
         for chord, sign in self.signs:
             if sign not in (1, -1):
                 raise GaussCodeError("chord %r has sign %r, expected +1 or -1" % (chord, sign))
@@ -92,16 +104,9 @@ class BasedGaussDiagram:
 
     def canonical_key(self):
         """Structural key with chords relabeled by first occurrence."""
-        relabel = {}
-        out = []
-        for circle in self.circles:
-            word = []
-            for chord, is_head in circle:
-                if chord not in relabel:
-                    relabel[chord] = len(relabel)
-                word.append((relabel[chord], is_head, self._sign_map[chord]))
-            out.append(tuple(word))
-        return tuple(out)
+        label = _first_occurrence(chord for circle in self.circles for chord, _ in circle)
+        sign = self._sign_map
+        return tuple(tuple((label[c], is_head, sign[c]) for c, is_head in circle) for circle in self.circles)
 
     def __str__(self):
         return serialize_gauss_code(self)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .arrows import _matchings
-from .diagram import make_diagram
+from .diagram import _first_occurrence, make_diagram
 
 
 def raw_diagram_count(k):
@@ -16,28 +15,47 @@ def raw_diagram_count(k):
     return total
 
 
-def _signed_structures(k, canonical):
-    """``(word, sign_vectors)`` of each structure with ``k`` chords, in census order."""
-    vectors = list(itertools.product((1, -1), repeat=k))
-    seen = set()
+def _matchings(items):
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    for i in range(1, len(items)):
+        pair = (first, items[i])
+        rest = items[1:i] + items[i + 1 :]
+        for sub in _matchings(rest):
+            yield (pair,) + sub
+
+
+def _words(k):
+    """Each one-circle endpoint word with ``k`` chords, in census order: every matching of the
+    ``2k`` slots, then every orientation.  Chord ``c`` is the ``c``-th pair, which numbers the
+    chords 1..k by first occurrence."""
     for matching in _matchings(tuple(range(2 * k))):
         for heads in itertools.product((False, True), repeat=k):
             slots = [None] * (2 * k)
             for chord, ((a, b), head_at_a) in enumerate(zip(matching, heads), start=1):
                 slots[a] = (chord, head_at_a)
                 slots[b] = (chord, not head_at_a)
-            word = tuple(slots)
-            if not canonical:
-                yield word, vectors
-                continue
-            rotations = _rotations(word)
-            kept = []
-            for signs in vectors:
-                key = _rotation_key(rotations, dict(zip(range(1, k + 1), signs)))
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(signs)
-            yield word, kept
+            yield tuple(slots)
+
+
+def _signed_structures(k, canonical):
+    """``(word, sign_vectors)`` of each structure with ``k`` chords, in census order."""
+    vectors = list(itertools.product((1, -1), repeat=k))
+    seen = set()
+    for word in _words(k):
+        if not canonical:
+            yield word, vectors
+            continue
+        rotations = _rotations(word)
+        kept = []
+        for signs in vectors:
+            key = _rotation_key(rotations, dict(zip(range(1, k + 1), signs)))
+            if key not in seen:
+                seen.add(key)
+                kept.append(signs)
+        yield word, kept
 
 
 def enumerate_structures(max_chords, canonical=False):
@@ -81,8 +99,9 @@ def _rotations(word):
     """
     out = []
     for r in range(len(word)):
-        labels = {}
-        out.append([(labels.setdefault(c, len(labels)), h, c) for c, h in word[r:] + word[:r]])
+        rotated = word[r:] + word[:r]
+        label = _first_occurrence(c for c, _ in rotated)
+        out.append([(label[c], h, c) for c, h in rotated])
     return out
 
 

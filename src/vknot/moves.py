@@ -15,7 +15,7 @@ import functools
 import itertools
 import random
 
-from .diagram import BasedGaussDiagram, shift_basepoint
+from .diagram import BasedGaussDiagram, _first_occurrence, shift_basepoint
 
 
 def _fresh_ids(diagram, count):
@@ -159,9 +159,7 @@ def _triangle_configs():
 def _local_key(ends, sign):
     """``ends``, a list of ``(chord, is_head)`` pairs, with the chords relabeled
     0, 1, ... by first occurrence, and the sign of each label."""
-    label = {}
-    for chord, _ in ends:
-        label.setdefault(chord, len(label))
+    label = _first_occurrence(chord for chord, _ in ends)
     return tuple((label[chord], is_head) for chord, is_head in ends), tuple(sign[c] for c in label)
 
 

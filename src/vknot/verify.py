@@ -35,6 +35,7 @@ from .determinant import determinant
 from .diagram import (
     _congruent,
     _ends_of_opposite_parity,
+    _first_occurrence,
     _index_rows,
     _layout,
     _require_knot,
@@ -115,8 +116,6 @@ def skein_verdict(diagram, config):
         t_zero = conway_pairing_table(smooth(diagram, chord))
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
         for n in sizes:
-            if n < 1:
-                continue
             for column in (0, 1):
                 lhs = t_plus.get(n, (0, 0))[column] - t_minus.get(n, (0, 0))[column]
                 rhs = t_zero.get(n - 1, (0, 0))[column]
@@ -129,9 +128,7 @@ def skein_verdict(diagram, config):
 
 
 def _smoothing_candidates(diagram):
-    """Chords whose interleaving chords all have tails on the basepoint arc."""
-    if diagram.num_circles != 1:
-        return
+    """Chords of a knot whose interleaving chords all have tails on the basepoint arc."""
     tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
     for chord, t, h, row in zip(diagram.chord_ids(), tails, heads, _index_rows(tails, heads)):
         # a coefficient is +1 for a tail on the arc from h to t, which holds the basepoint when t < h
@@ -167,8 +164,8 @@ class CensusStructure:
         that relabeling.
         """
         _require_knot(diagram, "a census structure")
-        label = {}
-        word = tuple((label.setdefault(c, len(label) + 1), is_head) for c, is_head in diagram.circles[0])
+        label = _first_occurrence(c for c, _ in diagram.circles[0])
+        word = tuple((label[c] + 1, is_head) for c, is_head in diagram.circles[0])
         return cls(word), tuple(diagram.sign(chord) for chord in label)
 
     def diagram(self, signs):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vknot.arrows import (
+    ArrowDiagram,
     IntPolynomial,
     ascending_polynomial,
     conway_pairing,
@@ -73,6 +74,20 @@ def test_arrow_code_round_trip():
         assert serialize_arrow_code(parse_arrow_code(code)) == code
     with pytest.raises(GaussCodeError):
         parse_arrow_code("O1+U1+")
+
+
+@pytest.mark.parametrize(
+    "circles,message",
+    [
+        ((((1, True), (2, False)), ((1, True), (2, True))), "arrow 1 has two head endpoints"),
+        ((((1, True),),), "arrow 1 is missing an endpoint"),
+    ],
+    ids=["two-heads", "missing-endpoint"],
+)
+def test_arrow_diagram_refusals(circles, message):
+    with pytest.raises(GaussCodeError) as info:
+        ArrowDiagram(circles)
+    assert str(info.value) == message
 
 
 def test_conway_set_structure():

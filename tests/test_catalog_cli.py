@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -159,6 +160,57 @@ def test_cli_verify_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data[0]["check"] == "cor-det"
     assert data[0]["failures"] == 0
+
+
+def test_cli_verify_text(capsys):
+    assert main(["verify", "cor-det", "skein", "--max-chords", "2", "--samples", "20"]) == 0
+    reports = [block.splitlines() for block in capsys.readouterr().out.split("\n\n")]
+    assert [lines[:4] for lines in reports] == [
+        ["check: cor-det", "population: 37", "passes: 37", "failures: 0"],
+        ["check: skein", "population: 20", "passes: 20", "failures: 0"],
+    ]
+    assert all(len(lines) == 5 and lines[4].startswith("elapsed_ms: ") for lines in reports)
+
+
+@pytest.mark.parametrize(
+    "code,status,text,refusals",
+    [
+        ("O1+U2+;O2+U1+", 0, ["mod 2 numberable: yes", "determinant: 2"], []),
+        ("O1-U2-U3+;O2-O3+U1-", 2, ["mod 2 numberable: no"],
+         ["determinant refused: diagram O1-U2-U3+;O2-O3+U1- is not checkerboard colorable"]),
+    ],
+    ids=["colorable", "refused"],
+)
+def test_cli_invariants_of_a_link(capsys, code, status, text, refusals):
+    assert main(["invariants", code]) == status
+    chords = code.count("O")
+    assert capsys.readouterr().out.splitlines() == ["code: " + code, "circles: 2  chords: %d" % chords] + text + refusals
+    assert main(["invariants", code, "--json", "-p", "2", "-p", "3"]) == status
+    assert json.loads(capsys.readouterr().out) == {
+        "chords": chords,
+        "circles": 2,
+        "code": code,
+        "colorable": {"2": status == 0, "3": status == 0},
+        "determinant": 2 if status == 0 else None,
+        "name": None,
+        "refusals": refusals,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,lines,sha256",
+    [
+        (["enumerate", "3", "--colorable", "2"], 384,
+         "0139b36b28ea7eb9da2fd90eb68c590eb42b096b90badb1741892d21601d75f2"),
+        (["conway", "--degree", "4"], 90, "a3a05a2a45b0160ce74f34096e5065e312a316bf150d9822f9df150f64d9b9ae"),
+    ],
+    ids=["enumerate-colorable", "conway"],
+)
+def test_cli_output_hashes(capsys, argv, lines, sha256):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_cli_enumerate(capsys):

@@ -124,6 +124,36 @@ def test_determinant_preconditions():
         coloring_matrix(G)
 
 
+@pytest.mark.parametrize("code", ["", "O1+U1+", "U1-O1-"])
+def test_minor_independence_with_at_most_one_crossing(code):
+    G = parse_gauss_code(code)
+    assert determinant(G) == 1
+    assert minor_independence_check(G) is True
+
+
+def test_coloring_matrix_is_square_wherever_determinant_reads_it():
+    # determinant eliminates the matrix without checking its shape once it has two or more rows;
+    # the crossingless knot's 0x1 matrix is answered before the shape matters
+    empty = coloring_matrix(parse_gauss_code(""))
+    assert (empty.nrows, empty.ncols) == (0, 1)
+    knots = 0
+    for G in enumerate_all_diagrams(4):
+        if G.num_chords and is_mod_p_numberable(G, 2):
+            matrix = coloring_matrix(G)
+            assert matrix.nrows == matrix.ncols, str(G)
+            knots += 1
+    assert knots == 6564
+    rng = random.Random(15)
+    links = 0
+    while links < 500:
+        G = random_link_diagram(rng.randint(1, 8), rng)
+        if is_mod_p_numberable(G, 2) and all(any(h for _, h in circle) for circle in G.circles):
+            matrix = coloring_matrix(G)
+            assert matrix.nrows == matrix.ncols, str(G)
+            determinant(G)
+            links += 1
+
+
 def test_coloring_matrix_export():
     text = coloring_matrix(TREFOIL).to_text()
     lines = text.splitlines()

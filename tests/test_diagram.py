@@ -1,6 +1,8 @@
 import pytest
 
 from vknot.diagram import (
+    BasedGaussDiagram,
+    Numbering,
     alexander_numbering,
     basepoint_positions,
     crossing_change,
@@ -51,6 +53,22 @@ def test_parse_trefoil_positions():
 def test_parse_errors(bad):
     with pytest.raises(GaussCodeError):
         parse_gauss_code(bad)
+
+
+@pytest.mark.parametrize(
+    "circles,signs,message",
+    [
+        ((((1, False), (1, False)),), ((1, 1),), "chord 1 has two tail endpoints"),
+        ((((1, False),),), ((1, 1),), "chord 1 is missing an endpoint"),
+        ((((1, False), (1, True)),), ((1, 0),), "chord 1 has sign 0, expected +1 or -1"),
+        ((((1, False), (1, True), (2, False), (2, True)),), ((1, 1),), "endpoints found for unknown chord ids [2]"),
+    ],
+    ids=["two-tails", "missing-endpoint", "sign-0", "unknown-chord"],
+)
+def test_direct_construction_refusals(circles, signs, message):
+    with pytest.raises(GaussCodeError) as info:
+        BasedGaussDiagram(circles, signs)
+    assert str(info.value) == message
 
 
 def test_parse_whitespace_and_star():
@@ -137,6 +155,19 @@ def test_numbering_two_circles():
     H = parse_gauss_code("O1+U2+;O2+U1+")
     n = alexander_numbering(H, 0)
     assert n is not None and numbering_is_valid(H, n)
+
+
+@pytest.mark.parametrize("code", [TREFOIL, "O1+U1+", "O1+U2+;O2+U1+", "O1+U2-O3-U1+O4+U3-O2-U4+"])
+@pytest.mark.parametrize("p", [0, 3])
+def test_numbering_is_valid_rejects_one_changed_label(code, p):
+    G = parse_gauss_code(code)
+    numbering = alexander_numbering(G, p)
+    assert numbering is not None and numbering_is_valid(G, numbering)
+    for ci, labels in enumerate(numbering.labels):
+        for gap in range(len(labels)):
+            changed = [list(row) for row in numbering.labels]
+            changed[ci][gap] += 1
+            assert not numbering_is_valid(G, Numbering(tuple(map(tuple, changed)), p)), (ci, gap)
 
 
 def test_warping_degree():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from vknot import verify
+from vknot.arrows import parse_arrow_code
 from vknot.diagram import BasedGaussDiagram, make_diagram, parse_gauss_code, serialize_gauss_code
 from vknot.enumeration import (
     connecting_chords,
@@ -68,6 +69,16 @@ def _reference_rotation_key(diagram):
         BasedGaussDiagram((word[r:] + word[:r],), diagram.signs).canonical_key()
         for r in range(len(word))
     )
+
+
+def test_canonical_keys_number_chords_by_first_occurrence():
+    # _reference_rotation_key reads canonical_key, whose numbering is the census's own helper,
+    # so two literal keys pin that numbering independently
+    assert parse_gauss_code("O7-U3+O3+U7-;U9+O9+").canonical_key() == (
+        ((0, False, -1), (1, True, 1), (1, False, 1), (0, True, -1)),
+        ((2, True, 1), (2, False, 1)),
+    )
+    assert parse_arrow_code("U5O2;O5U2").canonical_key() == (((0, True), (1, False)), ((0, False), (1, True)))
 
 
 @pytest.fixture(scope="module")
