@@ -158,28 +158,36 @@ def _variant_name(variant):
     raise ValueError("variant must be 'ascending' or 'descending'")
 
 
-def conway_set(degree, circles, variant):
-    """Enumerate the one-component ascending/descending arrow diagrams.
+def conway_sets(degree, circles):
+    """The ascending and descending :class:`ConwaySet` of one degree, from one pass.
 
     Even degrees live on one circle, odd degrees on two; anything else is a
     parity mismatch.  Candidates are census words (:func:`_words`), cut in two
     for two circles; each numbers its arrows by first occurrence, so no two are
-    isomorphic, and members are sorted by :meth:`ArrowDiagram.canonical_key`.
+    isomorphic.  Each is classified once for both variants, and members are
+    sorted by :meth:`ArrowDiagram.canonical_key`.
     """
-    variant = _variant_name(variant)
     if degree < 0 or circles not in (1, 2):
         raise ValueError("degree must be >= 0 and circles 1 or 2")
     if (degree % 2 == 0) != (circles == 1):
         raise ValueError("degree %d cannot live on %d circle(s)" % (degree, circles))
-    want_asc = variant == "ascending"
-    members = []
+    ascending, descending = [], []
     for word in _words(degree):
         for cut in [None] if circles == 1 else range(2 * degree + 1):
             cand = ArrowDiagram((word,) if cut is None else (word[:cut], word[cut:]))
             one, asc, des = _classify(cand)
-            if one and (asc if want_asc else des):
-                members.append(cand)
-    return ConwaySet(degree, circles, variant, tuple(sorted(members, key=ArrowDiagram.canonical_key)))
+            if one and asc:
+                ascending.append(cand)
+            if one and des:
+                descending.append(cand)
+    return tuple(ConwaySet(degree, circles, variant, tuple(sorted(members, key=ArrowDiagram.canonical_key)))
+                 for variant, members in (("ascending", ascending), ("descending", descending)))
+
+
+def conway_set(degree, circles, variant):
+    """Enumerate the one-component ascending/descending arrow diagrams (see :func:`conway_sets`)."""
+    column = 0 if _variant_name(variant) == "ascending" else 1
+    return conway_sets(degree, circles)[column]
 
 
 # -- pairings ---------------------------------------------------------------
@@ -431,8 +439,8 @@ def _basepoint_layouts(layout):
     tails, heads, bounds = layout
     m = bounds[1]
     for shift in range(max(1, m)):
-        move = [(pos - shift) % m for pos in range(m)] + list(range(m, bounds[-1]))
-        yield [move[t] for t in tails], [move[h] for h in heads], bounds
+        yield ([(t - shift) % m if t < m else t for t in tails],
+               [(h - shift) % m if h < m else h for h in heads], bounds)
 
 
 def conway_pairing(diagram, degree, variant):

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .arrows import conway_pairing_table, conway_set, table_polynomials
+from .arrows import conway_pairing_table, conway_sets, table_polynomials
 from .catalog import builtin_catalog, find_entry, load_catalog
 from .determinant import determinant
 from .diagram import (
@@ -196,10 +196,9 @@ def _cmd_enumerate(args):
 def _cmd_conway(args):
     variants = (args.variant,) if args.variant else ("ascending", "descending")
     for degree in range(args.degree + 1):
-        circles = 1 if degree % 2 == 0 else 2
+        sets = {found.variant: found for found in conway_sets(degree, 1 if degree % 2 == 0 else 2)}
         for variant in variants:
-            members = conway_set(degree, circles, variant).members
-            for member in members:
+            for member in sets[variant].members:
                 print("%d\t%s\t%s" % (degree, variant, member))
     return 0
 

@@ -2,9 +2,10 @@
 
 Each check walks a population of diagrams (exhaustive up to a chord bound,
 or seeded random) and applies a pure verdict.  An exhaustive check's
-verdict reads one diagram of the census as an unsigned chord structure and
-a sign vector, so work done once per structure serves all of its diagrams
-(see :class:`CensusStructure`).  Failures never abort a sweep: the
+verdict reads an unsigned chord structure of the census and all of its
+sign vectors at once, one per lane of an integer, so work done once per
+structure serves all of its diagrams (see :class:`CensusStructure` and
+:class:`SignLanes`).  Failures never abort a sweep: the
 offending Gauss codes are collected, because a failure almost certainly
 pins down a convention bug and the codes are the debugging artifact.
 :func:`recheck` runs the verdict the sweep ran on a recorded code, so it
@@ -13,8 +14,11 @@ reproduces the failure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
+import operator
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,16 +28,12 @@ from functools import cached_property
 from .arrows import (
     _basepoint_layouts,
     _crossing_change_tables,
-    _pairing_sums,
-    _plus_mask,
     _qualifying_subsets,
     _z2_pairs,
-    _z2_sums,
     conway_pairing_table,
 )
 from .determinant import determinant
 from .diagram import (
-    _congruent,
     _ends_of_opposite_parity,
     _first_occurrence,
     _index_rows,
@@ -43,7 +43,6 @@ from .diagram import (
     parse_gauss_code,
     serialize_gauss_code,
     smooth,
-    warping_degree,
 )
 from .enumeration import (
     connecting_chords,
@@ -127,6 +126,111 @@ def skein_verdict(diagram, config):
 # -- the census engine ---------------------------------------------------------
 
 
+class SignLanes:
+    """Sign vectors of ``k`` chords, one per lane of an integer.
+
+    Lane ``v`` is bits ``v * width`` to ``(v + 1) * width - 1`` and describes
+    ``vectors[v]``.  A lane mask holds a 1 at the lowest bit of each lane it
+    selects, and ``ones`` selects them all.  ``planes[i]`` selects the lanes
+    where chord ``i + 1`` is negative, so a product of signs is negative in
+    the lanes of the XOR of its chords' planes, and a sum of masks counts per
+    lane: each integer operation serves every vector.
+
+    No count a verdict sums exceeds C(k, k // 2): a z^2 row set holds at
+    most C(k, 2) pairs, a Conway table at most C(k, s) subsets of size s, and
+    an index row k - 1 chords.  A lane holds twice that below its top bit,
+    which the comparisons keep as a guard.
+    """
+
+    def __init__(self, vectors, k):
+        self.vectors = vectors
+        self.k = k
+        self.width = (2 * math.comb(k, k // 2)).bit_length() + 1
+        self.ones = ((1 << len(vectors) * self.width) - 1) // ((1 << self.width) - 1)
+        self._guard = self.ones << self.width - 1
+
+    @cached_property
+    def planes(self):
+        return [sum([1 << v * self.width for v, signs in enumerate(self.vectors) if signs[i] < 0])
+                for i in range(self.k)]
+
+    def pair_sum(self, rows):
+        """``(count, negatives)`` of the chord pairs that ``rows`` of :func:`_z2_pairs` stand for:
+        the sum of s_x * s_y over them is ``count - 2 * negatives`` in each lane."""
+        planes = self.planes
+        count = negatives = 0
+        for x, mask in rows:
+            count += mask.bit_count()
+            while mask:
+                low = mask & -mask
+                negatives += planes[x] ^ planes[low.bit_length() - 1]
+                mask ^= low
+        return count, negatives
+
+    def selected(self, mask):
+        """The lanes ``mask`` selects, in increasing order."""
+        while mask:
+            low = mask & -mask
+            yield (low.bit_length() - 1) // self.width
+            mask ^= low
+
+    def equal(self, x, c):
+        """The lanes where ``x`` holds ``c``; both are below the guard bit."""
+        nonzero = ((x ^ c * self.ones) + self._guard - self.ones) & self._guard
+        return self.ones ^ nonzero >> self.width - 1
+
+    def twice_congruent(self, x, c, p, bound):
+        """The lanes where ``2 x = c`` mod ``p`` (exactly when ``p = 0``), ``x`` being at most ``bound``.
+
+        The condition is ``x = a`` mod ``m`` for one residue ``a``, or none.
+        Lane-wise, ``x`` drops ``m * 2^j`` wherever it is that large, for each
+        ``j`` from the largest fitting ``bound`` down, which leaves ``x mod m``.
+        """
+        if p == 0:
+            return self.equal(x, c // 2) if c % 2 == 0 and 0 <= c // 2 <= bound else 0
+        if p % 2:
+            m, a = p, c * pow(2, -1, p) % p
+        elif c % 2:
+            return 0
+        else:
+            m, a = p // 2, c // 2 % (p // 2)
+        if m == 1:
+            return self.ones
+        if a > bound:
+            return 0
+        for j in range((bound // m).bit_length() - 1, -1, -1):
+            d = m << j
+            fits = ((x + self._guard - d * self.ones) & self._guard) >> self.width - 1
+            x -= fits * d
+        return self.equal(x, a)
+
+    def nonzero(self, count, negatives):
+        """The lanes where the signed sum ``count - 2 * negatives`` is not 0."""
+        return self.ones ^ self.twice_congruent(negatives, count, 0, count)
+
+
+def _table_lanes(classified, lanes):
+    """The Conway table of classified subsets per lane, as
+    ``{size: ((count, negatives), (count, negatives))}``, ascending then descending.
+
+    ``count`` is the number of qualifying subsets of that size and
+    ``negatives`` counts per lane those with sign product -1, so the pairing
+    is ``count - 2 * negatives``; every size with a qualifying subset is a key.
+    """
+    planes = lanes.planes
+    sums = {}
+    for subset, asc, des in classified:
+        negative = functools.reduce(operator.xor, [planes[i] for i in subset], 0)
+        entry = sums.setdefault(len(subset), [0, 0, 0, 0])
+        if asc:
+            entry[0] += 1
+            entry[1] += negative
+        if des:
+            entry[2] += 1
+            entry[3] += negative
+    return {size: ((a, na), (d, nd)) for size, (a, na, d, nd) in sorted(sums.items())}
+
+
 def _smoothing_candidates(diagram):
     """Chords of a knot whose interleaving chords all have tails on the basepoint arc."""
     tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
@@ -142,18 +246,18 @@ class CensusStructure:
 
     The 2^k diagrams of a structure differ only in their chord signs.  None
     of the following reads a sign, so each is computed once, on first use:
-    mod 2 colorability, the determinant, the warping degree, the z^2 pair
-    lists at every basepoint, the chord subsets that can add to the Conway
-    table of the diagram and of each smoothing candidate's smoothing, and the
+    mod 2 colorability, the determinant, the warping degree, the z^2 pairs
+    at every basepoint, the chord subsets that can add to the Conway table
+    of the diagram and of each smoothing candidate's smoothing, and the
     interleaving rows that make each chord's index a linear form in the
-    signs.  The methods taking ``signs`` evaluate one diagram from them;
-    ``signs[i]`` is the sign of chord ``i + 1``.
+    signs.  The methods taking ``lanes`` (:class:`SignLanes`) evaluate the
+    diagrams of all its sign vectors from them at once; ``signs[i]`` is the
+    sign of chord ``i + 1``.
     """
 
     def __init__(self, word):
         self.word = word
         self.chords = tuple(range(1, len(word) // 2 + 1))
-        self.template = make_diagram([word], {c: 1 for c in self.chords})
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -172,6 +276,11 @@ class CensusStructure:
         return make_diagram([self.word], zip(self.chords, signs))
 
     @cached_property
+    def template(self):
+        """The diagram with every chord positive."""
+        return self.diagram([1] * len(self.chords))
+
+    @cached_property
     def layout(self):
         return _layout((self.word,), self.chords)
 
@@ -186,7 +295,9 @@ class CensusStructure:
 
     @cached_property
     def warping_degree(self):
-        return warping_degree(self.template)
+        """The chords met head-first from the basepoint."""
+        tails, heads, _ = self.layout
+        return sum([h < t for t, h in zip(tails, heads)])
 
     @cached_property
     def index_rows(self):
@@ -205,8 +316,9 @@ class CensusStructure:
 
     @cached_property
     def z2_pairs(self):
-        """The rows of :func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions`` order."""
-        return [_z2_pairs(shifted) for shifted in _basepoint_layouts(self.layout)]
+        """The rows of :func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions``
+        order, as frozensets: one pair set has one set of rows."""
+        return [tuple(map(frozenset, _z2_pairs(shifted))) for shifted in _basepoint_layouts(self.layout)]
 
     @cached_property
     def subsets(self):
@@ -230,73 +342,95 @@ class CensusStructure:
             ])
         return out
 
-    def numberable(self, signs, p):
-        """``is_mod_p_numberable(self.diagram(signs), p)``."""
-        if p == 2:
-            return self.colorable
-        if p < 0:
+    def numberable(self, lanes, moduli):
+        """Per modulus ``p`` of ``moduli``, the lanes whose diagram is mod ``p`` numberable.
+
+        A row's dot product is its length minus twice its count of terms
+        ``coefficient * signs[i]`` equal to -1, and the index criterion asks
+        each to be 0 mod ``p``.
+        """
+        if any(p < 0 for p in moduli):
             raise ValueError("modulus must be >= 0")
+        ones, planes = lanes.ones, lanes.planes
+        found = [ones] * len(moduli)
         for row in self.index_rows:
-            dot = 0
-            for i, coef in row:
-                dot += coef * signs[i]
-            if not _congruent(dot, 0, p):
-                return False
-        return True
+            if not any(found):
+                break
+            negatives = sum([planes[i] if coef > 0 else ones ^ planes[i] for i, coef in row])
+            found = [lanes.twice_congruent(negatives, len(row), p, len(row)) & lanes_p if lanes_p else 0
+                     for p, lanes_p in zip(moduli, found)]
+        return found
 
-    def z2_at_basepoints(self, signs):
-        """``z2_pairings_at_basepoints(self.diagram(signs))``."""
-        plus = _plus_mask(signs)
-        return [_z2_sums(rows, signs, plus) for rows in self.z2_pairs]
+    def table(self, lanes):
+        """``conway_pairing_table`` in every lane, as :func:`_table_lanes`."""
+        return _table_lanes(self.subsets, lanes)
 
-    def table(self, signs):
-        """``conway_pairing_table(self.diagram(signs))``."""
-        return _pairing_sums(self.subsets, signs)
-
-    def smoothed_tables(self, signs):
-        """``conway_pairing_table`` of each candidate's smoothing of ``self.diagram(signs)``."""
-        return [_pairing_sums(subsets, signs) for subsets in self.smoothed_subsets]
+    def smoothed_tables(self, lanes):
+        """:meth:`table` of each candidate's smoothing (``_smoothing_candidates`` order)."""
+        return [_table_lanes(subsets, lanes) for subsets in self.smoothed_subsets]
 
 
 # -- the exhaustive checks -----------------------------------------------------
 
-# Each takes (structure, signs, config) and returns the verdict on
-# structure.diagram(signs), or None if that diagram is outside the check's
-# population.
+# Each takes (structure, lanes, config) and returns (population, failing):
+# the lanes whose diagram structure.diagram(lanes.vectors[v]) is in the
+# check's population, and those of them that fail it.
 
 
-def _all_congruent(values, p):
-    """True iff all ``values`` agree mod ``p`` (exactly when ``p = 0``)."""
-    return all(_congruent(v, w, p) for v, w in zip(values, values[1:]))
-
-
-def _corollary_census(structure, signs, config):
+def _corollary_census(structure, lanes, config):
     """det == +-(1 + 4 v2) mod 8 on a checkerboard colorable knot diagram."""
     if not structure.colorable:
-        return None
+        return 0, 0
     allowed = {1, 7} if structure.c2_parity == 0 else {3, 5}
-    return structure.determinant % 8 in allowed
+    return lanes.ones, 0 if structure.determinant % 8 in allowed else lanes.ones
 
 
-def _det_vs_ascending_census(structure, signs, config):
-    """det == +-(ascending polynomial at 2) mod 8 on a colorable knot diagram."""
+def _det_vs_ascending_census(structure, lanes, config):
+    """det == +-(ascending polynomial at 2) mod 8 on a colorable knot diagram.
+
+    The polynomial at 2 is ``C - 2 N`` in each lane, with ``C`` the sum of
+    ``2^s * count`` and ``N`` that of ``2^s * negatives`` over the table's
+    ascending column.  Only ``N mod 4`` matters, and sizes of 2 or more add
+    multiples of 4 to ``N``, so the sizes below 2 stand in for it.
+    """
     if not structure.colorable:
-        return None
+        return 0, 0
     det = structure.determinant
-    value = sum(asc * 2**size for size, (asc, _) in structure.table(signs).items())
-    return (det - value) % 8 == 0 or (det + value) % 8 == 0
+    table = structure.table(lanes)
+    value = sum([count << size for size, ((count, _), _) in table.items()])
+    low = [(count << size, negatives << size) for size, ((count, negatives), _) in table.items() if size < 2]
+    bound, negatives = sum([b for b, _ in low]), sum([n for _, n in low])
+    agree = (lanes.twice_congruent(negatives, value - det, 8, bound)
+             | lanes.twice_congruent(negatives, value + det, 8, bound))
+    return lanes.ones, lanes.ones ^ agree
 
 
-def _main_theorem_census(structure, signs, config):
-    """z^2 pairings mod p agree across basepoints and both variants."""
-    moduli = [p for p in config.moduli if structure.numberable(signs, p)]
-    if not moduli:
-        return None
-    values = list({v for pair in structure.z2_at_basepoints(signs) for v in pair})
-    return all(_all_congruent(values, p) for p in moduli)
+def _main_theorem_census(structure, lanes, config):
+    """z^2 pairings mod p agree across basepoints and both variants.
+
+    Against one pairing ``(count0, negatives0)``, another ``(count,
+    negatives)`` agrees mod ``p`` where ``2 w = count + count0``, with
+    ``w = negatives + count0 - negatives0`` never negative.
+    """
+    numberable = structure.numberable(lanes, config.moduli)
+    population = functools.reduce(operator.or_, numberable, 0)
+    if not population:
+        return 0, 0
+    distinct = {rows for both in structure.z2_pairs for rows in both}
+    (count0, negatives0), *others = map(lanes.pair_sum, distinct)
+    shift = count0 * lanes.ones - negatives0
+    failing = 0
+    for p, found in zip(config.moduli, numberable):
+        agree = found
+        for count, negatives in others:
+            if not agree:
+                break
+            agree &= lanes.twice_congruent(negatives + shift, count + count0, p, count + count0)
+        failing |= found ^ agree
+    return population, failing
 
 
-def _warp_and_smoothing_census(structure, signs, config):
+def _warp_and_smoothing_census(structure, lanes, config):
     """Vanishing pairings on descending diagrams plus the smoothing lemma.
 
     Warping degree 0 forces every positive-degree Conway pairing to vanish
@@ -305,20 +439,26 @@ def _warp_and_smoothing_census(structure, signs, config):
     diagram kills the degree-1 ascending pairing exactly, the descending one
     mod p, and all higher odd ascending pairings exactly.
     """
+    failing = 0
     if structure.warping_degree == 0:
-        if any(sums != (0, 0) for size, sums in structure.table(signs).items() if size):
-            return False
         if structure.colorable and structure.determinant != 1:
-            return False
-    moduli = [p for p in config.moduli if structure.numberable(signs, p)]
-    if moduli:
-        for table in structure.smoothed_tables(signs):
-            asc1, des1 = table.get(1, (0, 0))
-            if asc1 != 0 or not all(_congruent(des1, 0, p) for p in moduli):
-                return False
-            if any(asc != 0 for size, (asc, _) in table.items() if size >= 3):
-                return False
-    return True
+            return lanes.ones, lanes.ones
+        for size, columns in structure.table(lanes).items():
+            if size:
+                for count, negatives in columns:
+                    failing |= lanes.nonzero(count, negatives)
+    numberable = structure.numberable(lanes, config.moduli)
+    numbered = functools.reduce(operator.or_, numberable, 0)
+    if numbered:
+        for table in structure.smoothed_tables(lanes):
+            for size, (ascending, descending) in table.items():
+                if size == 1 or size >= 3:
+                    failing |= numbered & lanes.nonzero(*ascending)
+                if size == 1:
+                    count, negatives = descending
+                    for p, found in zip(config.moduli, numberable):
+                        failing |= found & ~lanes.twice_congruent(negatives, count, p, count)
+    return lanes.ones, failing
 
 
 # -- the check registry --------------------------------------------------------
@@ -327,34 +467,38 @@ def _warp_and_smoothing_census(structure, signs, config):
 class _Census:
     """Every one-circle diagram with at most ``max_chords`` chords.
 
-    A sweep shards over the unsigned structures and builds a diagram only
-    for a failure.  ``links`` is what :func:`recheck` answers on a code with
-    more than one circle; None refuses it.
+    A sweep shards over the unsigned structures, evaluates each one's sign
+    vectors together, and builds a diagram only for a failure.  ``links`` is
+    what :func:`recheck` answers on a code with more than one circle; None
+    refuses it.
     """
 
     def __init__(self, links=None):
         self.links = links
 
     def sweep(self, verdict_fn, config, shard, num_shards):
-        """``(verdict, diagram)`` for this shard, in census order; ``diagram`` is None on a pass."""
+        """``(passes, failing diagrams)`` of each structure of this shard, in census order."""
         structures = enumerate_structures(config.max_chords, config.canonical)
+        lanes = None
         for i, (word, vectors) in enumerate(structures):
-            if i % num_shards != shard:
+            if i % num_shards != shard or not vectors:
                 continue
+            if lanes is None or lanes.vectors is not vectors:
+                lanes = SignLanes(vectors, len(word) // 2)
             structure = CensusStructure(word)
-            for signs in vectors:
-                verdict = verdict_fn(structure, signs, config)
-                if verdict is not None:
-                    yield verdict, None if verdict else structure.diagram(signs)
+            population, failing = verdict_fn(structure, lanes, config)
+            yield (population.bit_count() - failing.bit_count(),
+                   [structure.diagram(vectors[v]) for v in lanes.selected(failing)])
 
     def recheck(self, name, verdict_fn, diagram, config):
         if diagram.num_circles != 1 and self.links is not None:
             return self.links
         _require_knot(diagram, "the %s check" % name)
-        verdict = verdict_fn(*CensusStructure.from_diagram(diagram), config)
-        if verdict is None:
+        structure, signs = CensusStructure.from_diagram(diagram)
+        population, failing = verdict_fn(structure, SignLanes([signs], len(signs)), config)
+        if not population:
             raise PreconditionError("%s is outside the %s check's population" % (diagram, name))
-        return verdict
+        return not failing
 
 
 class _Diagrams:
@@ -366,7 +510,7 @@ class _Diagrams:
     def sweep(self, verdict_fn, config, shard, num_shards):
         for i, diagram in enumerate(self.population(config)):
             if i % num_shards == shard:
-                yield verdict_fn(diagram, config), diagram
+                yield (1, []) if verdict_fn(diagram, config) else (0, [diagram])
 
     def recheck(self, name, verdict_fn, diagram, config):
         return verdict_fn(diagram, config)
@@ -388,12 +532,10 @@ def _run_shard(args):
     population, verdict_fn = CHECKS[name]
     passes = failures = 0
     counterexamples = []
-    for verdict, diagram in population.sweep(verdict_fn, config, shard, num_shards):
-        if verdict:
-            passes += 1
-        else:
-            failures += 1
-            counterexamples.append(serialize_gauss_code(diagram))
+    for passed, failed in population.sweep(verdict_fn, config, shard, num_shards):
+        passes += passed
+        failures += len(failed)
+        counterexamples += [serialize_gauss_code(diagram) for diagram in failed]
     return passes, failures, counterexamples
 
 

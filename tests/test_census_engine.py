@@ -1,18 +1,21 @@
 """Differential tests of the census engine.
 
 Each exhaustive check classifies every unsigned chord structure once and
-evaluates all of its sign vectors from that.  Its reference is the library
+evaluates all of its sign vectors from that, one per lane of an integer.  Its reference is the library
 evaluated on each materialized diagram, and the per-diagram verdicts below
 with their population filters: the checks as they read before the structure
 forms became their only implementation.  A sweep of a reference verdict
 over its population must report exactly what ``run_check`` reports.
 """
 
+import functools
 import json
 import math
+import operator
 import random
 
 import pytest
+from braidutil import braid_closure_gauss_code
 
 from vknot.arrows import (
     ascending_polynomial,
@@ -35,8 +38,8 @@ from vknot.enumeration import enumerate_all_diagrams, enumerate_structures, rand
 from vknot.verify import (
     CHECKS,
     CensusStructure,
+    SignLanes,
     SweepConfig,
-    _all_congruent,
     _Census,
     _smoothing_candidates,
     recheck,
@@ -80,6 +83,11 @@ def det_vs_ascending_verdict(diagram, config):
     det = determinant(diagram)
     value = ascending_polynomial(diagram)(2)
     return (det - value) % 8 == 0 or (det + value) % 8 == 0
+
+
+def _all_congruent(values, p):
+    """True iff all ``values`` agree mod ``p`` (exactly when ``p = 0``)."""
+    return all(_congruent(v, w, p) for v, w in zip(values, values[1:]))
 
 
 def main_theorem_verdict(diagram, config):
@@ -149,12 +157,45 @@ def _fields(report):
 # -- tests ---------------------------------------------------------------------
 
 
+def _lane(lanes, x, v):
+    """The value lane ``v`` of ``x`` holds."""
+    return x >> v * lanes.width & (1 << lanes.width) - 1
+
+
+def _signed(lanes, v, count, negatives):
+    return count - 2 * _lane(lanes, negatives, v)
+
+
+def _table_at(lanes, v, table):
+    """The lane-``v`` Conway table of ``table`` (:meth:`CensusStructure.table`), as
+    ``conway_pairing_table`` returns it."""
+    signed = {size: (_signed(lanes, v, *asc), _signed(lanes, v, *des)) for size, (asc, des) in table.items()}
+    return {size: sums for size, sums in signed.items() if sums != (0, 0)}
+
+
+def _z2_lanes(structure, lanes):
+    """``z2_pairings_at_basepoints`` in every lane, from the structure's rows."""
+    return [tuple(map(lanes.pair_sum, both)) for both in structure.z2_pairs]
+
+
+def _z2_at(lanes, v, z2):
+    return [tuple(_signed(lanes, v, *column) for column in both) for both in z2]
+
+
 def test_structure_values_match_library_on_census():
+    # every lane evaluator against the library, on every sign vector of the census
     diagrams = enumerate_all_diagrams(4)
     checked = 0
+    moduli = (0, 2, 3, 5)
     for word, vectors in enumerate_structures(4):
         structure = CensusStructure(word)
-        for signs in vectors:
+        lanes = SignLanes(vectors, len(structure.chords))
+        numberable = structure.numberable(lanes, moduli)
+        z2 = _z2_lanes(structure, lanes)
+        table = structure.table(lanes)
+        smoothed = structure.smoothed_tables(lanes)
+        assert all(found >> lanes.width * len(vectors) == 0 for found in numberable), word
+        for v, signs in enumerate(vectors):
             G = next(diagrams)
             assert structure.diagram(signs) == G
             code = str(G)
@@ -162,15 +203,15 @@ def test_structure_values_match_library_on_census():
             assert (rebuilt.word, rebuilt_signs) == (word, signs), code
             colorable = is_mod_p_numberable(G, 2)
             assert structure.colorable == colorable, code
-            for p in (0, 2, 3, 5):
-                assert structure.numberable(signs, p) == is_mod_p_numberable(G, p), (code, p)
+            for p, found in zip(moduli, numberable):
+                assert _lane(lanes, found, v) == is_mod_p_numberable(G, p), (code, p)
             if colorable:
                 assert structure.determinant == determinant(G), code
             assert structure.c2_parity == conway_pairing(G, 2, "ascending") % 2, code
             assert structure.warping_degree == warping_degree(G), code
-            assert structure.z2_at_basepoints(signs) == z2_pairings_at_basepoints(G), code
-            assert structure.table(signs) == conway_pairing_table(G), code
-            assert structure.smoothed_tables(signs) == [
+            assert _z2_at(lanes, v, z2) == z2_pairings_at_basepoints(G), code
+            assert _table_at(lanes, v, table) == conway_pairing_table(G), code
+            assert [_table_at(lanes, v, t) for t in smoothed] == [
                 conway_pairing_table(smooth(G, alpha)) for alpha in _smoothing_candidates(G)
             ], code
             checked += 1
@@ -181,8 +222,28 @@ def test_structure_values_match_library_on_census():
     for _ in range(500):
         G = random_knot_diagram(7, rng)
         structure, signs = CensusStructure.from_diagram(G)
+        lanes = SignLanes([signs], 7)
         assert structure.c2_parity == conway_pairing(G, 2, "ascending") % 2, str(G)
-        assert structure.z2_at_basepoints(signs) == z2_pairings_at_basepoints(G), str(G)
+        assert _z2_at(lanes, 0, _z2_lanes(structure, lanes)) == z2_pairings_at_basepoints(G), str(G)
+
+
+def test_twice_congruent_matches_arithmetic_in_every_lane():
+    rng = random.Random(16)
+    for k in (0, 1, 3, 5, 7, 9, 25):
+        vectors = [tuple(rng.choice((1, -1)) for _ in range(k)) for _ in range(40)]
+        lanes = SignLanes(vectors, k)
+        limit = 2 * math.comb(k, k // 2)  # a lane holds two counts of k chords
+        for _ in range(60):
+            bound = rng.randint(0, limit)
+            values = [rng.randint(0, bound) for _ in vectors]
+            x = sum(value << v * lanes.width for v, value in enumerate(values))
+            c = rng.randint(-2 * limit, 2 * limit)
+            for p in range(12):
+                got = lanes.twice_congruent(x, c, p, bound)
+                want = [_congruent(2 * value, c, p) for value in values]
+                assert [_lane(lanes, got, v) for v in range(len(vectors))] == want, (k, values, c, p)
+            got = lanes.equal(x, values[0])
+            assert [_lane(lanes, got, v) for v in range(len(vectors))] == [w == values[0] for w in values]
 
 
 def test_colorable_reads_index_parity_on_census_structures():
@@ -239,10 +300,13 @@ def test_failing_structure_verdict_reports_per_diagram_order(monkeypatch):
     def verdict(diagram, config):
         return math.prod(s for _, s in diagram.signs) > 0 and warping_degree(diagram) % 2 == 0
 
-    def census(structure, signs, config):
+    def census(structure, lanes, config):
         if not structure.colorable:
-            return None
-        return math.prod(signs) > 0 and structure.warping_degree % 2 == 0
+            return 0, 0
+        if structure.warping_degree % 2:
+            return lanes.ones, lanes.ones
+        # the sign product is -1 in the lanes of the XOR of all planes
+        return lanes.ones, functools.reduce(operator.xor, lanes.planes, 0)
 
     config = SweepConfig(max_chords=3)
     monkeypatch.setitem(CHECKS, "bad", (_Census(), census))
@@ -259,9 +323,9 @@ def test_recheck_runs_the_structure_form(monkeypatch):
     # so only a recheck through the structure form reproduces the failures.
     population, census = CHECKS["cor-det"]
 
-    def broken(structure, signs, config):
-        verdict = census(structure, signs, config)
-        return verdict if verdict is None else verdict and signs[:1] != (-1,)
+    def broken(structure, lanes, config):
+        population, failing = census(structure, lanes, config)
+        return population, failing | population & sum(lanes.planes[:1])
 
     config = SweepConfig(max_chords=3)
     monkeypatch.setitem(CHECKS, "cor-det", (population, broken))
@@ -270,3 +334,20 @@ def test_recheck_runs_the_structure_form(monkeypatch):
     for code in report.counterexamples:
         assert corollary_verdict(parse_gauss_code(code), config) is True
         assert recheck("cor-det", code, config) is False
+
+
+def test_recheck_past_one_byte_lanes_matches_reference():
+    # 25 crossings of a 2-strand braid closure, random signs: a z^2 basepoint row set
+    # holds about 78 pairs and a count can reach C(25, 12), so a lane is wider than a byte
+    rng = random.Random(25)
+    config = SweepConfig(moduli=(0, 2, 3, 5))
+    for _ in range(8):
+        G = parse_gauss_code(braid_closure_gauss_code([rng.choice((1, -1)) for _ in range(25)], 2))
+        structure, signs = CensusStructure.from_diagram(G)
+        lanes = SignLanes([signs], 25)
+        assert lanes.width > 8
+        assert structure.numberable(lanes, config.moduli) == [is_mod_p_numberable(G, p) for p in config.moduli]
+        assert _z2_at(lanes, 0, _z2_lanes(structure, lanes)) == z2_pairings_at_basepoints(G), str(G)
+        for name in ("cor-det", "main-theorem"):
+            _, verdict = REFERENCE[name]
+            assert recheck(name, str(G), config) is verdict(G, config), (name, str(G))

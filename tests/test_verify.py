@@ -77,8 +77,10 @@ def test_text_rendering_lists_counterexamples():
 def test_counterexamples_round_trip(monkeypatch):
     # wire in a deliberately failing census check and confirm its
     # counterexamples reproduce the failure when re-parsed
-    def verdict(structure, signs, config):
-        return False if len(signs) == 1 else None
+    def verdict(structure, lanes, config):
+        # every one-chord diagram fails; the others are outside the population
+        one_chord = lanes.ones if len(structure.chords) == 1 else 0
+        return one_chord, one_chord
 
     monkeypatch.setitem(CHECKS, "always-bad", (_Census(), verdict))
     report = run_check("always-bad", SMALL)
