@@ -260,30 +260,32 @@ def long_arcs(diagram):
     return out
 
 
-def _coloring_rows(diagram):
-    """The coloring matrix as one ``{column: value}`` dict per chord, and its column count.
-
-    Rows follow chord ids in sorted order and columns follow
-    :func:`long_arcs`; an entry that accumulates to 0 stays in its dict.
-    One pass over each circle keeps the column of the arc it is on: a head
-    ends that arc and starts the next.  Endpoints before a circle's first
-    head lie on its last arc, which is known once the pass ends.  Raises if
-    the diagram is not mod 2 numberable (on a knot, the parity test of
-    :func:`is_mod_p_numberable`), or if a link component carries no
-    under-passage.
-    """
+def _require_colorable(diagram):
+    """Raise unless the diagram is mod 2 numberable (on a knot, the parity test of
+    :func:`is_mod_p_numberable`) with an under-passage on every link component."""
     if not is_mod_p_numberable(diagram, 2):
-        raise _not_colorable(diagram)
+        raise NotCheckerboardColorable("diagram %s is not checkerboard colorable" % diagram)
     if diagram.num_circles > 1:
         for ci, circle in enumerate(diagram.circles):
             if not any(is_head for _, is_head in circle):
                 raise UnderPassageFreeComponent(
                     "component %d has no under-passage" % ci
                 )
-    chords = diagram.chord_ids()
+
+
+def _coloring_rows(circles, chords):
+    """The coloring matrix of the endpoint words ``circles`` as one ``{column: value}`` dict per
+    chord of ``chords``, and its column count.
+
+    Rows follow ``chords`` and columns follow :func:`long_arcs`; an entry
+    that accumulates to 0 stays in its dict.  One pass over each circle
+    keeps the column of the arc it is on: a head ends that arc and starts
+    the next.  Endpoints before a circle's first head lie on its last arc,
+    which is known once the pass ends.  Colorability is not checked.
+    """
     rows = {chord: {} for chord in chords}
     base = 0
-    for circle in diagram.circles:
+    for circle in circles:
         arc = base - 1
         wrapped = []
         for chord, is_head in circle:
@@ -303,8 +305,15 @@ def _coloring_rows(diagram):
     return [rows[chord] for chord in chords], base
 
 
-def _not_colorable(diagram):
-    return NotCheckerboardColorable("diagram %s is not checkerboard colorable" % diagram)
+def _word_determinant(circles, chords):
+    """:func:`determinant` of the colorable diagram with endpoint words ``circles``."""
+    rows, _ = _coloring_rows(circles, chords)
+    n = len(rows)
+    if n <= 1:
+        return 1
+    last = n - 1
+    minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:last]]
+    return abs(_bareiss(minor, last))
 
 
 @dataclass(frozen=True)
@@ -338,7 +347,8 @@ def coloring_matrix(diagram):
     :func:`long_arcs`.  Raises if the diagram is not mod 2 numberable, or if
     a link component carries no under-passage.
     """
-    rows, ncols = _coloring_rows(diagram)
+    _require_colorable(diagram)
+    rows, ncols = _coloring_rows(diagram.circles, diagram.chord_ids())
     entries = []
     for row in rows:
         dense = [0] * ncols
@@ -354,13 +364,8 @@ def determinant(diagram):
     Diagrams with at most one crossing return 1.  The choice of minor is
     validated empirically by :func:`minor_independence_check`.
     """
-    rows, _ = _coloring_rows(diagram)
-    n = len(rows)
-    if n <= 1:
-        return 1
-    last = n - 1
-    minor = [{j: v for j, v in row.items() if v and j != last} for row in rows[:last]]
-    return abs(_bareiss(minor, last))
+    _require_colorable(diagram)
+    return _word_determinant(diagram.circles, diagram.chord_ids())
 
 
 def corank1_minors(matrix):

@@ -428,6 +428,24 @@ def crossing_change(diagram, chord):
     return BasedGaussDiagram(circles, signs)
 
 
+def _smoothed_words(circles, chord):
+    """The endpoint words ``circles`` after the oriented smoothing along ``chord`` (see :func:`smooth`).
+
+    Only the positions of the chord's two ends matter, not which is its tail.
+    """
+    (ci, a), (cj, b) = [(c, pos) for c, circle in enumerate(circles)
+                        for pos, (other, _) in enumerate(circle) if other == chord]
+    circles = list(circles)
+    if ci == cj:
+        circle = circles[ci]
+        circles[ci : ci + 1] = [circle[:a] + circle[b + 1 :], circle[a + 1 : b]]
+    else:
+        first, second = circles[ci], circles[cj]
+        circles[ci] = first[:a] + second[b + 1 :] + second[:b] + first[a + 1 :]
+        del circles[cj]
+    return tuple(circles)
+
+
 def smooth(diagram, chord):
     """Oriented smoothing along ``chord``.
 
@@ -441,25 +459,8 @@ def smooth(diagram, chord):
     its basepoint.
     """
     diagram.sign(chord)
-    ct, it = diagram.tail(chord)
-    ch, ih = diagram.head(chord)
-    circles = list(diagram.circles)
-    if ct == ch:
-        circle = circles[ct]
-        a, b = sorted((it, ih))
-        keep = circle[:a] + circle[b + 1 :]
-        split = circle[a + 1 : b]
-        circles[ct] = keep
-        circles.insert(ct + 1, split)
-    else:
-        k, l = (ct, ch) if ct < ch else (ch, ct)
-        ki = it if ct == k else ih
-        lj = ih if ct == k else it
-        k_list, l_list = circles[k], circles[l]
-        circles[k] = k_list[:ki] + l_list[lj + 1 :] + l_list[:lj] + k_list[ki + 1 :]
-        del circles[l]
     signs = tuple((c, s) for c, s in diagram.signs if c != chord)
-    return BasedGaussDiagram(tuple(circles), signs)
+    return BasedGaussDiagram(_smoothed_words(diagram.circles, chord), signs)
 
 
 def shift_basepoint(diagram, circle=0, forward=True):

@@ -15,23 +15,28 @@ def raw_diagram_count(k):
     return total
 
 
-def _matchings(items):
+def _matchings(items, opposite_parity=False):
+    """Each perfect matching of ``items``; with ``opposite_parity`` each pair joins an even and an odd item."""
     if not items:
         yield ()
         return
     first = items[0]
     for i in range(1, len(items)):
+        if opposite_parity and (items[i] - first) % 2 == 0:
+            continue
         pair = (first, items[i])
         rest = items[1:i] + items[i + 1 :]
-        for sub in _matchings(rest):
+        for sub in _matchings(rest, opposite_parity):
             yield (pair,) + sub
 
 
-def _words(k):
+def _words(k, colorable=False):
     """Each one-circle endpoint word with ``k`` chords, in census order: every matching of the
     ``2k`` slots, then every orientation.  Chord ``c`` is the ``c``-th pair, which numbers the
-    chords 1..k by first occurrence."""
-    for matching in _matchings(tuple(range(2 * k))):
+    chords 1..k by first occurrence.  With ``colorable`` only the matchings that pair each even
+    slot with an odd one, which are the checkerboard colorable words
+    (:func:`~vknot.diagram._ends_of_opposite_parity`), in the same order."""
+    for matching in _matchings(tuple(range(2 * k)), colorable):
         for heads in itertools.product((False, True), repeat=k):
             slots = [None] * (2 * k)
             for chord, ((a, b), head_at_a) in enumerate(zip(matching, heads), start=1):
@@ -40,11 +45,11 @@ def _words(k):
             yield tuple(slots)
 
 
-def _signed_structures(k, canonical):
+def _signed_structures(k, canonical, colorable=False):
     """``(word, sign_vectors)`` of each structure with ``k`` chords, in census order."""
     vectors = list(itertools.product((1, -1), repeat=k))
     seen = set()
-    for word in _words(k):
+    for word in _words(k, colorable):
         if not canonical:
             yield word, vectors
             continue
@@ -58,7 +63,7 @@ def _signed_structures(k, canonical):
         yield word, kept
 
 
-def enumerate_structures(max_chords, canonical=False):
+def enumerate_structures(max_chords, canonical=False, colorable=False):
     """Each unsigned oriented one-circle structure with at most ``max_chords`` chords.
 
     Yields ``(word, sign_vectors)``.  ``word`` is the endpoint word
@@ -67,10 +72,13 @@ def enumerate_structures(max_chords, canonical=False):
     has sign ``signs[c - 1]``) whose diagrams :func:`enumerate_diagrams`
     yields for it, in the same order.  That is all 2^k of them, or with
     ``canonical=True`` those whose diagram is the first of its rotation
-    class.
+    class.  With ``colorable=True`` only the checkerboard colorable
+    structures are generated, with the same sign vectors: a rotation keeps
+    the parity of each chord's two ends apart, so a rotation class is
+    colorable or not as a whole.
     """
     for k in range(max_chords + 1):
-        yield from _signed_structures(k, canonical)
+        yield from _signed_structures(k, canonical, colorable)
 
 
 def enumerate_diagrams(k, canonical=False):

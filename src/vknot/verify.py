@@ -28,21 +28,21 @@ from functools import cached_property
 from .arrows import (
     _basepoint_layouts,
     _crossing_change_tables,
+    _pairing_sums,
     _qualifying_subsets,
     _z2_pairs,
-    conway_pairing_table,
 )
-from .determinant import determinant
+from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
     _first_occurrence,
     _index_rows,
     _layout,
     _require_knot,
+    _smoothed_words,
     make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
-    smooth,
 )
 from .enumeration import (
     connecting_chords,
@@ -105,14 +105,18 @@ def skein_verdict(diagram, config):
 
     For a knot every chord is resolved; for a two-circle diagram only chords
     joining the circles (smoothing a self-chord leaves the one- or two-circle
-    pairing domain).
+    pairing domain).  A smoothing's table is ``conway_pairing_table`` of
+    ``smooth(diagram, chord)``, read from the smoothed endpoint words.
     """
-    chords = diagram.chord_ids() if diagram.num_circles == 1 else connecting_chords(diagram)
+    chords = diagram.chord_ids()
+    signs = [s for _, s in diagram.signs]
     tables = _crossing_change_tables(diagram)
-    for chord in chords:
+    for chord in chords if diagram.num_circles == 1 else connecting_chords(diagram):
         t_plus, t_minus = tables[chord] if diagram.sign(chord) > 0 else tables[chord][::-1]
         # the smoothing gets its own walk, so the identity stays a check
-        t_zero = conway_pairing_table(smooth(diagram, chord))
+        i = chords.index(chord)
+        smoothed = _smoothed_layout(diagram.circles, chords, i)
+        t_zero = _pairing_sums(_qualifying_subsets(smoothed, len(chords) - 1), signs[:i] + signs[i + 1 :])
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
         for n in sizes:
             for column in (0, 1):
@@ -121,6 +125,11 @@ def skein_verdict(diagram, config):
                 if lhs != rhs:
                     return False
     return True
+
+
+def _smoothed_layout(circles, chords, i):
+    """The layout of the smoothing along ``chords[i]`` (:func:`smooth`), whose chords are the others."""
+    return _layout(_smoothed_words(circles, chords[i]), chords[:i] + chords[i + 1 :])
 
 
 # -- the census engine ---------------------------------------------------------
@@ -231,10 +240,11 @@ def _table_lanes(classified, lanes):
     return {size: ((a, na), (d, nd)) for size, (a, na, d, nd) in sorted(sums.items())}
 
 
-def _smoothing_candidates(diagram):
-    """Chords of a knot whose interleaving chords all have tails on the basepoint arc."""
-    tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
-    for chord, t, h, row in zip(diagram.chord_ids(), tails, heads, _index_rows(tails, heads)):
+def _smoothing_candidates(circles, chords):
+    """Chords of the knot with endpoint words ``circles`` whose interleaving chords all have tails
+    on the basepoint arc."""
+    tails, heads, _ = _layout(circles, chords)
+    for chord, t, h, row in zip(chords, tails, heads, _index_rows(tails, heads)):
         # a coefficient is +1 for a tail on the arc from h to t, which holds the basepoint when t < h
         basepoint_side = 1 if t < h else -1
         if all(coef == basepoint_side for _, coef in row):
@@ -245,14 +255,13 @@ class CensusStructure:
     """One unsigned structure of the census and what its diagrams share.
 
     The 2^k diagrams of a structure differ only in their chord signs.  None
-    of the following reads a sign, so each is computed once, on first use:
-    mod 2 colorability, the determinant, the warping degree, the z^2 pairs
-    at every basepoint, the chord subsets that can add to the Conway table
-    of the diagram and of each smoothing candidate's smoothing, and the
-    interleaving rows that make each chord's index a linear form in the
-    signs.  The methods taking ``lanes`` (:class:`SignLanes`) evaluate the
-    diagrams of all its sign vectors from them at once; ``signs[i]`` is the
-    sign of chord ``i + 1``.
+    of the following reads a sign, so each is computed once, on first use,
+    from the endpoint word: mod 2 colorability, the determinant, the warping
+    degree, the z^2 pairs at every basepoint, and the chord subsets that can
+    add to the Conway table of the diagram and of each smoothing candidate's
+    smoothing.  The methods taking ``lanes`` (:class:`SignLanes`) evaluate
+    the diagrams of all its sign vectors from them at once; ``signs[i]`` is
+    the sign of chord ``i + 1``.  No diagram is built but by :meth:`diagram`.
     """
 
     def __init__(self, word):
@@ -276,11 +285,6 @@ class CensusStructure:
         return make_diagram([self.word], zip(self.chords, signs))
 
     @cached_property
-    def template(self):
-        """The diagram with every chord positive."""
-        return self.diagram([1] * len(self.chords))
-
-    @cached_property
     def layout(self):
         return _layout((self.word,), self.chords)
 
@@ -291,20 +295,13 @@ class CensusStructure:
 
     @cached_property
     def determinant(self):
-        return determinant(self.template)
+        return _word_determinant((self.word,), self.chords)
 
     @cached_property
     def warping_degree(self):
         """The chords met head-first from the basepoint."""
         tails, heads, _ = self.layout
         return sum([h < t for t, h in zip(tails, heads)])
-
-    @cached_property
-    def index_rows(self):
-        """Per chord ``c``, ``(i, coefficient)`` of each sign ``signs[i]`` in :func:`index`'s
-        sum: the index of ``c`` is ``signs[c - 1]`` times the row's dot product with ``signs``."""
-        tails, heads, _ = self.layout
-        return _index_rows(tails, heads)
 
     @cached_property
     def c2_parity(self):
@@ -332,32 +329,44 @@ class CensusStructure:
         Subsets hold this structure's chord indices, so ``signs`` applies.
         """
         out = []
-        for alpha in _smoothing_candidates(self.template):
-            smoothed = smooth(self.template, alpha)
-            kept = smoothed.chord_ids()
-            layout = _layout(smoothed.circles, kept)
+        for alpha in _smoothing_candidates((self.word,), self.chords):
+            layout = _smoothed_layout((self.word,), self.chords, alpha - 1)
+            # the smoothing's chord index i is this structure's i, or i + 1 from alpha's place on
             out.append([
-                (tuple(kept[i] - 1 for i in subset), asc, des)
-                for subset, asc, des in _qualifying_subsets(layout, len(kept))
+                (tuple(i + (i >= alpha - 1) for i in subset), asc, des)
+                for subset, asc, des in _qualifying_subsets(layout, len(self.chords) - 1)
             ])
         return out
 
     def numberable(self, lanes, moduli):
         """Per modulus ``p`` of ``moduli``, the lanes whose diagram is mod ``p`` numberable.
 
-        A row's dot product is its length minus twice its count of terms
-        ``coefficient * signs[i]`` equal to -1, and the index criterion asks
-        each to be 0 mod ``p``.
+        The index criterion asks each chord's index to be 0 mod ``p``.  Up to
+        sign, the index of a chord with ends ``lo < hi`` sums ``s_j`` over the
+        tails and ``-s_j`` over the heads strictly between them (a chord
+        wholly inside adds ``s_j - s_j``), so it is ``m - 2 * negatives`` for
+        those ``m = hi - lo - 1`` terms, ``negatives`` of them -1.  That count
+        is a difference of prefix sums along the word, where a tail of chord
+        ``j`` adds ``planes[j]`` and a head its complement: at most 1 per
+        chord in each lane, so no prefix exceeds ``k``.
         """
         if any(p < 0 for p in moduli):
             raise ValueError("modulus must be >= 0")
         ones, planes = lanes.ones, lanes.planes
+        prefix, opened, arcs = [0], {}, []
+        for hi, (chord, is_head) in enumerate(self.word):
+            lo = opened.setdefault(chord, hi)
+            if hi > lo + 1:
+                arcs.append((lo, hi))
+            plane = planes[chord - 1]
+            prefix.append(prefix[-1] + (ones ^ plane if is_head else plane))
         found = [ones] * len(moduli)
-        for row in self.index_rows:
+        for lo, hi in arcs:
             if not any(found):
                 break
-            negatives = sum([planes[i] if coef > 0 else ones ^ planes[i] for i, coef in row])
-            found = [lanes.twice_congruent(negatives, len(row), p, len(row)) & lanes_p if lanes_p else 0
+            m = hi - lo - 1
+            negatives = prefix[hi] - prefix[lo + 1]
+            found = [lanes.twice_congruent(negatives, m, p, m) & lanes_p if lanes_p else 0
                      for p, lanes_p in zip(moduli, found)]
         return found
 
@@ -468,17 +477,20 @@ class _Census:
     """Every one-circle diagram with at most ``max_chords`` chords.
 
     A sweep shards over the unsigned structures, evaluates each one's sign
-    vectors together, and builds a diagram only for a failure.  ``links`` is
-    what :func:`recheck` answers on a code with more than one circle; None
-    refuses it.
+    vectors together, and builds a diagram only for a failure.  With
+    ``colorable`` it visits only the checkerboard colorable structures, which
+    are all a check of colorable diagrams needs.  ``links`` is what
+    :func:`recheck` answers on a code with more than one circle; None refuses
+    it.
     """
 
-    def __init__(self, links=None):
+    def __init__(self, colorable=False, links=None):
+        self.colorable = colorable
         self.links = links
 
     def sweep(self, verdict_fn, config, shard, num_shards):
         """``(passes, failing diagrams)`` of each structure of this shard, in census order."""
-        structures = enumerate_structures(config.max_chords, config.canonical)
+        structures = enumerate_structures(config.max_chords, config.canonical, self.colorable)
         lanes = None
         for i, (word, vectors) in enumerate(structures):
             if i % num_shards != shard or not vectors:
@@ -519,8 +531,8 @@ class _Diagrams:
 # Each check is (population, verdict): the verdict a sweep runs over the
 # population is the one recheck runs on a recorded code.
 CHECKS = {
-    "cor-det": (_Census(), _corollary_census),
-    "det-asc": (_Census(), _det_vs_ascending_census),
+    "cor-det": (_Census(colorable=True), _corollary_census),
+    "det-asc": (_Census(colorable=True), _det_vs_ascending_census),
     "main-theorem": (_Census(), _main_theorem_census),
     "skein": (_Diagrams(_population_random_skein), skein_verdict),
     "warp-smooth": (_Census(links=True), _warp_and_smoothing_census),

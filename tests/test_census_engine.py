@@ -28,7 +28,10 @@ from vknot.determinant import determinant
 from vknot.diagram import (
     _congruent,
     _require_knot,
+    alexander_numbering,
+    crossing_change,
     is_mod_p_numberable,
+    make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
     smooth,
@@ -111,7 +114,7 @@ def warp_and_smoothing_verdict(diagram, config):
             return False
     moduli = [p for p in config.moduli if is_mod_p_numberable(diagram, p)]
     if moduli:
-        for alpha in _smoothing_candidates(diagram):
+        for alpha in _smoothing_candidates(diagram.circles, diagram.chord_ids()):
             table = conway_pairing_table(smooth(diagram, alpha))
             asc1, des1 = table.get(1, (0, 0))
             if asc1 != 0 or not all(_congruent(des1, 0, p) for p in moduli):
@@ -212,7 +215,7 @@ def test_structure_values_match_library_on_census():
             assert _z2_at(lanes, v, z2) == z2_pairings_at_basepoints(G), code
             assert _table_at(lanes, v, table) == conway_pairing_table(G), code
             assert [_table_at(lanes, v, t) for t in smoothed] == [
-                conway_pairing_table(smooth(G, alpha)) for alpha in _smoothing_candidates(G)
+                conway_pairing_table(smooth(G, alpha)) for alpha in _smoothing_candidates(G.circles, G.chord_ids())
             ], code
             checked += 1
     assert next(diagrams, None) is None
@@ -225,6 +228,28 @@ def test_structure_values_match_library_on_census():
         lanes = SignLanes([signs], 7)
         assert structure.c2_parity == conway_pairing(G, 2, "ascending") % 2, str(G)
         assert _z2_at(lanes, 0, _z2_lanes(structure, lanes)) == z2_pairings_at_basepoints(G), str(G)
+
+
+NUMBERING_MODULI = (0, 2, 3, 5, 7)
+
+
+def test_prefix_numberability_matches_numbering_walk_on_census():
+    # The prefix sums along the word against the labeling walk, on every structure of the <= 5
+    # census: in every lane up to 4 chords, and in four seeded lanes of each 5-chord structure
+    # (every lane of the <= 5 census is 995,573 diagrams, about 50 s of walks).
+    rng = random.Random(5)
+    checked = 0
+    for word, vectors in enumerate_structures(5):
+        structure = CensusStructure(word)
+        lanes = SignLanes(vectors, len(structure.chords))
+        numberable = structure.numberable(lanes, NUMBERING_MODULI)
+        assert all(found >> lanes.width * len(vectors) == 0 for found in numberable), word
+        for v in range(len(vectors)) if len(vectors) < 32 else rng.sample(range(32), 4):
+            G = structure.diagram(vectors[v])
+            want = [alexander_numbering(G, p) is not None for p in NUMBERING_MODULI]
+            assert [_lane(lanes, found, v) for found in numberable] == want, str(G)
+            checked += 1
+    assert checked == 27893 + 4 * 30240
 
 
 def test_twice_congruent_matches_arithmetic_in_every_lane():
@@ -250,7 +275,7 @@ def test_colorable_reads_index_parity_on_census_structures():
     checked = 0
     for word, _ in enumerate_structures(5):
         structure = CensusStructure(word)
-        assert structure.colorable == is_mod_p_numberable(structure.template, 2), word
+        assert structure.colorable == is_mod_p_numberable(structure.diagram([1] * len(structure.chords)), 2), word
         checked += 1
     assert checked == 32055
 
@@ -338,16 +363,25 @@ def test_recheck_runs_the_structure_form(monkeypatch):
 
 def test_recheck_past_one_byte_lanes_matches_reference():
     # 25 crossings of a 2-strand braid closure, random signs: a z^2 basepoint row set
-    # holds about 78 pairs and a count can reach C(25, 12), so a lane is wider than a byte
-    rng = random.Random(25)
-    config = SweepConfig(moduli=(0, 2, 3, 5))
+    # holds about 78 pairs and a count can reach C(25, 12), so a lane is wider than a byte.
+    # Reversing one chord but keeping its sign (a virtual crossing change) moves the indices
+    # of the chords it interleaves by 2, so the closure's numberability mod p > 2 can fail.
+    rng, chord_rng = random.Random(25), random.Random(26)
+    config = SweepConfig(moduli=NUMBERING_MODULI)
+    outcomes = set()
     for _ in range(8):
-        G = parse_gauss_code(braid_closure_gauss_code([rng.choice((1, -1)) for _ in range(25)], 2))
-        structure, signs = CensusStructure.from_diagram(G)
-        lanes = SignLanes([signs], 25)
-        assert lanes.width > 8
-        assert structure.numberable(lanes, config.moduli) == [is_mod_p_numberable(G, p) for p in config.moduli]
-        assert _z2_at(lanes, 0, _z2_lanes(structure, lanes)) == z2_pairings_at_basepoints(G), str(G)
-        for name in ("cor-det", "main-theorem"):
-            _, verdict = REFERENCE[name]
-            assert recheck(name, str(G), config) is verdict(G, config), (name, str(G))
+        closure = parse_gauss_code(braid_closure_gauss_code([rng.choice((1, -1)) for _ in range(25)], 2))
+        reversed_chord = make_diagram(crossing_change(closure, chord_rng.choice(closure.chord_ids())).circles, closure.signs)
+        for G in (closure, reversed_chord):
+            structure, signs = CensusStructure.from_diagram(G)
+            lanes = SignLanes([signs], 25)
+            assert lanes.width > 8
+            want = [alexander_numbering(G, p) is not None for p in config.moduli]
+            assert structure.numberable(lanes, config.moduli) == want, str(G)
+            assert want == [is_mod_p_numberable(G, p) for p in config.moduli], str(G)
+            outcomes.add(tuple(want))
+            assert _z2_at(lanes, 0, _z2_lanes(structure, lanes)) == z2_pairings_at_basepoints(G), str(G)
+            for name in ("cor-det", "main-theorem"):
+                _, verdict = REFERENCE[name]
+                assert recheck(name, str(G), config) is verdict(G, config), (name, str(G))
+    assert len(outcomes) > 1

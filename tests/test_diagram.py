@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from vknot.diagram import (
     BasedGaussDiagram,
     Numbering,
+    _smoothed_words,
     alexander_numbering,
     basepoint_positions,
     crossing_change,
@@ -15,7 +18,7 @@ from vknot.diagram import (
     smooth,
     warping_degree,
 )
-from vknot.enumeration import enumerate_all_diagrams
+from vknot.enumeration import _random_chords, enumerate_all_diagrams, random_link_diagram
 from vknot.errors import GaussCodeError, PreconditionError, UnknownChordError
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -200,6 +203,51 @@ def test_smooth_counts():
             assert abs(S.num_circles - G.num_circles) == 1
             assert sum(len(w) for w in S.circles) == sum(len(w) for w in G.circles) - 2
             assert smooth(crossing_change(G, c), c) == S
+
+
+def _reference_smooth(diagram, chord):
+    """``smooth`` as it read before its word form: endpoints located through ``tail`` and ``head``."""
+    diagram.sign(chord)
+    ct, it = diagram.tail(chord)
+    ch, ih = diagram.head(chord)
+    circles = list(diagram.circles)
+    if ct == ch:
+        circle = circles[ct]
+        a, b = sorted((it, ih))
+        keep = circle[:a] + circle[b + 1 :]
+        split = circle[a + 1 : b]
+        circles[ct] = keep
+        circles.insert(ct + 1, split)
+    else:
+        k, l = (ct, ch) if ct < ch else (ch, ct)
+        ki = it if ct == k else ih
+        lj = ih if ct == k else it
+        k_list, l_list = circles[k], circles[l]
+        circles[k] = k_list[:ki] + l_list[lj + 1 :] + l_list[:lj] + k_list[ki + 1 :]
+        del circles[l]
+    signs = tuple((c, s) for c, s in diagram.signs if c != chord)
+    return BasedGaussDiagram(tuple(circles), signs)
+
+
+def _seeded_three_circle_links(count=200, seed=43):
+    rng = random.Random(seed)
+    for _ in range(count):
+        slots, signs = _random_chords(rng.randint(1, 8), rng)
+        a, b = sorted(rng.randint(0, len(slots)) for _ in range(2))
+        yield BasedGaussDiagram((tuple(slots[:a]), tuple(slots[a:b]), tuple(slots[b:])), tuple(sorted(signs.items())))
+
+
+def test_word_smoothing_matches_reference():
+    rng = random.Random(42)
+    links = [random_link_diagram(rng.randint(1, 8), rng) for _ in range(200)]
+    checked = 0
+    for G in [*enumerate_all_diagrams(4), *links, *_seeded_three_circle_links()]:
+        for c in G.chord_ids():
+            want = _reference_smooth(G, c)
+            assert _smoothed_words(G.circles, c) == want.circles, (str(G), c)
+            assert smooth(G, c) == want, (str(G), c)
+            checked += 1
+    assert checked > 90000
 
 
 def test_crossing_change():

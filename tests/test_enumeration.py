@@ -5,8 +5,15 @@ import pytest
 
 from vknot import verify
 from vknot.arrows import parse_arrow_code
-from vknot.diagram import BasedGaussDiagram, make_diagram, parse_gauss_code, serialize_gauss_code
+from vknot.diagram import (
+    BasedGaussDiagram,
+    _ends_of_opposite_parity,
+    make_diagram,
+    parse_gauss_code,
+    serialize_gauss_code,
+)
 from vknot.enumeration import (
+    _words,
     connecting_chords,
     enumerate_all_diagrams,
     enumerate_diagrams,
@@ -51,6 +58,29 @@ def test_structures_expand_to_the_census(canonical):
     for word in words:
         firsts = list(dict.fromkeys(chord for chord, _ in word))
         assert firsts == list(range(1, len(word) // 2 + 1))
+
+
+def _filtered_census(max_chords, canonical):
+    return [(word, vectors) for word, vectors in enumerate_structures(max_chords, canonical)
+            if _ends_of_opposite_parity(word)]
+
+
+def test_colorable_structures_are_the_filtered_census():
+    # generated directly, the colorable structures are the census's, in census order
+    got = list(enumerate_structures(6, colorable=True))
+    assert got == _filtered_census(6, False)
+    assert sum(len(vectors) for _, vectors in got) == 3078565
+    assert list(enumerate_structures(4, True, colorable=True)) == _filtered_census(4, True)
+
+
+def test_rotation_keeps_colorability_of_census_words():
+    # In canonical mode a colorable word's sign vectors depend only on the rotation classes seen
+    # before it.  A rotation class is colorable or not as a whole, so leaving out the other words
+    # changes no kept vector, at any size: the canonical census past 4 chords, too slow to filter
+    # here, is covered by this.
+    for k in range(1, 7):
+        for word in _words(k):
+            assert _ends_of_opposite_parity(word[1:] + word[:1]) == _ends_of_opposite_parity(word), word
 
 
 def test_rotation_canonical_key_identifies_rotations():

@@ -16,7 +16,7 @@ import random
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from vknot import verify
 from vknot.arrows import _crossing_change_subsets, _crossing_change_tables, _endpoints, conway_pairing_table
-from vknot.diagram import BasedGaussDiagram, crossing_change, serialize_gauss_code, smooth
+from vknot.diagram import BasedGaussDiagram, _smoothed_words, crossing_change, serialize_gauss_code, smooth
 from vknot.enumeration import (
     connecting_chords,
     enumerate_all_diagrams,
@@ -99,8 +99,14 @@ def test_shared_walk_matches_mask_walk():
         assert [_by_subset(lists) for lists in walk] == [_by_subset(lists) for lists in mask], str(G)
 
 
+def _smoothed_words_off_basepoint(circles, chord):
+    """A wrong smoothing of endpoint words: the first circle's basepoint ends up one endpoint late."""
+    first, *rest = _smoothed_words(circles, chord)
+    return (first[1:] + first[:1], *rest)
+
+
 def _smooth_off_basepoint(diagram, chord):
-    """A wrong smoothing: the first circle's basepoint ends up one endpoint late."""
+    """The same wrong smoothing of a diagram."""
     smoothed = smooth(diagram, chord)
     first, *rest = smoothed.circles
     return BasedGaussDiagram((first[1:] + first[:1], *rest), smoothed.signs)
@@ -113,7 +119,7 @@ def test_wrong_smoothing_is_caught(monkeypatch):
         for G in verify._population_random_skein(config)
         if not reference_skein_verdict(G, config, smoothing=_smooth_off_basepoint)
     ]
-    monkeypatch.setattr(verify, "smooth", _smooth_off_basepoint)
+    monkeypatch.setattr(verify, "_smoothed_words", _smoothed_words_off_basepoint)
     report = run_check("skein", config)
     assert 0 < report.failures < report.population == 200
     assert list(report.counterexamples) == expected
