@@ -234,15 +234,15 @@ def _endpoints(diagram):
     return _layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
 
 
-def _walks(layout, max_size, required=None, budget=0):
+def _walks(layout, max_size, budget=0):
     """``(subset, tails_first)`` for each one-component subset that the walk keeps.
 
-    ``subset`` holds chord indices of at most ``max_size`` chords, with chord
-    index ``required`` (if set) among them; ``tails_first`` holds those that
-    the jump traversal reaches first at the tail, and the others are reached
-    first at the head.  A subset is kept when at most ``budget`` chords are
-    reached first in one of the two ways (0 for ascending or descending).
-    Signs are never read, so one pass serves every sign vector of the layout.
+    ``subset`` holds chord indices of at most ``max_size`` chords;
+    ``tails_first`` holds those that the jump traversal reaches first at the
+    tail, and the others are reached first at the head.  A subset is kept
+    when at most ``budget`` chords are reached first in one of the two ways
+    (0 for ascending or descending).  Signs are never read, so one pass
+    serves every sign vector of the layout.
 
     The subsets are built while their traversal runs, depth first.  A walk
     starts at the subset's lowest endpoint ``p0`` (on the first circle), so
@@ -253,14 +253,13 @@ def _walks(layout, max_size, required=None, budget=0):
     (which adds it, reached first there) or left out.  Landing back on
     ``p0`` ends the walk, which counts if it landed on every endpoint and
     every circle carries one.  A branch is cut when it would exceed
-    ``max_size``, leave out ``required``, reach more than ``budget`` chords
-    first at their tails and at their heads, or land on a chord whose other
-    end no later scan can reach.  A chord that no walk can land on that way
-    (a kink, or a chord enclosing only such chords) is left out before the
-    first walk, and once a subset holds ``max_size`` chords its scans pass
-    over every other chord.  So the cost follows the partial walks that
-    stay within the budget, not 2^n, and the recursion is at most
-    ``max_size`` deep.
+    ``max_size``, reach more than ``budget`` chords first at their tails and
+    at their heads, or land on a chord whose other end no later scan can
+    reach.  A chord that no walk can land on that way (a kink, or a chord
+    enclosing only such chords) is left out before the first walk, and once
+    a subset holds ``max_size`` chords its scans pass over every other chord.
+    So the cost follows the partial walks that stay within the budget, not
+    2^n, and the recursion is at most ``max_size`` deep.
     """
     tails, heads, bounds = layout
     partner, tail_at, chord = [0] * bounds[-1], [False] * bounds[-1], [0] * bounds[-1]
@@ -275,8 +274,7 @@ def _walks(layout, max_size, required=None, budget=0):
     # which never cuts).  If all are left out, a scan lands on q only from a jump to p, which
     # needs q landed on first.
     between = [(1 << q) - (2 << p) if p < q and wrap[p] == wrap[q] else -1 for p, q in enumerate(partner)]
-    need = 0 if required is None else 1 << tails[required] | 1 << heads[required]
-    found = [((), ())] if len(circles) == 1 and not need and max_size >= 0 else []  # the empty subset
+    found = [((), ())] if len(circles) == 1 and max_size >= 0 else []  # the empty subset
     last = max_size - 1  # a subset of this many chords is full once it lands on one more
 
     def walk(q, open_, taken, reached, subset, tails_first):
@@ -299,10 +297,8 @@ def _walks(layout, max_size, required=None, budget=0):
                         walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first)
                     else:  # full: it lands only on its own endpoints, every other chord is left out
                         full = taken | bits
-                        if full & between[p] and full & need == need:
+                        if full & between[p]:
                             walk(partner[p], full, full, reached | 1 << p, subset + (c,), first)
-            if bits & need:
-                return
             open_ ^= bits
 
     # No scan can land on a chord whose ends enclose only left-out chords (a kink encloses none),
@@ -313,23 +309,20 @@ def _walks(layout, max_size, required=None, budget=0):
         if not open_ & between[p]:
             open_ &= ~(1 << p | 1 << partner[p])
     for p0 in range(bounds[1] if max_size > 0 else 0):
-        if open_ & need != need:
-            break
         if open_ >> p0 & 1:
             c, bits = chord[p0], 1 << p0 | 1 << partner[p0]
             if max_size > 1:
                 if open_ & between[p0]:
                     walk(partner[p0], open_, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
-            elif bits & between[p0] and bits & need == need:
+            elif bits & between[p0]:
                 walk(partner[p0], bits, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
             open_ ^= bits
     return found
 
 
-def _qualifying_subsets(layout, max_size, required=None):
+def _qualifying_subsets(layout, max_size):
     """``(subset, ascending, descending)`` for each subset of :func:`_walks` that can count."""
-    return [(subset, not first, len(first) == len(subset))
-            for subset, first in _walks(layout, max_size, required)]
+    return [(subset, not first, len(first) == len(subset)) for subset, first in _walks(layout, max_size)]
 
 
 def _crossing_change_subsets(layout):
@@ -467,23 +460,20 @@ def conway_pairing_table(diagram, required_chord=None, max_degree=None):
     sizes up to ``max_degree`` (default: every chord); a size is a key
     only when one of its two sums is nonzero.  With ``required_chord`` set,
     only subsets containing that chord are counted (sums over the remaining
-    subsets cancel in skein differences).
+    subsets cancel in skein differences).  A subset's classification reads
+    only its own chords, so these are the subsets of the one walk over every
+    chord that hold ``required_chord``: the table of the diagram minus that
+    of the diagram without the chord.
     """
     if max_degree is None:
         max_degree = diagram.num_chords
-    required = None if required_chord is None else diagram.chord_ids().index(required_chord)
     layout, signs = _endpoints(diagram)
-    return _pairing_sums(_qualifying_subsets(layout, max_degree, required), signs)
-
-
-def _crossing_change_tables(diagram):
-    """``{chord: (table, switched)}``: ``conway_pairing_table(·, required_chord=chord)`` of
-    the diagram and of ``crossing_change(diagram, chord)``."""
-    layout, signs = _endpoints(diagram)
-    same, switched = _crossing_change_subsets(layout)
-    return {chord: (_pairing_sums(same[i], signs),
-                    _pairing_sums(switched[i], signs[:i] + [-signs[i]] + signs[i + 1:]))
-            for i, chord in enumerate(diagram.chord_ids())}
+    classified = _qualifying_subsets(layout, max_degree)
+    if required_chord is not None:
+        diagram.sign(required_chord)  # refuses a chord the diagram does not have
+        i = diagram.chord_ids().index(required_chord)
+        classified = [entry for entry in classified if i in entry[0]]
+    return _pairing_sums(classified, signs)
 
 
 def z2_pairings_at_basepoints(diagram):
@@ -590,6 +580,8 @@ def v2(diagram, p=2, certify=False):
     position and for the descending variant; all of them must agree mod
     ``p``, which requires the diagram to be mod ``p`` numberable.
     """
+    if p < 0:
+        raise ValueError("modulus must be >= 0")
     if certify:
         if not is_mod_p_numberable(diagram, p):
             raise PreconditionError("certified v2 needs a mod %d numberable diagram" % p)

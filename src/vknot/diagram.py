@@ -210,34 +210,22 @@ def _layout(circles, chords):
     return [tails[c] for c in chords], [heads[c] for c in chords], bounds
 
 
-def _index_rows(tails, heads):
-    """Per chord ``i`` of one circle, ``(j, coefficient)`` for every chord ``j`` interleaved with it.
-
-    ``tails[i]`` and ``heads[i]`` are chord ``i``'s endpoint positions.  Chord
-    ``j`` interleaves ``i`` when exactly one of its ends lies strictly
-    between ``i``'s.  The coefficient is +1 when ``j``'s tail lies on the arc
-    from the head of ``i`` to its tail, else -1; :func:`index` of ``i`` is
-    ``sign(i) * sum(coefficient * sign(j))``.  Signs are not read.
-    """
-    ends = list(zip(tails, heads))
-    rows = []
-    for t, h in ends:
-        lo, hi = (t, h) if t < h else (h, t)
-        # the arc from h to t is the inside of [lo, hi] exactly when h < t
-        head_first = h < t
-        rows.append([(j, 1 if (lo < tj < hi) == head_first else -1)
-                     for j, (tj, hj) in enumerate(ends) if (lo < tj < hi) != (lo < hj < hi)])
-    return rows
-
-
 def indices(diagram):
-    """``{chord: index(diagram, chord)}`` for every chord, from one pass over the endpoints."""
+    """``{chord: index(diagram, chord)}`` for every chord, from the labels :func:`alexander_numbering` walks.
+
+    The labels of :func:`_walk_increments` jump across a chord with ends
+    ``lo < hi`` by ``w[hi] - w[lo + 1]``: a chord wholly between them adds
+    ``s - s``, and one interleaved with it ``-s`` at its tail or ``+s`` at
+    its head.  That is the chord's signed count with the arc from head to
+    tail taken outside; when the head comes first the arc is inside, which
+    negates it.
+    """
     _require_knot(diagram, "index")
+    (w,), _ = _walk_increments(diagram)
     tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
-    signs = [s for _, s in diagram.signs]
     return {
-        chord: sign * sum([coef * signs[j] for j, coef in row])
-        for (chord, sign), row in zip(diagram.signs, _index_rows(tails, heads))
+        chord: sign * (w[max(t, h)] - w[min(t, h) + 1]) * (-1 if h < t else 1)
+        for (chord, sign), t, h in zip(diagram.signs, tails, heads)
     }
 
 

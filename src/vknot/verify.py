@@ -23,11 +23,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 from .arrows import (
     _basepoint_layouts,
-    _crossing_change_tables,
+    _crossing_change_subsets,
+    _endpoints,
     _pairing_sums,
     _qualifying_subsets,
     _z2_pairs,
@@ -36,7 +36,6 @@ from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
     _first_occurrence,
-    _index_rows,
     _layout,
     _require_knot,
     _smoothed_words,
@@ -63,7 +62,6 @@ class SweepConfig:
     random_max_chords: int = 8
     seed: int = 0
     workers: int = 1
-    canonical: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,14 @@ def skein_verdict(diagram, config):
     ``smooth(diagram, chord)``, read from the smoothed endpoint words.
     """
     chords = diagram.chord_ids()
-    signs = [s for _, s in diagram.signs]
-    tables = _crossing_change_tables(diagram)
+    layout, signs = _endpoints(diagram)
+    same, switched = _crossing_change_subsets(layout)
     for chord in chords if diagram.num_circles == 1 else connecting_chords(diagram):
-        t_plus, t_minus = tables[chord] if diagram.sign(chord) > 0 else tables[chord][::-1]
-        # the smoothing gets its own walk, so the identity stays a check
         i = chords.index(chord)
+        tables = (_pairing_sums(same[i], signs),
+                  _pairing_sums(switched[i], signs[:i] + [-signs[i]] + signs[i + 1 :]))
+        t_plus, t_minus = tables if signs[i] > 0 else tables[::-1]
+        # the smoothing gets its own walk, so the identity stays a check
         smoothed = _smoothed_layout(diagram.circles, chords, i)
         t_zero = _pairing_sums(_qualifying_subsets(smoothed, len(chords) - 1), signs[:i] + signs[i + 1 :])
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
@@ -157,11 +157,8 @@ class SignLanes:
         self.width = (2 * math.comb(k, k // 2)).bit_length() + 1
         self.ones = ((1 << len(vectors) * self.width) - 1) // ((1 << self.width) - 1)
         self._guard = self.ones << self.width - 1
-
-    @cached_property
-    def planes(self):
-        return [sum([1 << v * self.width for v, signs in enumerate(self.vectors) if signs[i] < 0])
-                for i in range(self.k)]
+        self.planes = [sum([1 << v * self.width for v, signs in enumerate(vectors) if signs[i] < 0])
+                       for i in range(k)]
 
     def pair_sum(self, rows):
         """``(count, negatives)`` of the chord pairs that ``rows`` of :func:`_z2_pairs` stand for:
@@ -242,12 +239,11 @@ def _table_lanes(classified, lanes):
 
 def _smoothing_candidates(circles, chords):
     """Chords of the knot with endpoint words ``circles`` whose interleaving chords all have tails
-    on the basepoint arc."""
+    on the basepoint arc: each chord with its tail strictly between the ends has its head there too."""
     tails, heads, _ = _layout(circles, chords)
-    for chord, t, h, row in zip(chords, tails, heads, _index_rows(tails, heads)):
-        # a coefficient is +1 for a tail on the arc from h to t, which holds the basepoint when t < h
-        basepoint_side = 1 if t < h else -1
-        if all(coef == basepoint_side for _, coef in row):
+    for chord, t, h in zip(chords, tails, heads):
+        lo, hi = min(t, h), max(t, h)
+        if all(lo < other_head < hi for other_tail, other_head in zip(tails, heads) if lo < other_tail < hi):
             yield chord
 
 
@@ -255,18 +251,21 @@ class CensusStructure:
     """One unsigned structure of the census and what its diagrams share.
 
     The 2^k diagrams of a structure differ only in their chord signs.  None
-    of the following reads a sign, so each is computed once, on first use,
-    from the endpoint word: mod 2 colorability, the determinant, the warping
+    of the following reads a sign, so each serves them all, computed from the
+    endpoint word when read: mod 2 colorability, the determinant, the warping
     degree, the z^2 pairs at every basepoint, and the chord subsets that can
     add to the Conway table of the diagram and of each smoothing candidate's
-    smoothing.  The methods taking ``lanes`` (:class:`SignLanes`) evaluate
-    the diagrams of all its sign vectors from them at once; ``signs[i]`` is
-    the sign of chord ``i + 1``.  No diagram is built but by :meth:`diagram`.
+    smoothing.  A structure serves one verdict, which reads each at most
+    once, so only the layout is kept.  The methods taking ``lanes``
+    (:class:`SignLanes`) evaluate the diagrams of all its sign vectors from
+    them at once; ``signs[i]`` is the sign of chord ``i + 1``.  No diagram is
+    built but by :meth:`diagram`.
     """
 
     def __init__(self, word):
         self.word = word
         self.chords = tuple(range(1, len(word) // 2 + 1))
+        self.layout = _layout((word,), self.chords)
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -284,26 +283,22 @@ class CensusStructure:
     def diagram(self, signs):
         return make_diagram([self.word], zip(self.chords, signs))
 
-    @cached_property
-    def layout(self):
-        return _layout((self.word,), self.chords)
-
-    @cached_property
+    @property
     def colorable(self):
         """Mod 2 colorability: every chord interleaves an even number of others."""
         return _ends_of_opposite_parity(self.word)
 
-    @cached_property
+    @property
     def determinant(self):
         return _word_determinant((self.word,), self.chords)
 
-    @cached_property
+    @property
     def warping_degree(self):
         """The chords met head-first from the basepoint."""
         tails, heads, _ = self.layout
         return sum([h < t for t, h in zip(tails, heads)])
 
-    @cached_property
+    @property
     def c2_parity(self):
         """The parity of c2, the ascending z^2 pairing at the basepoint.
 
@@ -311,18 +306,18 @@ class CensusStructure:
         """
         return sum([mask.bit_count() for _, mask in _z2_pairs(self.layout)[0]]) % 2
 
-    @cached_property
+    @property
     def z2_pairs(self):
         """The rows of :func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions``
         order, as frozensets: one pair set has one set of rows."""
         return [tuple(map(frozenset, _z2_pairs(shifted))) for shifted in _basepoint_layouts(self.layout)]
 
-    @cached_property
+    @property
     def subsets(self):
         """Each ascending or descending one-component subset with its flags."""
         return _qualifying_subsets(self.layout, len(self.chords))
 
-    @cached_property
+    @property
     def smoothed_subsets(self):
         """:attr:`subsets` of each smoothing candidate's smoothing.
 
@@ -490,12 +485,12 @@ class _Census:
 
     def sweep(self, verdict_fn, config, shard, num_shards):
         """``(passes, failing diagrams)`` of each structure of this shard, in census order."""
-        structures = enumerate_structures(config.max_chords, config.canonical, self.colorable)
+        structures = enumerate_structures(config.max_chords, colorable=self.colorable)
         lanes = None
         for i, (word, vectors) in enumerate(structures):
-            if i % num_shards != shard or not vectors:
+            if i % num_shards != shard:
                 continue
-            if lanes is None or lanes.vectors is not vectors:
+            if lanes is None or lanes.k != len(word) // 2:
                 lanes = SignLanes(vectors, len(word) // 2)
             structure = CensusStructure(word)
             population, failing = verdict_fn(structure, lanes, config)

@@ -1,9 +1,8 @@
-"""The per-chord interleaving tests that came before ``diagram._index_rows``.
+"""Per-chord interleaving tests, the reference for ``index``, ``indices`` and
+``verify._smoothing_candidates``.
 
 Each reads a chord's endpoints through ``tail``/``head`` and compares cyclic
-open arcs, one chord at a time.  They are kept here, unchanged, as the
-reference that ``index``, ``indices``, ``CensusStructure.index_rows`` and
-``verify._smoothing_candidates`` must agree with.
+open arcs, one chord at a time.
 """
 
 

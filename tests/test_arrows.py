@@ -173,6 +173,10 @@ def test_v2_values():
     assert v2(G, 2, certify=True) == 0
     with pytest.raises(PreconditionError):
         v2(parse_gauss_code("O1+O2+U1+U2+"), 2, certify=True)
+    for p in (-1, -2, -3):
+        for certify in (False, True):
+            with pytest.raises(ValueError, match="modulus must be >= 0"):
+                v2(TREFOIL, p, certify=certify)
 
 
 def test_non_numberable_descending_pairing_depends_on_basepoint():

@@ -56,19 +56,19 @@ CENSUS_CHECKS = ["cor-det", "det-asc", "main-theorem", "warp-smooth"]
 
 
 def _population_colorable(config):
-    for diagram in enumerate_all_diagrams(config.max_chords, config.canonical):
+    for diagram in enumerate_all_diagrams(config.max_chords):
         if is_mod_p_numberable(diagram, 2):
             yield diagram
 
 
 def _population_numberable_any(config):
-    for diagram in enumerate_all_diagrams(config.max_chords, config.canonical):
+    for diagram in enumerate_all_diagrams(config.max_chords):
         if any(is_mod_p_numberable(diagram, p) for p in config.moduli):
             yield diagram
 
 
 def _population_all(config):
-    yield from enumerate_all_diagrams(config.max_chords, config.canonical)
+    yield from enumerate_all_diagrams(config.max_chords)
 
 
 def corollary_verdict(diagram, config):
@@ -292,11 +292,10 @@ def test_from_diagram_relabels_chords_by_first_occurrence():
     "config",
     [
         SweepConfig(),
-        SweepConfig(max_chords=3, canonical=True),
         SweepConfig(max_chords=3, moduli=(3, 5)),
         SweepConfig(max_chords=3, moduli=(0,)),
     ],
-    ids=["default", "canonical", "moduli-3-5", "moduli-0"],
+    ids=["default", "moduli-3-5", "moduli-0"],
 )
 def test_reports_match_per_diagram_path(name, config):
     engine = run_check(name, config)

@@ -1,7 +1,7 @@
-"""Differential tests of the interleaving kernel ``diagram._index_rows`` and
-of the parity test of mod 2 numberability.
+"""Differential tests of ``indices``, of the smoothing candidates of the
+census and of the parity test of mod 2 numberability.
 
-The reference for the rows is the per-chord interleaving test they replaced
+The reference for the first two is the per-chord interleaving test
 (``indexref``), which reads each endpoint through ``tail``/``head``; the
 reference for the parity test is the labeling walk of
 ``alexander_numbering``.
@@ -13,7 +13,6 @@ import indexref
 import pytest
 from vknot.diagram import (
     _ends_of_opposite_parity,
-    _index_rows,
     alexander_numbering,
     index,
     indices,
@@ -71,23 +70,8 @@ def test_indices_match_reference_on_seeded_knots():
         _assert_indices_match(_relabeled(G, rng))
 
 
-def test_rows_match_reference_terms():
-    for G in _seeded_knots():
-        tails = [G.tail(c)[1] for c in G.chord_ids()]
-        heads = [G.head(c)[1] for c in G.chord_ids()]
-        position = {c: i for i, c in enumerate(G.chord_ids())}
-        want = [[(position[other], coef) for other, coef in indexref._index_terms(G, c)]
-                for c in G.chord_ids()]
-        assert _index_rows(tails, heads) == want, str(G)
-
-
-def test_structure_rows_and_smoothing_candidates_match_reference():
-    for word, _ in enumerate_structures(4):
-        structure = CensusStructure(word)
-        G = structure.diagram([1] * len(structure.chords))
-        want = [[(other - 1, coef) for other, coef in indexref._index_terms(G, c)] for c in structure.chords]
-        assert _index_rows(*structure.layout[:2]) == want, str(G)
-    for G in [*enumerate_all_diagrams(3), *_seeded_knots()]:
+def test_smoothing_candidates_match_reference():
+    for G in [*enumerate_all_diagrams(4), *_seeded_knots()]:
         got = _smoothing_candidates(G.circles, G.chord_ids())
         assert list(got) == list(indexref._smoothing_candidates(G)), str(G)
 

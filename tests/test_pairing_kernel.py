@@ -15,6 +15,7 @@ import math
 import random
 import sys
 
+import pytest
 from braidutil import braid_closure_gauss_code
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
 from vknot import cli
@@ -34,6 +35,7 @@ from vknot.arrows import (
 )
 from vknot.diagram import basepoint_positions, make_diagram, parse_gauss_code
 from vknot.enumeration import enumerate_all_diagrams, random_knot_diagram, random_link_diagram
+from vknot.errors import UnknownChordError
 from vknot.oracle import conway_polynomial
 
 VARIANTS = ("ascending", "descending")
@@ -143,6 +145,8 @@ def test_required_chord_tables_match_reference():
         for chord in G.chord_ids():
             assert conway_pairing_table(G, required_chord=chord) == reference_table(G, chord), (
                 str(G), chord)
+    with pytest.raises(UnknownChordError):
+        conway_pairing_table(parse_gauss_code("O1+U2+O3+U1+O2+U3+"), required_chord=9)
 
 
 def test_larger_tables_match_reference():
@@ -206,11 +210,11 @@ def _assert_walk_matches_mask_walk(G, max_sizes):
     layout, _ = _endpoints(G)
     ids = G.chord_ids()
     for max_size in max_sizes:
+        walk = _qualifying_subsets(layout, max_size)
+        mask = list(mask_qualifying_subsets(layout, range(max_size + 1)))
+        assert sorted((tuple(sorted(s)), a, d) for s, a, d in walk) == _counting(mask), (str(G), max_size)
         for required in (None, *range(len(ids))):
-            walk = _qualifying_subsets(layout, max_size, required)
             mask = list(mask_qualifying_subsets(layout, range(max_size + 1), required))
-            assert sorted((tuple(sorted(s)), a, d) for s, a, d in walk) == _counting(mask), (
-                str(G), max_size, required)
             chord = None if required is None else ids[required]
             named = [(tuple(ids[i] for i in s), a, d) for s, a, d in mask]
             assert conway_pairing_table(G, chord, max_size) == _signed_table(G, named), (
@@ -304,8 +308,7 @@ def _kinked(rng, G):
 
 
 def test_walk_matches_mask_walk_at_small_bounds():
-    # A full subset scans only its own endpoints and a branch that cannot
-    # still take the required chord is dropped; kinks never enter a walk.
+    # A full subset scans only its own endpoints; kinks never enter a walk.
     rng = random.Random(97)
     diagrams = [random_knot_diagram(rng.randint(5, 10), rng) for _ in range(5)]
     diagrams += [random_link_diagram(rng.randint(3, 8), rng) for _ in range(5)]

@@ -15,7 +15,7 @@ import random
 
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from vknot import verify
-from vknot.arrows import _crossing_change_subsets, _crossing_change_tables, _endpoints, conway_pairing_table
+from vknot.arrows import _crossing_change_subsets, _endpoints, _pairing_sums, conway_pairing_table
 from vknot.diagram import BasedGaussDiagram, _smoothed_words, crossing_change, serialize_gauss_code, smooth
 from vknot.enumeration import (
     connecting_chords,
@@ -57,10 +57,14 @@ def reference_skein_verdict(diagram, config, smoothing=smooth):
 
 
 def _assert_shared_walk_matches(G, chords):
-    tables = _crossing_change_tables(G)
-    assert set(tables) == set(G.chord_ids()), str(G)
+    layout, signs = _endpoints(G)
+    same, switched = _crossing_change_subsets(layout)
+    assert len(same) == len(switched) == G.num_chords, str(G)
     for chord in chords:
-        for shared, diagram in zip(tables[chord], (G, crossing_change(G, chord))):
+        i = G.chord_ids().index(chord)
+        switched_signs = signs[:i] + [-signs[i]] + signs[i + 1:]
+        tables = (_pairing_sums(same[i], signs), _pairing_sums(switched[i], switched_signs))
+        for shared, diagram in zip(tables, (G, crossing_change(G, chord))):
             assert shared == reference_table(diagram, required_chord=chord), (str(G), chord)
 
 
