@@ -15,13 +15,14 @@ reproduces the failure.
 from __future__ import annotations
 
 import functools
-import itertools
+import heapq
 import json
 import math
+import multiprocessing
 import operator
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import asdict, dataclass
 
 from .arrows import (
@@ -484,7 +485,7 @@ class _Census:
         self.links = links
 
     def sweep(self, verdict_fn, config, shard, num_shards):
-        """``(passes, failing diagrams)`` of each structure of this shard, in census order."""
+        """``(index, passes, failing diagrams)`` of each structure of this shard, in census order."""
         structures = enumerate_structures(config.max_chords, colorable=self.colorable)
         lanes = None
         for i, (word, vectors) in enumerate(structures):
@@ -494,7 +495,7 @@ class _Census:
                 lanes = SignLanes(vectors, len(word) // 2)
             structure = CensusStructure(word)
             population, failing = verdict_fn(structure, lanes, config)
-            yield (population.bit_count() - failing.bit_count(),
+            yield (i, population.bit_count() - failing.bit_count(),
                    [structure.diagram(vectors[v]) for v in lanes.selected(failing)])
 
     def recheck(self, name, verdict_fn, diagram, config):
@@ -517,7 +518,7 @@ class _Diagrams:
     def sweep(self, verdict_fn, config, shard, num_shards):
         for i, diagram in enumerate(self.population(config)):
             if i % num_shards == shard:
-                yield (1, []) if verdict_fn(diagram, config) else (0, [diagram])
+                yield (i, 1, []) if verdict_fn(diagram, config) else (i, 0, [diagram])
 
     def recheck(self, name, verdict_fn, diagram, config):
         return verdict_fn(diagram, config)
@@ -534,16 +535,70 @@ CHECKS = {
 }
 
 
-def _run_shard(args):
-    name, config, shard, num_shards = args
+def _run_shard(name, config, shard, num_shards):
+    """``(passes, failures, counterexamples)`` of one shard, each counterexample
+    ``(index, code)`` with the index of its structure or sample in the population."""
     population, verdict_fn = CHECKS[name]
     passes = failures = 0
     counterexamples = []
-    for passed, failed in population.sweep(verdict_fn, config, shard, num_shards):
+    for index, passed, failed in population.sweep(verdict_fn, config, shard, num_shards):
         passes += passed
         failures += len(failed)
-        counterexamples += [serialize_gauss_code(diagram) for diagram in failed]
+        counterexamples += [(index, serialize_gauss_code(diagram)) for diagram in failed]
     return passes, failures, counterexamples
+
+
+def _send_shard(conn, name, config, shard, num_shards):
+    """Run :func:`_run_shard` in a child process and send its result, or the exception it raised
+    with the child's traceback as a note (a traceback does not pickle)."""
+    try:
+        part = _run_shard(name, config, shard, num_shards)
+    except Exception as exc:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), "raised in shard %d: %s" % (shard, traceback.format_exc())]
+        part = exc
+    conn.send(part)
+    conn.close()
+
+
+def _run_shards(name, config):
+    """The parts of every shard: this process sweeps shard 0 and one child process each other shard.
+
+    A child sends its part over a one-way pipe, whose send end this process
+    closes once the child has started, so a child that exits without
+    reporting ends the read rather than hanging it.  A part is read before its
+    child is joined, as a long counterexample list can fill the pipe.  Every
+    child is joined before this returns or raises, and terminated first if it
+    raises.
+    """
+    num_shards = config.workers
+    children = []
+    try:
+        for shard in range(1, num_shards):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_shard, args=(sender, name, config, shard, num_shards))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        parts = [_run_shard(name, config, 0, num_shards)]
+        for shard, (child, receiver) in enumerate(children, 1):
+            try:
+                part = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError("shard %d of the %s check exited with code %s before it reported"
+                                   % (shard, name, child.exitcode)) from None
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+        return parts
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
 
 
 def _require_checks(names):
@@ -553,19 +608,21 @@ def _require_checks(names):
 
 
 def run_check(name, config=None):
+    """Sweep check ``name``; with ``config.workers > 1`` the sweep runs in that many
+    processes, this one included, and reports what the serial sweep does."""
     _require_checks([name])
     if config is None:
         config = SweepConfig()
     start = time.monotonic()
     if config.workers > 1:
-        shards = [(name, config, s, config.workers) for s in range(config.workers)]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_run_shard, shards))
+        parts = _run_shards(name, config)
     else:
-        parts = [_run_shard((name, config, 0, 1))]
+        parts = [_run_shard(name, config, 0, 1)]
     passes = sum(p for p, _, _ in parts)
     failures = sum(f for _, f, _ in parts)
-    counterexamples = tuple(itertools.chain.from_iterable(c for _, _, c in parts))
+    # each index is one shard's, and a shard lists its own in increasing order
+    merged = heapq.merge(*(c for _, _, c in parts), key=operator.itemgetter(0))
+    counterexamples = tuple(code for _, code in merged)
     elapsed = int((time.monotonic() - start) * 1000)
     return CheckReport(
         check=name,

@@ -8,11 +8,15 @@ forms became their only implementation.  A sweep of a reference verdict
 over its population must report exactly what ``run_check`` reports.
 """
 
+import contextlib
 import functools
 import json
 import math
+import multiprocessing
 import operator
+import os
 import random
+import signal
 
 import pytest
 from braidutil import braid_closure_gauss_code
@@ -50,6 +54,11 @@ from vknot.verify import (
 )
 
 CENSUS_CHECKS = ["cor-det", "det-asc", "main-theorem", "warp-smooth"]
+
+# A sweep's child processes see a monkeypatched CHECKS only when forked from this one.
+FORKED_CHILDREN = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="child processes do not inherit a patched CHECKS"
+)
 
 
 # -- the per-diagram reference -------------------------------------------------
@@ -311,16 +320,22 @@ def test_cli_modulus_zero_compares_exactly(capsys, name):
     assert report["population"] > 0 and report["failures"] == 0
 
 
-@pytest.mark.parametrize("name", CENSUS_CHECKS)
-def test_workers_match_serial(name):
-    serial = run_check(name, SweepConfig(max_chords=3))
-    parallel = run_check(name, SweepConfig(max_chords=3, workers=2))
+@pytest.mark.parametrize(
+    "name, workers",
+    [pytest.param(name, workers, id=name if workers == 2 else "%s-%d-workers" % (name, workers))
+     for workers in (2, 3) for name in [*CENSUS_CHECKS, "skein"]],
+)
+def test_workers_match_serial(name, workers):
+    config = SweepConfig(max_chords=3, samples=200)
+    serial = run_check(name, config)
+    parallel = run_check(name, SweepConfig(max_chords=3, samples=200, workers=workers))
     assert _fields(parallel) == _fields(serial)
 
 
-def test_failing_structure_verdict_reports_per_diagram_order(monkeypatch):
-    # A deliberately failing check in both forms: colorable diagrams fail
-    # when their sign product is -1 or their warping degree is odd.
+def _bad_check():
+    """A deliberately failing check in both forms, ``(census check, per-diagram verdict)``:
+    colorable diagrams fail when their sign product is -1 or their warping degree is odd."""
+
     def verdict(diagram, config):
         return math.prod(s for _, s in diagram.signs) > 0 and warping_degree(diagram) % 2 == 0
 
@@ -332,13 +347,84 @@ def test_failing_structure_verdict_reports_per_diagram_order(monkeypatch):
         # the sign product is -1 in the lanes of the XOR of all planes
         return lanes.ones, functools.reduce(operator.xor, lanes.planes, 0)
 
+    return (_Census(), census), verdict
+
+
+def test_failing_structure_verdict_reports_per_diagram_order(monkeypatch):
+    check, verdict = _bad_check()
     config = SweepConfig(max_chords=3)
-    monkeypatch.setitem(CHECKS, "bad", (_Census(), census))
+    monkeypatch.setitem(CHECKS, "bad", check)
     engine = run_check("bad", config)
     assert engine.failures > 0 and engine.passes > 0
     assert _fields(engine) == _reference_fields("bad", _population_colorable, verdict, config)
     for code in engine.counterexamples:
         assert recheck("bad", code, config) is False
+
+
+class Hung(Exception):
+    """Not an OSError, which a wait for a child process would swallow."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise :class:`Hung` in this process if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise Hung("still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@FORKED_CHILDREN
+@pytest.mark.parametrize("workers", [2, 3])
+def test_failing_check_in_parallel_matches_serial(monkeypatch, workers):
+    # At <= 4 chords a shard's 1,600-2,500 counterexamples outgrow a pipe's buffer.
+    check, _ = _bad_check()
+    monkeypatch.setitem(CHECKS, "bad", check)
+    serial = run_check("bad", SweepConfig(max_chords=4))
+    with _deadline(60):
+        parallel = run_check("bad", SweepConfig(max_chords=4, workers=workers))
+    assert serial.failures > 0
+    assert _fields(parallel) == _fields(serial)
+
+
+# what run_check raises when a verdict fails in one shard of a 2-process sweep
+SHARD_FAULTS = {
+    "child-raises": (ValueError, "verdict failed"),
+    "parent-raises": (ValueError, "verdict failed"),
+    "child-exits": (RuntimeError, "shard 1 of the cor-det check exited with code 3"),
+}
+
+
+@FORKED_CHILDREN
+@pytest.mark.parametrize("fault", SHARD_FAULTS)
+def test_failing_shard_raises_and_leaves_no_child(monkeypatch, fault):
+    error, message = SHARD_FAULTS[fault]
+    population, census = CHECKS["cor-det"]
+    parent = os.getpid()
+
+    def faulty(structure, lanes, config):
+        in_child = os.getpid() != parent
+        if in_child and fault == "child-exits":
+            os._exit(3)
+        if fault == ("child-raises" if in_child else "parent-raises"):
+            raise ValueError("verdict failed")
+        return census(structure, lanes, config)
+
+    monkeypatch.setitem(CHECKS, "cor-det", (population, faulty))
+    with _deadline(60), pytest.raises(error, match=message) as raised:
+        run_check("cor-det", SweepConfig(max_chords=3, workers=2))
+    assert multiprocessing.active_children() == []
+    if fault == "child-raises":
+        # the child's traceback comes along as a note
+        (note,) = raised.value.__notes__
+        assert note.startswith("raised in shard 1:") and "in faulty" in note
 
 
 def test_recheck_runs_the_structure_form(monkeypatch):
