@@ -16,7 +16,7 @@ from importlib import resources
 from .arrows import conway_pairing
 from .determinant import determinant
 from .diagram import is_mod_p_numberable, parse_gauss_code, warping_degree
-from .errors import NotCheckerboardColorable, VknotError
+from .errors import NotCheckerboardColorable, PreconditionError, VknotError
 
 
 class CatalogError(VknotError, ValueError):
@@ -122,7 +122,8 @@ def find_entry(name, entries=None):
 
 
 def verify_entry(entry):
-    """Re-derive an entry's expected values; returns mismatch messages."""
+    """Re-derive an entry's expected values; returns mismatch messages, and one for each value
+    that cannot be re-derived (a refused determinant, a knot invariant expected of a link)."""
     diagram = entry.diagram()
     problems = []
 
@@ -134,6 +135,12 @@ def verify_entry(entry):
                 % (entry.name, key, want, actual, entry.provenance)
             )
 
+    def refuse(key, reason):
+        problems.append(
+            "%s: %s expected %r but %s (source: %s)"
+            % (entry.name, key, entry.expect(key), reason, entry.provenance)
+        )
+
     for p, key in ((0, "colorable_p0"), (2, "colorable_p2"), (3, "colorable_p3")):
         check(key, is_mod_p_numberable(diagram, p))
     if diagram.num_circles == 1:
@@ -141,12 +148,15 @@ def verify_entry(entry):
         check("c2", c2)
         check("v2_mod2", c2 % 2)
         check("warp", warping_degree(diagram))
+    else:
+        for key in ("c2", "v2_mod2", "warp"):
+            if entry.expect(key) is not None:
+                refuse(key, "it is defined for one-circle codes only")
     if entry.expect("det") is not None:
         try:
             check("det", determinant(diagram))
         except NotCheckerboardColorable:
-            problems.append(
-                "%s: det expected %r but diagram is not colorable (source: %s)"
-                % (entry.name, entry.expect("det"), entry.provenance)
-            )
+            refuse("det", "diagram is not colorable")
+        except PreconditionError as exc:
+            refuse("det", "the determinant is refused: %s" % exc)
     return problems

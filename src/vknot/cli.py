@@ -16,6 +16,7 @@ from .arrows import conway_pairing_table, conway_sets, table_polynomials
 from .catalog import builtin_catalog, find_entry, load_catalog
 from .determinant import determinant
 from .diagram import (
+    _indices_vanish,
     indices,
     is_mod_p_numberable,
     parse_gauss_code,
@@ -24,7 +25,7 @@ from .diagram import (
 )
 from .enumeration import enumerate_diagrams
 from .errors import GaussCodeError, PreconditionError, VknotError
-from .verify import CHECKS, SweepConfig, reports_to_json, run_checks
+from .verify import CHECKS, SweepConfig, _mod8_residues, reports_to_json, run_checks
 
 
 def modulus(text):
@@ -82,10 +83,6 @@ def _build_parser():
     return parser
 
 
-def _mod8_class(v2_mod2):
-    return "+-1 mod 8" if v2_mod2 == 0 else "+-3 mod 8"
-
-
 def _cmd_invariants(args):
     entries = builtin_catalog()
     if args.catalog:
@@ -106,7 +103,6 @@ def _cmd_invariants(args):
     is_knot = diagram.num_circles == 1
     if is_knot:
         chord_indices = indices(diagram)
-        values = chord_indices.values()
         out["indices"] = {str(c): value for c, value in chord_indices.items()}
         out["warping_degree"] = warping_degree(diagram)
         table = conway_pairing_table(diagram, max_degree=max(degree, 2))
@@ -114,10 +110,7 @@ def _cmd_invariants(args):
         out["ascending"] = list(ascending.coeffs)
         out["descending"] = list(descending.coeffs)
         out["c2"] = table.get(2, (0, 0))[0]
-        # a knot is mod p numberable iff every index is 0 mod p (the index criterion)
-        out["colorable"] = {
-            str(p): all(v % p == 0 for v in values) if p else not any(values) for p in moduli
-        }
+        out["colorable"] = {str(p): _indices_vanish(chord_indices.values(), p) for p in moduli}
         out["v2"] = {
             str(p): (out["c2"] % p if p else out["c2"]) if out["colorable"][str(p)] else None
             for p in moduli
@@ -130,9 +123,9 @@ def _cmd_invariants(args):
         out["determinant"] = None
         refusals.append("determinant refused: %s" % exc)
     if is_knot and out["determinant"] is not None:
-        v2_mod2 = out["c2"] % 2
-        out["mod8_class"] = _mod8_class(v2_mod2)
-        out["mod8_consistent"] = out["determinant"] % 8 in ({1, 7} if v2_mod2 == 0 else {3, 5})
+        residues = _mod8_residues(out["c2"])
+        out["mod8_class"] = "+-%d mod 8" % min(residues)
+        out["mod8_consistent"] = out["determinant"] % 8 in residues
     out["refusals"] = refusals
 
     if args.json:

@@ -18,10 +18,6 @@ from dataclasses import dataclass, field
 
 from .errors import GaussCodeError, PreconditionError, UnknownChordError
 
-# An endpoint slot holds (chord id, is_head); is_head is True on the
-# under-passage side of the chord.
-Endpoint = tuple  # (int, bool)
-
 _TOKEN = re.compile(r"(\*?)([OU])(\d+)([+-])")
 
 
@@ -210,23 +206,49 @@ def _layout(circles, chords):
     return [tails[c] for c in chords], [heads[c] for c in chords], bounds
 
 
-def indices(diagram):
-    """``{chord: index(diagram, chord)}`` for every chord, from the labels :func:`alexander_numbering` walks.
+def _interleavings(word, planes, ones):
+    """``(chord, head_first, m, negatives)`` for each chord of the one-circle ``word`` with
+    endpoints strictly between its ends ``lo < hi``, in the order of ``hi``.
 
-    The labels of :func:`_walk_increments` jump across a chord with ends
-    ``lo < hi`` by ``w[hi] - w[lo + 1]``: a chord wholly between them adds
-    ``s - s``, and one interleaved with it ``-s`` at its tail or ``+s`` at
-    its head.  That is the chord's signed count with the arc from head to
-    tail taken outside; when the head comes first the arc is inside, which
-    negates it.
+    Up to sign, the chord's index sums ``s_j`` over the tails and ``-s_j``
+    over the heads of the ``m = hi - lo - 1`` endpoints between its ends (a
+    chord wholly inside adds ``s_j - s_j``): ``m - 2 * negatives`` for the
+    ``negatives`` terms that are -1.  One prefix sum along the word gives
+    every count, a tail of chord ``j`` adding ``planes[j]`` and a head
+    ``ones ^ planes[j]``.  On the lanes of :class:`~vknot.verify.SignLanes`
+    each count is per lane, and at most the chord count; with planes 0 and 1
+    for the positive and negative chords and ``ones = 1`` it is one number.
+    """
+    prefix, opened = [0], {}
+    for hi, (chord, is_head) in enumerate(word):
+        lo = opened.setdefault(chord, hi)
+        if hi > lo + 1:
+            yield chord, not is_head, hi - lo - 1, prefix[hi] - prefix[lo + 1]
+        prefix.append(prefix[-1] + (ones ^ planes[chord] if is_head else planes[chord]))
+
+
+def _indices_vanish(values, p):
+    """The index criterion: a knot is mod ``p`` numberable iff each of its chord indices
+    ``values`` is 0 mod ``p`` (exactly 0 when ``p = 0``)."""
+    if p < 0:
+        raise ValueError("modulus must be >= 0")
+    return all(v % p == 0 for v in values) if p else not any(values)
+
+
+def indices(diagram):
+    """``{chord: index(diagram, chord)}`` for every chord, from :func:`_interleavings`.
+
+    A chord's sign times ``m - 2 * negatives`` is its signed count when the
+    arc from its head to its tail lies between its ends; when the tail comes
+    first that arc runs outside, which negates it.
     """
     _require_knot(diagram, "index")
-    (w,), _ = _walk_increments(diagram)
-    tails, heads, _ = _layout(diagram.circles, diagram.chord_ids())
-    return {
-        chord: sign * (w[max(t, h)] - w[min(t, h) + 1]) * (-1 if h < t else 1)
-        for (chord, sign), t, h in zip(diagram.signs, tails, heads)
-    }
+    sign = diagram._sign_map
+    out = dict.fromkeys(diagram.chord_ids(), 0)
+    planes = {chord: int(s < 0) for chord, s in diagram.signs}
+    for chord, head_first, m, negatives in _interleavings(diagram.circles[0], planes, 1):
+        out[chord] = sign[chord] * (m - 2 * negatives) * (1 if head_first else -1)
+    return out
 
 
 def index(diagram, chord, flip=False):
@@ -266,15 +288,16 @@ def is_mod_p_numberable(diagram, p):
     """True iff the diagram admits a mod ``p`` Alexander numbering.
 
     ``p = 0`` asks for an integer numbering and ``p = 2`` is checkerboard
-    colorability.  On a knot this is the index criterion (every chord has
-    index congruent to 0 mod ``p``); mod 2 it is read from the parity of
-    each chord's endpoint positions (:func:`_ends_of_opposite_parity`).
-    Other moduli and links run the labeling walk of
-    :func:`alexander_numbering`.
+    colorability.  On a knot this is the index criterion
+    (:func:`_indices_vanish`); mod 2 it is read from the parity of each
+    chord's endpoint positions (:func:`_ends_of_opposite_parity`).  Links
+    run the labeling walk of :func:`alexander_numbering`.
     """
-    if p == 2 and diagram.num_circles == 1:
+    if diagram.num_circles != 1:
+        return alexander_numbering(diagram, p) is not None
+    if p == 2:
         return _ends_of_opposite_parity(diagram.circles[0])
-    return alexander_numbering(diagram, p) is not None
+    return _indices_vanish(indices(diagram).values(), p)
 
 
 @dataclass(frozen=True)

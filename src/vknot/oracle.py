@@ -29,21 +29,11 @@ def _first_ascending_violation(diagram):
     return None
 
 
-def conway_polynomial(diagram, _cache=None):
+def conway_polynomial(diagram):
     """Conway polynomial of a classical (planar-realizable) Gauss code."""
-    if _cache is None:
-        _cache = {}
-    key = (diagram.circles, diagram.signs)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
     bad = _first_ascending_violation(diagram)
     if bad is None:
-        result = ONE if diagram.num_circles == 1 else ZERO
-    else:
-        eps = diagram.sign(bad)
-        switched = conway_polynomial(crossing_change(diagram, bad), _cache)
-        smoothed = conway_polynomial(smooth(diagram, bad), _cache)
-        result = switched + smoothed.scaled(eps, shift=1)
-    _cache[key] = result
-    return result
+        return ONE if diagram.num_circles == 1 else ZERO
+    switched = conway_polynomial(crossing_change(diagram, bad))
+    smoothed = conway_polynomial(smooth(diagram, bad))
+    return switched + smoothed.scaled(diagram.sign(bad), shift=1)

@@ -37,6 +37,7 @@ from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
     _first_occurrence,
+    _interleavings,
     _layout,
     _require_knot,
     _smoothed_words,
@@ -256,8 +257,9 @@ class CensusStructure:
     endpoint word when read: mod 2 colorability, the determinant, the warping
     degree, the z^2 pairs at every basepoint, and the chord subsets that can
     add to the Conway table of the diagram and of each smoothing candidate's
-    smoothing.  A structure serves one verdict, which reads each at most
-    once, so only the layout is kept.  The methods taking ``lanes``
+    smoothing (walked by :meth:`table` and :meth:`smoothed_tables`).  A
+    structure serves one verdict, which reads each at most once, so only the
+    layout is kept.  The methods taking ``lanes``
     (:class:`SignLanes`) evaluate the diagrams of all its sign vectors from
     them at once; ``signs[i]`` is the sign of chord ``i + 1``.  No diagram is
     built but by :meth:`diagram`.
@@ -313,66 +315,37 @@ class CensusStructure:
         order, as frozensets: one pair set has one set of rows."""
         return [tuple(map(frozenset, _z2_pairs(shifted))) for shifted in _basepoint_layouts(self.layout)]
 
-    @property
-    def subsets(self):
-        """Each ascending or descending one-component subset with its flags."""
-        return _qualifying_subsets(self.layout, len(self.chords))
-
-    @property
-    def smoothed_subsets(self):
-        """:attr:`subsets` of each smoothing candidate's smoothing.
-
-        Subsets hold this structure's chord indices, so ``signs`` applies.
-        """
-        out = []
-        for alpha in _smoothing_candidates((self.word,), self.chords):
-            layout = _smoothed_layout((self.word,), self.chords, alpha - 1)
-            # the smoothing's chord index i is this structure's i, or i + 1 from alpha's place on
-            out.append([
-                (tuple(i + (i >= alpha - 1) for i in subset), asc, des)
-                for subset, asc, des in _qualifying_subsets(layout, len(self.chords) - 1)
-            ])
-        return out
-
     def numberable(self, lanes, moduli):
         """Per modulus ``p`` of ``moduli``, the lanes whose diagram is mod ``p`` numberable.
 
-        The index criterion asks each chord's index to be 0 mod ``p``.  Up to
-        sign, the index of a chord with ends ``lo < hi`` sums ``s_j`` over the
-        tails and ``-s_j`` over the heads strictly between them (a chord
-        wholly inside adds ``s_j - s_j``), so it is ``m - 2 * negatives`` for
-        those ``m = hi - lo - 1`` terms, ``negatives`` of them -1.  That count
-        is a difference of prefix sums along the word, where a tail of chord
-        ``j`` adds ``planes[j]`` and a head its complement: at most 1 per
-        chord in each lane, so no prefix exceeds ``k``.
+        The index criterion asks each chord's index ``m - 2 * negatives``
+        (:func:`_interleavings`, read on the sign lanes) to be 0 mod ``p``.
         """
         if any(p < 0 for p in moduli):
             raise ValueError("modulus must be >= 0")
-        ones, planes = lanes.ones, lanes.planes
-        prefix, opened, arcs = [0], {}, []
-        for hi, (chord, is_head) in enumerate(self.word):
-            lo = opened.setdefault(chord, hi)
-            if hi > lo + 1:
-                arcs.append((lo, hi))
-            plane = planes[chord - 1]
-            prefix.append(prefix[-1] + (ones ^ plane if is_head else plane))
-        found = [ones] * len(moduli)
-        for lo, hi in arcs:
+        found = [lanes.ones] * len(moduli)
+        for _, _, m, negatives in _interleavings(self.word, dict(zip(self.chords, lanes.planes)), lanes.ones):
             if not any(found):
                 break
-            m = hi - lo - 1
-            negatives = prefix[hi] - prefix[lo + 1]
             found = [lanes.twice_congruent(negatives, m, p, m) & lanes_p if lanes_p else 0
                      for p, lanes_p in zip(moduli, found)]
         return found
 
     def table(self, lanes):
         """``conway_pairing_table`` in every lane, as :func:`_table_lanes`."""
-        return _table_lanes(self.subsets, lanes)
+        return _table_lanes(_qualifying_subsets(self.layout, len(self.chords)), lanes)
 
     def smoothed_tables(self, lanes):
-        """:meth:`table` of each candidate's smoothing (``_smoothing_candidates`` order)."""
-        return [_table_lanes(subsets, lanes) for subsets in self.smoothed_subsets]
+        """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""
+        out = []
+        for alpha in _smoothing_candidates((self.word,), self.chords):
+            layout = _smoothed_layout((self.word,), self.chords, alpha - 1)
+            # the smoothing's chord index i is this structure's i, or i + 1 from alpha's place on,
+            # so the subsets hold this structure's chord indices and its lanes apply
+            subsets = [(tuple(i + (i >= alpha - 1) for i in subset), asc, des)
+                       for subset, asc, des in _qualifying_subsets(layout, len(self.chords) - 1)]
+            out.append(_table_lanes(subsets, lanes))
+        return out
 
 
 # -- the exhaustive checks -----------------------------------------------------
@@ -382,12 +355,17 @@ class CensusStructure:
 # check's population, and those of them that fail it.
 
 
+def _mod8_residues(c2):
+    """The residues mod 8 the corollary allows the determinant of a colorable knot whose
+    z^2 pairing is ``c2``: det = +-(1 + 4 v2) mod 8 reads only the parity of ``c2``."""
+    return {1, 7} if c2 % 2 == 0 else {3, 5}
+
+
 def _corollary_census(structure, lanes, config):
     """det == +-(1 + 4 v2) mod 8 on a checkerboard colorable knot diagram."""
     if not structure.colorable:
         return 0, 0
-    allowed = {1, 7} if structure.c2_parity == 0 else {3, 5}
-    return lanes.ones, 0 if structure.determinant % 8 in allowed else lanes.ones
+    return lanes.ones, 0 if structure.determinant % 8 in _mod8_residues(structure.c2_parity) else lanes.ones
 
 
 def _det_vs_ascending_census(structure, lanes, config):
@@ -560,8 +538,9 @@ def _send_shard(conn, name, config, shard, num_shards):
     conn.close()
 
 
-def _run_shards(name, config):
-    """The parts of every shard: this process sweeps shard 0 and one child process each other shard.
+def _run_shards(name, config, num_shards):
+    """The parts of ``num_shards`` shards: this process sweeps shard 0 and one child process
+    each other shard, so one shard starts no process.
 
     A child sends its part over a one-way pipe, whose send end this process
     closes once the child has started, so a child that exits without
@@ -570,7 +549,6 @@ def _run_shards(name, config):
     child is joined before this returns or raises, and terminated first if it
     raises.
     """
-    num_shards = config.workers
     children = []
     try:
         for shard in range(1, num_shards):
@@ -608,16 +586,13 @@ def _require_checks(names):
 
 
 def run_check(name, config=None):
-    """Sweep check ``name``; with ``config.workers > 1`` the sweep runs in that many
-    processes, this one included, and reports what the serial sweep does."""
+    """Sweep check ``name`` in ``config.workers`` processes, this one included (0 is serial,
+    as 1 is); the report is the serial sweep's but for ``elapsed_ms``."""
     _require_checks([name])
     if config is None:
         config = SweepConfig()
     start = time.monotonic()
-    if config.workers > 1:
-        parts = _run_shards(name, config)
-    else:
-        parts = [_run_shard(name, config, 0, 1)]
+    parts = _run_shards(name, config, max(1, config.workers))
     passes = sum(p for p, _, _ in parts)
     failures = sum(f for _, f, _ in parts)
     # each index is one shard's, and a shard lists its own in increasing order

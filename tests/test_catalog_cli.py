@@ -14,6 +14,7 @@ from vknot.catalog import (
     CatalogError,
     builtin_catalog,
     find_entry,
+    load_catalog,
     loads_catalog,
     verify_entry,
 )
@@ -55,6 +56,22 @@ def test_mismatch_reports_provenance():
     problems = verify_entry(entries[0])
     assert len(problems) == 1
     assert "made-up" in problems[0] and "det" in problems[0]
+    # an expected value the code cannot have is reported, never raised or skipped
+    entries = loads_catalog(
+        "vt\tO1+O2+U1+U2+\tdet=1,source=made-up\n"
+        "split\tO1+O2+;U1+U2+\tdet=1,source=made-up\n"
+        "hopf\tO1+U2+;O2+U1+\tc2=7,warp=3,v2_mod2=1,source=made-up\n"
+    )
+    expected = {
+        "vt": (["det"], "diagram is not colorable"),
+        "split": (["det"], "component 0 has no under-passage"),
+        "hopf": (["c2", "v2_mod2", "warp"], "one-circle codes only"),
+    }
+    for entry in entries:
+        keys, fragment = expected[entry.name]
+        problems = verify_entry(entry)
+        assert [problem.split(" expected ")[0] for problem in problems] == [entry.name + ": " + key for key in keys]
+        assert all(fragment in problem and "made-up" in problem for problem in problems), problems
 
 
 @pytest.mark.parametrize(
@@ -66,6 +83,7 @@ def test_mismatch_reports_provenance():
         ("x\tO1+U1+\tdet=1\nx\tO1+U1+\tdet=1\n", "duplicate"),
         ("justaname\n", "expected name"),
         ("x\tO1+U1+\tcolorable_p2=maybe\n", "true/false"),
+        ("x\tO1+U1+\tdet3\n", "bad key=value"),
     ],
 )
 def test_catalog_errors_carry_line_numbers(text, fragment):
@@ -77,8 +95,12 @@ def test_catalog_errors_carry_line_numbers(text, fragment):
 
 def test_external_catalog_file(tmp_path):
     path = tmp_path / "mine.txt"
-    path.write_text("myknot\tO1+U2+O3+U1+O2+U3+\tdet=3,source=local\n")
+    path.write_text("myknot\tO1+U2+O3+U1+O2+U3+\tdet=3,source=local\nplain\tO1+U1+\n")
     assert main(["invariants", "myknot", "--catalog", str(path)]) == 0
+    # a line of two fields names a code and expects nothing
+    entries = load_catalog(path)
+    assert [(e.name, e.expected) for e in entries] == [("myknot", (("det", 3), ("source", "local"))), ("plain", ())]
+    assert main(["invariants", "plain", "--catalog", str(path)]) == 0
 
 
 def test_repeated_main_calls_do_not_leak_state(capsys, tmp_path):

@@ -323,7 +323,7 @@ def test_cli_modulus_zero_compares_exactly(capsys, name):
 @pytest.mark.parametrize(
     "name, workers",
     [pytest.param(name, workers, id=name if workers == 2 else "%s-%d-workers" % (name, workers))
-     for workers in (2, 3) for name in [*CENSUS_CHECKS, "skein"]],
+     for workers in (0, 2, 3) for name in [*CENSUS_CHECKS, "skein"]],
 )
 def test_workers_match_serial(name, workers):
     config = SweepConfig(max_chords=3, samples=200)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from braidutil import random_knot_braids
 
 from vknot.diagram import (
     BasedGaussDiagram,
@@ -18,7 +19,7 @@ from vknot.diagram import (
     smooth,
     warping_degree,
 )
-from vknot.enumeration import _random_chords, enumerate_all_diagrams, random_link_diagram
+from vknot.enumeration import _random_chords, enumerate_all_diagrams, random_knot_diagram, random_link_diagram
 from vknot.errors import GaussCodeError, PreconditionError, UnknownChordError
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -133,15 +134,20 @@ def test_numberability_examples():
 
 
 def test_numbering_matches_numberability():
-    # the constructive labeling succeeds exactly when the index test says so
-    for G in enumerate_all_diagrams(4):
-        indices = [index(G, c) for c in G.chord_ids()]
-        for p in (0, 2, 3, 4):
-            numbering = alexander_numbering(G, p)
-            index_test = all(i == 0 if p == 0 else i % p == 0 for i in indices)
-            assert (numbering is not None) == is_mod_p_numberable(G, p) == index_test
-            if numbering is not None:
-                assert numbering_is_valid(G, numbering)
+    # the constructive labeling succeeds exactly when the index test says so;
+    # random knots and braid closures with up to 20 chords carry large indices
+    rng = random.Random(20)
+    larger = [random_knot_diagram(rng.randint(1, 20), rng) for _ in range(200)]
+    larger += [parse_gauss_code(code) for code in random_knot_braids(rng, 100, max_crossings=20)]
+    for diagrams, moduli in ((enumerate_all_diagrams(4), (0, 2, 3, 4)), (larger, range(6))):
+        for G in diagrams:
+            indices = [index(G, c) for c in G.chord_ids()]
+            for p in moduli:
+                numbering = alexander_numbering(G, p)
+                index_test = all(i == 0 if p == 0 else i % p == 0 for i in indices)
+                assert (numbering is not None) == is_mod_p_numberable(G, p) == index_test, (str(G), p)
+                if numbering is not None:
+                    assert numbering_is_valid(G, numbering)
 
 
 def test_numbering_unknot_and_failure():
