@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagram import _first_occurrence, make_diagram
+from .diagram import _first_occurrence, _require_knot, make_diagram
 
 
 def raw_diagram_count(k):
@@ -45,83 +45,85 @@ def _words(k, colorable=False):
             yield tuple(slots)
 
 
-def _signed_structures(k, canonical, colorable=False):
-    """``(word, sign_vectors)`` of each structure with ``k`` chords, in census order."""
-    vectors = list(itertools.product((1, -1), repeat=k))
-    seen = set()
-    for word in _words(k, colorable):
-        if not canonical:
-            yield word, vectors
-            continue
-        rotations = _rotations(word)
-        kept = []
-        for signs in vectors:
-            key = _rotation_key(rotations, dict(zip(range(1, k + 1), signs)))
-            if key not in seen:
-                seen.add(key)
-                kept.append(signs)
-        yield word, kept
+def _census_key(word):
+    """The order :func:`_words` emits one-circle words in: each chord's partner slot, then each
+    chord's orientation, chords taken in order of first occurrence (so their labels play no part)."""
+    ends = {}
+    for pos, (chord, is_head) in enumerate(word):
+        ends.setdefault(chord, []).append((pos, is_head))
+    return tuple(second for _, (second, _) in ends.values()), tuple(head for (_, head), _ in ends.values())
 
 
-def enumerate_structures(max_chords, canonical=False, colorable=False):
+def _rotations(word):
+    """Each rotation of a one-circle word, as ``(rotated, label)`` with ``label`` numbering the
+    chords of ``rotated`` by first occurrence, as ``canonical_key`` does."""
+    for r in range(len(word)):
+        rotated = word[r:] + word[:r]
+        yield rotated, _first_occurrence(c for c, _ in rotated)
+
+
+def _canonical_sign_vectors(word, vectors):
+    """The sign vectors of ``vectors`` whose diagram on the census word ``word`` comes first in
+    census order among its rotations: none unless ``word`` is least among its rotations under
+    :func:`_census_key`, else those that no rotation mapping ``word`` to itself takes to an
+    earlier vector (+1 before -1)."""
+    key = _census_key(word)
+    symmetries = []
+    for rotated, label in _rotations(word):
+        rotated_key = _census_key(rotated)
+        if rotated_key < key:
+            return []
+        if rotated_key == key:
+            symmetries.append([c - 1 for c in label])  # the chords in order of their new labels
+    # +1 comes before -1, so an earlier vector is a larger tuple
+    return [signs for signs in vectors
+            if all(signs >= tuple(signs[i] for i in source) for source in symmetries)]
+
+
+def enumerate_structures(max_chords, colorable=False):
     """Each unsigned oriented one-circle structure with at most ``max_chords`` chords.
 
     Yields ``(word, sign_vectors)``.  ``word`` is the endpoint word
     (chord matching and orientation) with chords numbered 1..k in order of
-    first occurrence; ``sign_vectors`` lists the sign tuples (chord ``c``
-    has sign ``signs[c - 1]``) whose diagrams :func:`enumerate_diagrams`
-    yields for it, in the same order.  That is all 2^k of them, or with
-    ``canonical=True`` those whose diagram is the first of its rotation
-    class.  With ``colorable=True`` only the checkerboard colorable
-    structures are generated, with the same sign vectors: a rotation keeps
-    the parity of each chord's two ends apart, so a rotation class is
-    colorable or not as a whole.
+    first occurrence; ``sign_vectors`` lists all 2^k sign tuples (chord ``c``
+    has sign ``signs[c - 1]``) in the order :func:`enumerate_diagrams`
+    yields their diagrams.  With ``colorable=True`` only the checkerboard
+    colorable structures are generated.
     """
     for k in range(max_chords + 1):
-        yield from _signed_structures(k, canonical, colorable)
+        vectors = list(itertools.product((1, -1), repeat=k))
+        for word in _words(k, colorable):
+            yield word, vectors
 
 
 def enumerate_diagrams(k, canonical=False):
     """All one-circle based diagrams with exactly ``k`` chords.
 
     Yields every combination of endpoint pairing, chord orientation and
-    signs, signs varying fastest; with ``canonical=True`` diagrams equal up
-    to rotation (basepoint placement) are emitted once.
+    signs, signs varying fastest; with ``canonical=True`` only the first
+    diagram of each rotation class (basepoint placement), decided on each
+    word alone by :func:`_canonical_sign_vectors`.
     """
     if k < 0:
         raise ValueError("chord count must be >= 0")
-    for word, vectors in _signed_structures(k, canonical):
-        for signs in vectors:
+    vectors = list(itertools.product((1, -1), repeat=k))
+    for word in _words(k):
+        for signs in _canonical_sign_vectors(word, vectors) if canonical else vectors:
             yield make_diagram([word], zip(range(1, k + 1), signs))
 
 
-def enumerate_all_diagrams(max_chords, canonical=False):
+def enumerate_all_diagrams(max_chords):
     for k in range(max_chords + 1):
-        yield from enumerate_diagrams(k, canonical=canonical)
-
-
-def _rotations(word):
-    """Each rotation of a one-circle word as ``(label, is_head, chord)`` slots.
-
-    Labels number the chords by first occurrence, as ``canonical_key`` does.
-    """
-    out = []
-    for r in range(len(word)):
-        rotated = word[r:] + word[:r]
-        label = _first_occurrence(c for c, _ in rotated)
-        out.append([(label[c], h, c) for c, h in rotated])
-    return out
-
-
-def _rotation_key(rotations, sign):
-    """:func:`rotation_canonical_key` of the word of ``rotations``, chord ``c`` of sign ``sign[c]``."""
-    keys = ((tuple([(label, h, sign[c]) for label, h, c in slots]),) for slots in rotations)
-    return min(keys, default=((),))
+        yield from enumerate_diagrams(k)
 
 
 def rotation_canonical_key(diagram):
     """Minimal canonical key over basepoint rotations of a one-circle diagram."""
-    return _rotation_key(_rotations(diagram.circles[0]), dict(diagram.signs))
+    _require_knot(diagram, "a rotation key")
+    sign = dict(diagram.signs)
+    keys = ((tuple([(label[c], h, sign[c]) for c, h in rotated]),)
+            for rotated, label in _rotations(diagram.circles[0]))
+    return min(keys, default=((),))
 
 
 def _random_chords(k, rng):

@@ -453,14 +453,12 @@ class _Census:
     A sweep shards over the unsigned structures, evaluates each one's sign
     vectors together, and builds a diagram only for a failure.  With
     ``colorable`` it visits only the checkerboard colorable structures, which
-    are all a check of colorable diagrams needs.  ``links`` is what
-    :func:`recheck` answers on a code with more than one circle; None refuses
-    it.
+    are all a check of colorable diagrams needs.  :func:`recheck` refuses a
+    code with more than one circle.
     """
 
-    def __init__(self, colorable=False, links=None):
+    def __init__(self, colorable=False):
         self.colorable = colorable
-        self.links = links
 
     def sweep(self, verdict_fn, config, shard, num_shards):
         """``(index, passes, failing diagrams)`` of each structure of this shard, in census order."""
@@ -477,8 +475,6 @@ class _Census:
                    [structure.diagram(vectors[v]) for v in lanes.selected(failing)])
 
     def recheck(self, name, verdict_fn, diagram, config):
-        if diagram.num_circles != 1 and self.links is not None:
-            return self.links
         _require_knot(diagram, "the %s check" % name)
         structure, signs = CensusStructure.from_diagram(diagram)
         population, failing = verdict_fn(structure, SignLanes([signs], len(signs)), config)
@@ -509,7 +505,7 @@ CHECKS = {
     "det-asc": (_Census(colorable=True), _det_vs_ascending_census),
     "main-theorem": (_Census(), _main_theorem_census),
     "skein": (_Diagrams(_population_random_skein), skein_verdict),
-    "warp-smooth": (_Census(links=True), _warp_and_smoothing_census),
+    "warp-smooth": (_Census(), _warp_and_smoothing_census),
 }
 
 
@@ -623,7 +619,7 @@ def recheck(name, code, config=None):
 
     A one-circle code outside the check's population raises
     :class:`PreconditionError`, and so does a code with more than one
-    circle unless the check passes it (``warp-smooth`` does).
+    circle on a census check.
     """
     _require_checks([name])
     if config is None:

@@ -13,6 +13,7 @@ from vknot.diagram import (
     serialize_gauss_code,
 )
 from vknot.enumeration import (
+    _census_key,
     _words,
     connecting_chords,
     enumerate_all_diagrams,
@@ -23,6 +24,7 @@ from vknot.enumeration import (
     raw_diagram_count,
     rotation_canonical_key,
 )
+from vknot.errors import PreconditionError
 
 
 @pytest.mark.parametrize("k,count", [(0, 1), (1, 4), (2, 48), (3, 960)])
@@ -44,15 +46,14 @@ def test_canonical_dedup():
     assert canon < raw
 
 
-@pytest.mark.parametrize("canonical", [False, True])
-def test_structures_expand_to_the_census(canonical):
+def test_structures_expand_to_the_census():
     expanded = [
         make_diagram([word], zip(range(1, len(word) // 2 + 1), signs))
-        for word, vectors in enumerate_structures(3, canonical)
+        for word, vectors in enumerate_structures(3)
         for signs in vectors
     ]
-    assert expanded == list(enumerate_all_diagrams(3, canonical))
-    words = [word for word, _ in enumerate_structures(3, canonical)]
+    assert expanded == list(enumerate_all_diagrams(3))
+    words = [word for word, _ in enumerate_structures(3)]
     # every matching and orientation once, chords numbered by first occurrence
     assert len(set(words)) == len(words) == 1 + 2 + 12 + 120
     for word in words:
@@ -60,24 +61,21 @@ def test_structures_expand_to_the_census(canonical):
         assert firsts == list(range(1, len(word) // 2 + 1))
 
 
-def _filtered_census(max_chords, canonical):
-    return [(word, vectors) for word, vectors in enumerate_structures(max_chords, canonical)
+def _filtered_census(max_chords):
+    return [(word, vectors) for word, vectors in enumerate_structures(max_chords)
             if _ends_of_opposite_parity(word)]
 
 
 def test_colorable_structures_are_the_filtered_census():
     # generated directly, the colorable structures are the census's, in census order
     got = list(enumerate_structures(6, colorable=True))
-    assert got == _filtered_census(6, False)
+    assert got == _filtered_census(6)
     assert sum(len(vectors) for _, vectors in got) == 3078565
-    assert list(enumerate_structures(4, True, colorable=True)) == _filtered_census(4, True)
 
 
 def test_rotation_keeps_colorability_of_census_words():
-    # In canonical mode a colorable word's sign vectors depend only on the rotation classes seen
-    # before it.  A rotation class is colorable or not as a whole, so leaving out the other words
-    # changes no kept vector, at any size: the canonical census past 4 chords, too slow to filter
-    # here, is covered by this.
+    # a rotation keeps the parity of each chord's two ends apart, so a rotation class is
+    # colorable or not as a whole
     for k in range(1, 7):
         for word in _words(k):
             assert _ends_of_opposite_parity(word[1:] + word[:1]) == _ends_of_opposite_parity(word), word
@@ -88,6 +86,29 @@ def test_rotation_canonical_key_identifies_rotations():
     b = parse_gauss_code("U1+O1+")
     assert rotation_canonical_key(a) == rotation_canonical_key(b)
     assert a != b
+
+
+def test_rotation_canonical_key_refuses_links():
+    # keying the first circle alone would give these two codes, of 2 and 3 chords, one key
+    for code in ("O1+U2+;O2+U1+", "O1+U2+;O2+U1+O3+U3+"):
+        with pytest.raises(PreconditionError):
+            rotation_canonical_key(parse_gauss_code(code))
+
+
+@pytest.mark.parametrize("colorable", [False, True])
+def test_census_key_orders_the_census_words(colorable):
+    # _words defines census order; the key the canonical test compares rotations by follows it
+    for k in range(7):
+        keys = [_census_key(word) for word in _words(k, colorable)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), k
+
+
+def test_canonical_signs_on_a_word_a_rotation_maps_to_itself():
+    # rotating O1U1O2U2 by two places gives the same word with its chords swapped, so of
+    # (1, -1) and (-1, 1) only the first, earlier in census order, is kept
+    word = parse_gauss_code("O1+U1+O2+U2+").circles[0]
+    kept = [tuple(s for _, s in G.signs) for G in enumerate_diagrams(2, canonical=True) if G.circles[0] == word]
+    assert kept == [(1, 1), (1, -1), (-1, -1)]
 
 
 def _reference_rotation_key(diagram):
@@ -129,7 +150,7 @@ def test_canonical_census_keeps_first_of_each_rotation_class(census_keys):
         if key not in seen:
             seen.add(key)
             want.append(G)
-    assert list(enumerate_all_diagrams(4, canonical=True)) == want
+    assert [G for k in range(5) for G in enumerate_diagrams(k, canonical=True)] == want
     assert len(want) == 3569
 
 

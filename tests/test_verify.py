@@ -90,14 +90,10 @@ def test_counterexamples_round_trip(monkeypatch):
     assert recheck("cor-det", "O1+U2+O3+U1+O2+U3+") is True
 
 
-@pytest.mark.parametrize("name", ["cor-det", "det-asc", "main-theorem"])
+@pytest.mark.parametrize("name", ["cor-det", "det-asc", "main-theorem", "warp-smooth"])
 def test_knot_checks_refuse_links(name):
     with pytest.raises(PreconditionError):
         recheck(name, "O1+U2+;O2+U1+")
-
-
-def test_warp_smooth_passes_links():
-    assert recheck("warp-smooth", "O1+U2+;O2+U1+") is True
 
 
 @pytest.mark.parametrize("name", ["cor-det", "det-asc", "main-theorem"])
