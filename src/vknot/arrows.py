@@ -20,8 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _layout, basepoint_positions,
-                      is_mod_p_numberable)
+from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _layout, _require_knot, _rotations,
+                      basepoint_positions, is_mod_p_numberable)
 from .enumeration import _words
 from .errors import GaussCodeError, PreconditionError
 
@@ -357,8 +357,9 @@ def _pairing_sums(classified, signs):
     return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
 
 
-def _z2_pairs(layout):
-    """The chord pairs counted by the ascending and descending z^2 pairings, as bitmask rows.
+def _z2_pairs(word, index):
+    """The chord pairs counted by the ascending and descending z^2 pairings of the knot with endpoint
+    word ``word``, as bitmask rows, chord ``c`` standing for bit ``index[c]``.
 
     On one circle the degree-2 Conway sets are ``U1O2O1U2`` (ascending) and
     ``O1U2U1O2`` (descending), so c2 is a Polyak-Viro Gauss-diagram
@@ -367,39 +368,29 @@ def _z2_pairs(layout):
 
     Returns ``(ascending, descending)``, lists of rows ``(x, mask)``, each
     standing for the pairs ``(x, y)`` with bit ``y`` set in ``mask``; empty
-    rows are left out.  On a knot one sweep up the positions keeps two
-    bitmasks, the chords whose tail and whose head it has passed.  The head
-    of a head-first chord x saves the passed tails, and its tail emits the
-    passed tails not saved whose heads are not passed yet: the y with
+    rows are left out.  One sweep along the word keeps two bitmasks, the
+    chords whose tail and whose head it has passed.  The head of a
+    head-first chord x saves the passed tails, and its tail emits the passed
+    tails not saved whose heads are not passed yet: the y with
     h_x < t_y < t_x < h_y, the ascending row of x.  A tail-first x gives its
     descending row with tails and heads swapped.  That is O(n) big-integer
-    operations, not n^2 comparisons.  On links the rows hold the pairs of
-    :func:`_qualifying_subsets`, one bit each.
+    operations, not n^2 comparisons.
     """
-    tails, heads, bounds = layout
-    if len(bounds) != 2:
-        pairs = [(s, a, d) for s, a, d in _qualifying_subsets(layout, 2) if len(s) == 2]
-        return [(x, 1 << y) for (x, y), a, _ in pairs if a], [(x, 1 << y) for (x, y), _, d in pairs if d]
-    ends = [0] * bounds[1]  # chord index x at its head, ~x at its tail
-    for x, (t, h) in enumerate(zip(tails, heads)):
-        ends[t] = ~x
-        ends[h] = x
     passed_tails = passed_heads = 0
-    saved = [-1] * len(tails)
+    saved = {}
     asc, des = [], []
-    for x in ends:
-        if x >= 0:
-            first = saved[x]
-            if first < 0:
-                saved[x] = passed_tails
+    for chord, is_head in word:
+        x = index[chord]
+        first = saved.pop(chord, None)
+        if is_head:
+            if first is None:
+                saved[chord] = passed_tails
             elif mask := passed_heads & ~(first | passed_tails):
                 des.append((x, mask))
             passed_heads |= 1 << x
         else:
-            x = ~x
-            first = saved[x]
-            if first < 0:
-                saved[x] = passed_heads
+            if first is None:
+                saved[chord] = passed_heads
             elif mask := passed_tails & ~(first | passed_heads):
                 asc.append((x, mask))
             passed_tails |= 1 << x
@@ -423,17 +414,14 @@ def _z2_sums(row_lists, signs, plus):
             sum([signs[x] * (2 * (mask & plus).bit_count() - mask.bit_count()) for x, mask in des]))
 
 
-def _basepoint_layouts(layout):
-    """The layout with the first circle's basepoint in each of its gaps.
-
-    Entry ``s`` shifts the first circle's positions by ``s``, which is
-    ``basepoint_positions(diagram)[s]``.
-    """
-    tails, heads, bounds = layout
-    m = bounds[1]
-    for shift in range(max(1, m)):
-        yield ([(t - shift) % m if t < m else t for t in tails],
-               [(h - shift) % m if h < m else h for h in heads], bounds)
+def _z2(circles, chords, signs):
+    """``(ascending, descending)`` z^2 pairings of the diagram with endpoint words ``circles``,
+    chord ``chords[i]`` having sign ``signs[i]``: on a knot from the rows of :func:`_z2_pairs`,
+    on a link from the subset walk of every other degree."""
+    if len(circles) != 1:
+        return _pairing_sums(_qualifying_subsets(_layout(circles, chords), 2), signs).get(2, (0, 0))
+    index = {chord: i for i, chord in enumerate(chords)}
+    return _z2_sums(_z2_pairs(circles[0], index), signs, _plus_mask(signs))
 
 
 def conway_pairing(diagram, degree, variant):
@@ -441,15 +429,14 @@ def conway_pairing(diagram, degree, variant):
 
     Equals the sum of :func:`pairing` over every member of
     ``conway_set(degree, ...)`` but walks the diagram's chord subsets of at
-    most ``degree`` chords (:func:`_walks`).  Degree 2 reads the bitmask
-    rows of :func:`_z2_pairs`, one sweep over the endpoints, so it is O(n)
-    big-integer operations on a knot.
+    most ``degree`` chords (:func:`_walks`).  Degree 2 reads :func:`_z2`,
+    on a knot one sweep over the endpoints, O(n) big-integer operations.
     """
     column = 0 if _variant_name(variant) == "ascending" else 1
-    layout, signs = _endpoints(diagram)
+    chords, signs = diagram.chord_ids(), [s for _, s in diagram.signs]
     if degree == 2:
-        return _z2_sums(_z2_pairs(layout), signs, _plus_mask(signs))[column]
-    table = _pairing_sums(_qualifying_subsets(layout, degree), signs)
+        return _z2(diagram.circles, chords, signs)[column]
+    table = _pairing_sums(_qualifying_subsets(_layout(diagram.circles, chords), degree), signs)
     return table.get(degree, (0, 0))[column]
 
 
@@ -481,9 +468,8 @@ def z2_pairings_at_basepoints(diagram):
 
     Entry ``s`` is the pair for ``basepoint_positions(diagram)[s]``.
     """
-    layout, signs = _endpoints(diagram)
-    plus = _plus_mask(signs)
-    return [_z2_sums(_z2_pairs(shifted), signs, plus) for shifted in _basepoint_layouts(layout)]
+    chords, signs = diagram.chord_ids(), [s for _, s in diagram.signs]
+    return [_z2((rotated,) + diagram.circles[1:], chords, signs) for rotated in _rotations(diagram.circles[0])]
 
 
 # -- polynomials -------------------------------------------------------------
@@ -574,12 +560,14 @@ def descending_polynomial(diagram, max_degree=None):
 
 
 def v2(diagram, p=2, certify=False):
-    """Coefficient of z^2 of the ascending polynomial, reduced mod ``p``.
+    """Coefficient of z^2 of the ascending polynomial, reduced mod ``p``; like
+    the polynomial, defined for knots only.
 
     With ``certify=True`` the value is recomputed for every basepoint
     position and for the descending variant; all of them must agree mod
     ``p``, which requires the diagram to be mod ``p`` numberable.
     """
+    _require_knot(diagram, "v2")
     if p < 0:
         raise ValueError("modulus must be >= 0")
     if certify:

@@ -413,16 +413,15 @@ def numbering_is_valid(diagram, numbering):
     return True
 
 
+def _warping_degree(word):
+    """The chords of the one-circle ``word`` whose first endpoint is a head."""
+    return sum(dict(word[::-1]).values())  # reversed, the last value kept is the first endpoint's
+
+
 def warping_degree(diagram):
     """Number of chords met head-first when traveling from the basepoint."""
     _require_knot(diagram, "warping degree")
-    count = 0
-    for chord, _ in diagram.signs:
-        _, t = diagram.tail(chord)
-        _, h = diagram.head(chord)
-        if h < t:
-            count += 1
-    return count
+    return _warping_degree(diagram.circles[0])
 
 
 # -- local moves -----------------------------------------------------------
@@ -485,11 +484,12 @@ def shift_basepoint(diagram, circle=0, forward=True):
     return BasedGaussDiagram(tuple(circles), diagram.signs)
 
 
+def _rotations(word):
+    """The endpoint word ``word`` with its basepoint in each gap, the ``r``-th starting at ``word[r]``."""
+    return [word[r:] + word[:r] for r in range(max(1, len(word)))]
+
+
 def basepoint_positions(diagram):
-    """All diagrams obtained by placing the primary basepoint in each gap."""
-    word = diagram.circles[0]
-    out = []
-    for r in range(max(1, len(word))):
-        circles = (word[r:] + word[:r],) + diagram.circles[1:]
-        out.append(BasedGaussDiagram(circles, diagram.signs))
-    return out
+    """All diagrams obtained by placing the primary basepoint in each gap, in :func:`_rotations` order."""
+    return [BasedGaussDiagram((rotated,) + diagram.circles[1:], diagram.signs)
+            for rotated in _rotations(diagram.circles[0])]

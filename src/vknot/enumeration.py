@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagram import _first_occurrence, _require_knot, make_diagram
+from .diagram import _first_occurrence, _require_knot, _rotations, make_diagram
 
 
 def raw_diagram_count(k):
@@ -54,14 +54,6 @@ def _census_key(word):
     return tuple(second for _, (second, _) in ends.values()), tuple(head for (_, head), _ in ends.values())
 
 
-def _rotations(word):
-    """Each rotation of a one-circle word, as ``(rotated, label)`` with ``label`` numbering the
-    chords of ``rotated`` by first occurrence, as ``canonical_key`` does."""
-    for r in range(len(word)):
-        rotated = word[r:] + word[:r]
-        yield rotated, _first_occurrence(c for c, _ in rotated)
-
-
 def _canonical_sign_vectors(word, vectors):
     """The sign vectors of ``vectors`` whose diagram on the census word ``word`` comes first in
     census order among its rotations: none unless ``word`` is least among its rotations under
@@ -69,12 +61,12 @@ def _canonical_sign_vectors(word, vectors):
     earlier vector (+1 before -1)."""
     key = _census_key(word)
     symmetries = []
-    for rotated, label in _rotations(word):
+    for rotated in _rotations(word):
         rotated_key = _census_key(rotated)
         if rotated_key < key:
             return []
-        if rotated_key == key:
-            symmetries.append([c - 1 for c in label])  # the chords in order of their new labels
+        if rotated_key == key:  # the chords in order of their first occurrence in ``rotated``
+            symmetries.append([c - 1 for c in _first_occurrence(c for c, _ in rotated)])
     # +1 comes before -1, so an earlier vector is a larger tuple
     return [signs for signs in vectors
             if all(signs >= tuple(signs[i] for i in source) for source in symmetries)]
@@ -121,9 +113,11 @@ def rotation_canonical_key(diagram):
     """Minimal canonical key over basepoint rotations of a one-circle diagram."""
     _require_knot(diagram, "a rotation key")
     sign = dict(diagram.signs)
-    keys = ((tuple([(label[c], h, sign[c]) for c, h in rotated]),)
-            for rotated, label in _rotations(diagram.circles[0]))
-    return min(keys, default=((),))
+    keys = []
+    for rotated in _rotations(diagram.circles[0]):
+        label = _first_occurrence(c for c, _ in rotated)  # as ``canonical_key`` numbers them
+        keys.append((tuple([(label[c], h, sign[c]) for c, h in rotated]),))
+    return min(keys)
 
 
 def _random_chords(k, rng):

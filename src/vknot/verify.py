@@ -26,7 +26,6 @@ import traceback
 from dataclasses import asdict, dataclass
 
 from .arrows import (
-    _basepoint_layouts,
     _crossing_change_subsets,
     _endpoints,
     _pairing_sums,
@@ -40,7 +39,9 @@ from .diagram import (
     _interleavings,
     _layout,
     _require_knot,
+    _rotations,
     _smoothed_words,
+    _warping_degree,
     make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
@@ -259,7 +260,7 @@ class CensusStructure:
     add to the Conway table of the diagram and of each smoothing candidate's
     smoothing (walked by :meth:`table` and :meth:`smoothed_tables`).  A
     structure serves one verdict, which reads each at most once, so only the
-    layout is kept.  The methods taking ``lanes``
+    word is kept.  The methods taking ``lanes``
     (:class:`SignLanes`) evaluate the diagrams of all its sign vectors from
     them at once; ``signs[i]`` is the sign of chord ``i + 1``.  No diagram is
     built but by :meth:`diagram`.
@@ -268,7 +269,6 @@ class CensusStructure:
     def __init__(self, word):
         self.word = word
         self.chords = tuple(range(1, len(word) // 2 + 1))
-        self.layout = _layout((word,), self.chords)
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -298,8 +298,12 @@ class CensusStructure:
     @property
     def warping_degree(self):
         """The chords met head-first from the basepoint."""
-        tails, heads, _ = self.layout
-        return sum([h < t for t, h in zip(tails, heads)])
+        return _warping_degree(self.word)
+
+    @property
+    def _index(self):
+        """``{chord: i}``: chord ``i + 1`` is bit ``i`` of a :func:`_z2_pairs` row, as in ``lanes.planes``."""
+        return {chord: chord - 1 for chord in self.chords}
 
     @property
     def c2_parity(self):
@@ -307,13 +311,14 @@ class CensusStructure:
 
         c2 sums +-1 over the ascending pairs, so its parity is their count's.
         """
-        return sum([mask.bit_count() for _, mask in _z2_pairs(self.layout)[0]]) % 2
+        return sum([mask.bit_count() for _, mask in _z2_pairs(self.word, self._index)[0]]) % 2
 
     @property
     def z2_pairs(self):
         """The rows of :func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions``
         order, as frozensets: one pair set has one set of rows."""
-        return [tuple(map(frozenset, _z2_pairs(shifted))) for shifted in _basepoint_layouts(self.layout)]
+        index = self._index
+        return [tuple(map(frozenset, _z2_pairs(rotated, index))) for rotated in _rotations(self.word)]
 
     def numberable(self, lanes, moduli):
         """Per modulus ``p`` of ``moduli``, the lanes whose diagram is mod ``p`` numberable.
@@ -333,7 +338,7 @@ class CensusStructure:
 
     def table(self, lanes):
         """``conway_pairing_table`` in every lane, as :func:`_table_lanes`."""
-        return _table_lanes(_qualifying_subsets(self.layout, len(self.chords)), lanes)
+        return _table_lanes(_qualifying_subsets(_layout((self.word,), self.chords), len(self.chords)), lanes)
 
     def smoothed_tables(self, lanes):
         """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""

@@ -179,6 +179,16 @@ def test_v2_values():
                 v2(TREFOIL, p, certify=certify)
 
 
+def test_v2_refuses_links():
+    # v2 is a coefficient of the ascending polynomial, which is defined for knots only
+    hopf = parse_gauss_code("O1+U2+;O2+U1+")
+    with pytest.raises(PreconditionError):
+        ascending_polynomial(hopf)
+    for certify in (False, True):
+        with pytest.raises(PreconditionError, match="v2 is defined for one-circle diagrams only"):
+            v2(hopf, 2, certify=certify)
+
+
 def test_non_numberable_descending_pairing_depends_on_basepoint():
     # moving the basepoint on the two-crossing virtual knot changes the
     # degree-2 descending pairing, so the numberability assumption matters

@@ -289,6 +289,33 @@ def test_colorable_reads_index_parity_on_census_structures():
     assert checked == 32055
 
 
+def _warping_degree_reference(diagram):
+    """The chords whose head lies before their tail, compared position by position."""
+    return sum(diagram.head(chord)[1] < diagram.tail(chord)[1] for chord in diagram.chord_ids())
+
+
+def test_warping_degree_matches_reference():
+    diagrams = enumerate_all_diagrams(4)
+    checked = 0
+    for word, vectors in enumerate_structures(4):
+        structure = CensusStructure(word)
+        for signs in vectors:
+            G = next(diagrams)
+            want = _warping_degree_reference(G)
+            assert warping_degree(G) == structure.warping_degree == want, str(G)
+            checked += 1
+    assert next(diagrams, None) is None
+    assert checked == 27893
+    rng = random.Random(40)
+    sizes = set()
+    for _ in range(300):
+        G = random_knot_diagram(rng.randint(0, 40), rng)
+        structure, _ = CensusStructure.from_diagram(G)
+        assert warping_degree(G) == structure.warping_degree == _warping_degree_reference(G), str(G)
+        sizes.add(G.num_chords)
+    assert min(sizes) < 3 and max(sizes) == 40
+
+
 def test_from_diagram_relabels_chords_by_first_occurrence():
     structure, signs = CensusStructure.from_diagram(parse_gauss_code("O7-U3+O3+U7-"))
     assert structure.word == ((1, False), (2, True), (2, False), (1, True))

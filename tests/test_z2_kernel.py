@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 import z2ref
 
-from vknot.arrows import _basepoint_layouts, _endpoints, _plus_mask, _z2_pairs, _z2_sums
-from vknot.diagram import make_diagram, parse_gauss_code
+from vknot.arrows import _endpoints, _plus_mask, _z2, _z2_pairs, _z2_sums
+from vknot.diagram import _layout, _rotations, make_diagram, parse_gauss_code
 from vknot.enumeration import enumerate_structures, random_knot_diagram
-from vknot.verify import CensusStructure
 
 # run as a script, not imported, so that no bytecode is written under bench/
 BENCH_INPUTS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "inputs.py"))
@@ -26,9 +25,9 @@ def _expand(rows):
     return [(x, y) for x, mask in rows for y in range(mask.bit_length()) if mask >> y & 1]
 
 
-def _assert_matches_reference(layout, sign_vectors, label):
-    want = z2ref.z2_pairs(layout)
-    got = _z2_pairs(layout)
+def _assert_matches_reference(word, chords, sign_vectors, label):
+    want = z2ref.z2_pairs(_layout((word,), chords))
+    got = _z2_pairs(word, {chord: i for i, chord in enumerate(chords)})
     for variant, pairs, rows in zip(("ascending", "descending"), want, got):
         expanded = _expand(rows)
         assert len(set(pairs)) == len(pairs), (label, variant)
@@ -40,20 +39,20 @@ def _assert_matches_reference(layout, sign_vectors, label):
 
 
 def _assert_diagram_matches_reference(G):
-    layout, signs = _endpoints(G)
-    for shifted in _basepoint_layouts(layout):
-        _assert_matches_reference(shifted, [signs], str(G))
+    _, signs = _endpoints(G)
+    for rotated in _rotations(G.circles[0]):
+        _assert_matches_reference(rotated, G.chord_ids(), [signs], str(G))
 
 
 def test_census_basepoint_layouts_match_reference():
-    layouts = 0
+    rotations = 0
     counted = set()
     for word, vectors in enumerate_structures(4):
-        for shifted in _basepoint_layouts(CensusStructure(word).layout):
-            want = _assert_matches_reference(shifted, vectors, word)
+        for rotated in _rotations(word):
+            want = _assert_matches_reference(rotated, range(1, len(word) // 2 + 1), vectors, word)
             counted.update(bool(pairs) for pairs in want)
-            layouts += 1
-    assert layouts == 14213
+            rotations += 1
+    assert rotations == 14213
     assert counted == {False, True}
 
 
@@ -70,16 +69,18 @@ def test_seeded_knots_match_reference():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_large_closures_match_reference(seed):
     for code in BENCH_INPUTS["large_inputs"](seed):
-        layout, signs = _endpoints(parse_gauss_code(code))
-        _assert_matches_reference(layout, [signs], code)
+        G = parse_gauss_code(code)
+        _, signs = _endpoints(G)
+        _assert_matches_reference(G.circles[0], G.chord_ids(), [signs], code)
 
 
 @pytest.mark.parametrize("crossings", [500, 1000])
 def test_long_closures_match_reference(crossings):
     code = BENCH_INPUTS["seeded_braid_knot"](random.Random("z2:%d" % crossings), crossings, 5)
-    layout, signs = _endpoints(parse_gauss_code(code))
+    G = parse_gauss_code(code)
+    _, signs = _endpoints(G)
     assert len(signs) == crossings
-    _assert_matches_reference(layout, [signs], crossings)
+    _assert_matches_reference(G.circles[0], G.chord_ids(), [signs], crossings)
 
 
 def test_seeded_links_match_reference():
@@ -96,7 +97,8 @@ def test_seeded_links_match_reference():
         cuts = sorted(rng.randint(0, len(word)) for _ in range(1 + i % 2))
         G = make_diagram([word[a:b] for a, b in zip([0, *cuts], [*cuts, len(word)])], knot.signs)
         layout, signs = _endpoints(G)
-        want = _assert_matches_reference(layout, [signs], str(G))
+        want = z2ref.z2_pairs(layout)
+        assert _z2(G.circles, G.chord_ids(), signs) == z2ref.z2_sums(want, signs), str(G)
         seen.update((G.num_circles, variant) for variant, pairs in enumerate(want) if pairs)
         seen.add(G.num_circles)
     assert seen == {2, 3, (3, 0), (3, 1)}
