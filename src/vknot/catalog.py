@@ -13,10 +13,11 @@ import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .arrows import conway_pairing
+from .arrows import conway_pairing_table, table_polynomials
 from .determinant import determinant
-from .diagram import is_mod_p_numberable, parse_gauss_code, warping_degree
-from .errors import NotCheckerboardColorable, PreconditionError, VknotError
+from .diagram import indices, is_mod_p_numberable, parse_gauss_code, serialize_gauss_code, warping_degree
+from .errors import PreconditionError, VknotError
+from .verify import _mod8_residues
 
 
 class CatalogError(VknotError, ValueError):
@@ -27,6 +28,7 @@ _INT_KEYS = {"det", "c2", "v2_mod2", "warp"}
 _BOOL_KEYS = {"colorable_p0", "colorable_p2", "colorable_p3"}
 _STR_KEYS = {"source"}
 _KNOWN_KEYS = _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_DET_REFUSED = "determinant refused: "
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,12 @@ def loads_catalog(text):
 
 
 def load_catalog(path):
-    with open(path, encoding="utf-8") as handle:
-        return loads_catalog(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError("cannot read catalog %s: %s" % (path, exc)) from None
+    return loads_catalog(text)
 
 
 @functools.cache
@@ -121,10 +127,48 @@ def find_entry(name, entries=None):
     return None
 
 
+def invariant_record(diagram, moduli=(2,), degree=None):
+    """The record ``vknot invariants --json`` prints of ``diagram``, all but ``name``.
+
+    Every code gets its mod ``p`` colorability for each of ``moduli`` and its determinant,
+    ``None`` when refused with the reason in ``refusals``. A knot also gets its indices,
+    warping degree, polynomials up to z^``degree`` (default: every chord), c2, v2 and mod 8 class.
+    """
+    colorable = {str(p): is_mod_p_numberable(diagram, p) for p in moduli}
+    record = {
+        "code": serialize_gauss_code(diagram),
+        "circles": diagram.num_circles,
+        "chords": diagram.num_chords,
+        "colorable": colorable,
+        "refusals": [],
+    }
+    try:
+        record["determinant"] = determinant(diagram)
+    except PreconditionError as exc:
+        record["determinant"] = None
+        record["refusals"].append(_DET_REFUSED + str(exc))
+    if diagram.num_circles != 1:
+        return record
+    record["indices"] = {str(c): value for c, value in indices(diagram).items()}
+    record["warping_degree"] = warping_degree(diagram)
+    degree = diagram.num_chords if degree is None else degree
+    table = conway_pairing_table(diagram, max_degree=max(degree, 2))
+    ascending, descending = table_polynomials(table, degree)
+    record["ascending"], record["descending"] = ascending.coeffs, descending.coeffs
+    c2 = record["c2"] = table.get(2, (0, 0))[0]
+    record["v2"] = {str(p): (c2 % p if p else c2) if colorable[str(p)] else None for p in moduli}
+    if record["determinant"] is not None:
+        residues = _mod8_residues(c2)
+        record["mod8_class"] = "+-%d mod 8" % min(residues)
+        record["mod8_consistent"] = record["determinant"] % 8 in residues
+    return record
+
+
 def verify_entry(entry):
-    """Re-derive an entry's expected values; returns mismatch messages, and one for each value
-    that cannot be re-derived (a refused determinant, a knot invariant expected of a link)."""
-    diagram = entry.diagram()
+    """Re-derive an entry's expected values from its :func:`invariant_record`; returns
+    mismatch messages, and one for each value that cannot be re-derived (a refused
+    determinant, a knot invariant expected of a link)."""
+    record = invariant_record(entry.diagram(), (0, 2, 3), degree=2)
     problems = []
 
     def check(key, actual):
@@ -141,22 +185,21 @@ def verify_entry(entry):
             % (entry.name, key, entry.expect(key), reason, entry.provenance)
         )
 
-    for p, key in ((0, "colorable_p0"), (2, "colorable_p2"), (3, "colorable_p3")):
-        check(key, is_mod_p_numberable(diagram, p))
-    if diagram.num_circles == 1:
-        c2 = conway_pairing(diagram, 2, "ascending")
-        check("c2", c2)
-        check("v2_mod2", c2 % 2)
-        check("warp", warping_degree(diagram))
+    for p in (0, 2, 3):
+        check("colorable_p%d" % p, record["colorable"][str(p)])
+    if record["circles"] == 1:
+        check("c2", record["c2"])
+        check("v2_mod2", record["c2"] % 2)
+        check("warp", record["warping_degree"])
     else:
         for key in ("c2", "v2_mod2", "warp"):
             if entry.expect(key) is not None:
                 refuse(key, "it is defined for one-circle codes only")
     if entry.expect("det") is not None:
-        try:
-            check("det", determinant(diagram))
-        except NotCheckerboardColorable:
+        if record["determinant"] is not None:
+            check("det", record["determinant"])
+        elif not record["colorable"]["2"]:
             refuse("det", "diagram is not colorable")
-        except PreconditionError as exc:
-            refuse("det", "the determinant is refused: %s" % exc)
+        else:
+            refuse("det", "the determinant is refused: %s" % record["refusals"][0].removeprefix(_DET_REFUSED))
     return problems

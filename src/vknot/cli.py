@@ -12,20 +12,12 @@ import functools
 import json
 import sys
 
-from .arrows import conway_pairing_table, conway_sets, table_polynomials
-from .catalog import builtin_catalog, find_entry, load_catalog
-from .determinant import determinant
-from .diagram import (
-    _indices_vanish,
-    indices,
-    is_mod_p_numberable,
-    parse_gauss_code,
-    serialize_gauss_code,
-    warping_degree,
-)
+from .arrows import IntPolynomial, conway_sets
+from .catalog import builtin_catalog, find_entry, invariant_record, load_catalog
+from .diagram import is_mod_p_numberable, parse_gauss_code, serialize_gauss_code
 from .enumeration import enumerate_diagrams
 from .errors import GaussCodeError, PreconditionError, VknotError
-from .verify import CHECKS, SweepConfig, _mod8_residues, reports_to_json, run_checks
+from .verify import CHECKS, SweepConfig, reports_to_json, run_checks
 
 
 def modulus(text):
@@ -88,48 +80,12 @@ def _cmd_invariants(args):
     if args.catalog:
         entries = load_catalog(args.catalog) + entries
     entry = find_entry(args.knot, entries)
-    code = entry.code if entry else args.knot
-    diagram = parse_gauss_code(code)
     moduli = args.modulus or [2]
-    degree = args.degree if args.degree is not None else diagram.num_chords
-
-    out = {
-        "code": serialize_gauss_code(diagram),
-        "name": entry.name if entry else None,
-        "circles": diagram.num_circles,
-        "chords": diagram.num_chords,
-    }
-    refusals = []
-    is_knot = diagram.num_circles == 1
-    if is_knot:
-        chord_indices = indices(diagram)
-        out["indices"] = {str(c): value for c, value in chord_indices.items()}
-        out["warping_degree"] = warping_degree(diagram)
-        table = conway_pairing_table(diagram, max_degree=max(degree, 2))
-        ascending, descending = table_polynomials(table, degree)
-        out["ascending"] = list(ascending.coeffs)
-        out["descending"] = list(descending.coeffs)
-        out["c2"] = table.get(2, (0, 0))[0]
-        out["colorable"] = {str(p): _indices_vanish(chord_indices.values(), p) for p in moduli}
-        out["v2"] = {
-            str(p): (out["c2"] % p if p else out["c2"]) if out["colorable"][str(p)] else None
-            for p in moduli
-        }
-    else:
-        out["colorable"] = {str(p): is_mod_p_numberable(diagram, p) for p in moduli}
-    try:
-        out["determinant"] = determinant(diagram)
-    except PreconditionError as exc:
-        out["determinant"] = None
-        refusals.append("determinant refused: %s" % exc)
-    if is_knot and out["determinant"] is not None:
-        residues = _mod8_residues(out["c2"])
-        out["mod8_class"] = "+-%d mod 8" % min(residues)
-        out["mod8_consistent"] = out["determinant"] % 8 in residues
-    out["refusals"] = refusals
+    out = invariant_record(parse_gauss_code(entry.code if entry else args.knot), moduli, args.degree)
+    is_knot = out["circles"] == 1
 
     if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(json.dumps({**out, "name": entry.name if entry else None}, indent=2, sort_keys=True))
     else:
         print("code: %s" % out["code"])
         if entry:
@@ -141,8 +97,8 @@ def _cmd_invariants(args):
         for p in moduli:
             print("mod %d numberable: %s" % (p, "yes" if out["colorable"][str(p)] else "no"))
         if is_knot:
-            print("ascending:  %s" % ascending)
-            print("descending: %s" % descending)
+            print("ascending:  %s" % IntPolynomial(out["ascending"]))
+            print("descending: %s" % IntPolynomial(out["descending"]))
             print("z^2 coefficient: %d" % out["c2"])
             for p in moduli:
                 value = out["v2"][str(p)]
@@ -154,9 +110,9 @@ def _cmd_invariants(args):
                     out["mod8_class"],
                     "consistent" if out["mod8_consistent"] else "INCONSISTENT",
                 ))
-        for message in refusals:
+        for message in out["refusals"]:
             print(message)
-    return 2 if refusals else 0
+    return 2 if out["refusals"] else 0
 
 
 def _cmd_verify(args):

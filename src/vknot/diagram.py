@@ -227,14 +227,6 @@ def _interleavings(word, planes, ones):
         prefix.append(prefix[-1] + (ones ^ planes[chord] if is_head else planes[chord]))
 
 
-def _indices_vanish(values, p):
-    """The index criterion: a knot is mod ``p`` numberable iff each of its chord indices
-    ``values`` is 0 mod ``p`` (exactly 0 when ``p = 0``)."""
-    if p < 0:
-        raise ValueError("modulus must be >= 0")
-    return all(v % p == 0 for v in values) if p else not any(values)
-
-
 def indices(diagram):
     """``{chord: index(diagram, chord)}`` for every chord, from :func:`_interleavings`.
 
@@ -288,16 +280,19 @@ def is_mod_p_numberable(diagram, p):
     """True iff the diagram admits a mod ``p`` Alexander numbering.
 
     ``p = 0`` asks for an integer numbering and ``p = 2`` is checkerboard
-    colorability.  On a knot this is the index criterion
-    (:func:`_indices_vanish`); mod 2 it is read from the parity of each
-    chord's endpoint positions (:func:`_ends_of_opposite_parity`).  Links
-    run the labeling walk of :func:`alexander_numbering`.
+    colorability.  On a knot this is the index criterion: every chord index
+    is 0 mod ``p``, exactly 0 when ``p = 0``; mod 2 it is read from the parity
+    of each chord's endpoint positions (:func:`_ends_of_opposite_parity`).
+    Links run the labeling walk of :func:`alexander_numbering`.
     """
+    if p < 0:
+        raise ValueError("modulus must be >= 0")
     if diagram.num_circles != 1:
         return alexander_numbering(diagram, p) is not None
     if p == 2:
         return _ends_of_opposite_parity(diagram.circles[0])
-    return _indices_vanish(indices(diagram).values(), p)
+    values = indices(diagram).values()
+    return all(v % p == 0 for v in values) if p else not any(values)
 
 
 @dataclass(frozen=True)

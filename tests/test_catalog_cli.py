@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -74,6 +75,26 @@ def test_mismatch_reports_provenance():
         assert all(fragment in problem and "made-up" in problem for problem in problems), problems
 
 
+def test_every_key_reports_its_mismatch():
+    # the trefoil is colorable mod 0, 2 and 3, with c2 = 1, warping degree 1 and det 3
+    [entry] = loads_catalog(
+        "seven\tO1+U2+O3+U1+O2+U3+\t"
+        "det=4,warp=2,v2_mod2=0,c2=2,colorable_p3=false,colorable_p2=false,colorable_p0=false,source=made-up\n"
+    )
+    assert verify_entry(entry) == [
+        "seven: %s expected %r got %r (source: made-up)" % mismatch
+        for mismatch in (
+            ("colorable_p0", False, True),
+            ("colorable_p2", False, True),
+            ("colorable_p3", False, True),
+            ("c2", 2, 1),
+            ("v2_mod2", 0, 1),
+            ("warp", 2, 1),
+            ("det", 4, 3),
+        )
+    ]
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -101,6 +122,22 @@ def test_external_catalog_file(tmp_path):
     entries = load_catalog(path)
     assert [(e.name, e.expected) for e in entries] == [("myknot", (("det", 3), ("source", "local"))), ("plain", ())]
     assert main(["invariants", "plain", "--catalog", str(path)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_unreadable_catalog_file(capsys, tmp_path, kind):
+    path = tmp_path / "mine.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"trefoil\tO1+U2+O3+U1+O2+U3+\tsource=caf\xe9\n")
+    with pytest.raises(CatalogError, match=re.escape(str(path))):
+        load_catalog(path)
+    assert main(["invariants", "trefoil", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [message] = captured.err.splitlines()
+    assert message.startswith("error: ") and str(path) in message
 
 
 def test_repeated_main_calls_do_not_leak_state(capsys, tmp_path):

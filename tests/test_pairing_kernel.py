@@ -18,7 +18,7 @@ import sys
 import pytest
 from braidutil import braid_closure_gauss_code
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
-from vknot import cli
+from vknot import catalog, cli
 from vknot.arrows import (
     IntPolynomial,
     _endpoints,
@@ -179,7 +179,7 @@ def test_invariants_builds_one_table_per_knot(monkeypatch):
         calls.append(args)
         return conway_pairing_table(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "conway_pairing_table", counted)
+    monkeypatch.setattr(catalog, "conway_pairing_table", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["invariants", "6.87548", "--json"]) == 0
     assert len(calls) == 1
