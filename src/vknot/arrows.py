@@ -252,7 +252,8 @@ def _walks(layout, max_size, budget=0):
     out is passed over, and any other chord is tried both ways, landed on
     (which adds it, reached first there) or left out.  Landing back on
     ``p0`` ends the walk, which counts if it landed on every endpoint and
-    every circle carries one.  A branch is cut when it would exceed
+    every circle carries one, so when the layout's chords do not join every
+    circle no walk starts.  A branch is cut when it would exceed
     ``max_size``, reach more than ``budget`` chords first at their tails and
     at their heads, or land on a chord whose other end no later scan can
     reach.  A chord that no walk can land on that way (a kink, or a chord
@@ -262,22 +263,43 @@ def _walks(layout, max_size, budget=0):
     2^n, and the recursion is at most ``max_size`` deep.
     """
     tails, heads, bounds = layout
-    partner, tail_at, chord = [0] * bounds[-1], [False] * bounds[-1], [0] * bounds[-1]
+    n = bounds[-1]
+    partner, tail_at, chord = [0] * n, [False] * n, [0] * n
     for i, (t, h) in enumerate(zip(tails, heads)):
         partner[t], partner[h] = h, t
         tail_at[t] = True
         chord[t] = chord[h] = i
     circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
     wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
-    above = [circle & -(2 << q) for q, circle in enumerate(wrap)]
-    # between[p]: the positions between p and its partner q above it on one circle (else -1,
-    # which never cuts).  If all are left out, a scan lands on q only from a jump to p, which
-    # needs q landed on first.
-    between = [(1 << q) - (2 << p) if p < q and wrap[p] == wrap[q] else -1 for p, q in enumerate(partner)]
+    # A walk visits every circle of a subset that counts, so its chords join them all: when the
+    # layout's chords do not (a circle carries no endpoint, or the circles fall in two groups no
+    # chord joins), no subset counts.  Each pass joins the circles a chord links to those joined.
+    if len(circles) > 1:
+        joined = circles[0]
+        for _ in circles[1:]:
+            for t, h in zip(tails, heads):
+                if (joined >> t ^ joined >> h) & 1:
+                    joined |= wrap[t] | wrap[h]
+        if not all([joined & circle for circle in circles]):
+            return []
+    # above[p]: the positions above p on its circle.  between[p]: those between p and its partner
+    # q above it on one circle (else -1, which never cuts).  If all are left out, a scan lands on
+    # q only from a jump to p, which needs q landed on first.  No scan can land on such a chord
+    # (a kink encloses nothing), so it is left out before the first walk; the chords it encloses
+    # have higher lower ends, so a downward pass settles those first.
+    above, between = [0] * n, [-1] * n
+    open_ = (1 << n) - 1
+    for p in range(n - 1, -1, -1):
+        q, circle = partner[p], wrap[p]
+        above[p] = circle & -(2 << p)
+        if p < q and circle >> q & 1:
+            between[p] = (1 << q) - (2 << p)
+            if not open_ & between[p]:
+                open_ &= ~(1 << p | 1 << q)
     found = [((), ())] if len(circles) == 1 and max_size >= 0 else []  # the empty subset
     last = max_size - 1  # a subset of this many chords is full once it lands on one more
 
-    def walk(q, open_, taken, reached, subset, tails_first):
+    def walk(q, open_, taken, reached, subset, tails_first, size, num_first):
         while True:
             p = open_ & above[q] or open_ & wrap[q]
             p = (p & -p).bit_length() - 1
@@ -290,32 +312,26 @@ def _walks(layout, max_size, budget=0):
                 q = partner[p]
                 continue
             c, bits = chord[p], 1 << p | 1 << partner[p]
-            if len(subset) < max_size and open_ & between[p]:
-                first = tails_first + (c,) if tail_at[p] else tails_first
-                if len(first) <= budget or len(subset) + 1 - len(first) <= budget:
-                    if len(subset) < last:
-                        walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first)
+            if size < max_size and open_ & between[p]:
+                first, num = (tails_first + (c,), num_first + 1) if tail_at[p] else (tails_first, num_first)
+                if num <= budget or size + 1 - num <= budget:
+                    if size < last:
+                        walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first, size + 1, num)
                     else:  # full: it lands only on its own endpoints, every other chord is left out
                         full = taken | bits
                         if full & between[p]:
-                            walk(partner[p], full, full, reached | 1 << p, subset + (c,), first)
+                            walk(partner[p], full, full, reached | 1 << p, subset + (c,), first, size + 1, num)
             open_ ^= bits
 
-    # No scan can land on a chord whose ends enclose only left-out chords (a kink encloses none),
-    # so such chords are left out before the first walk.  The chords they enclose have higher
-    # lower ends, so a downward pass settles those first.
-    open_ = (1 << bounds[-1]) - 1
-    for p in range(bounds[-1] - 1, -1, -1):
-        if not open_ & between[p]:
-            open_ &= ~(1 << p | 1 << partner[p])
     for p0 in range(bounds[1] if max_size > 0 else 0):
         if open_ >> p0 & 1:
             c, bits = chord[p0], 1 << p0 | 1 << partner[p0]
+            first, num = ((c,), 1) if tail_at[p0] else ((), 0)
             if max_size > 1:
                 if open_ & between[p0]:
-                    walk(partner[p0], open_, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
+                    walk(partner[p0], open_, bits, 1 << p0, (c,), first, 1, num)
             elif bits & between[p0]:
-                walk(partner[p0], bits, bits, 1 << p0, (c,), (c,) if tail_at[p0] else ())
+                walk(partner[p0], bits, bits, 1 << p0, (c,), first, 1, num)
             open_ ^= bits
     return found
 
@@ -325,22 +341,34 @@ def _qualifying_subsets(layout, max_size):
     return [(subset, not first, len(first) == len(subset)) for subset, first in _walks(layout, max_size)]
 
 
-def _crossing_change_subsets(layout):
-    """``(same, switched)``: at chord index ``i``, the subsets holding ``i`` that count in D and in D^i.
+def _crossing_change_tables(layout, signs, resolved):
+    """``{i: (table, switched)}`` for each chord index ``i`` of ``resolved``: the signed sums, as
+    :func:`_pairing_sums`, over the subsets holding ``i`` that count in D and in D^i.
 
-    Entries are ``(subset, ascending, descending)``; signs are never read.  D^i, the crossing
-    change at chord ``i``, swaps its tail and head in place, so each walk keeps its path and only
-    chord ``i``'s first-reached role flips: a subset is ascending in D when no chord is first
-    reached tail-first, and in D^i when ``i`` is the only one (descending likewise).  So one
-    :func:`_walks` with a budget of one chord serves D and every D^i.
+    D^i, the crossing change at chord ``i``, swaps its tail and head in place and negates its
+    sign, so each walk keeps its path, only chord ``i``'s first-reached role flips, and the sign
+    product changes sign: a subset is ascending in D when no chord is first reached tail-first,
+    and in D^i when ``i`` is the only one (descending likewise).  So one :func:`_walks` with a
+    budget of one chord serves D and every D^i, and each subset's sign product is formed once.
     """
-    same, switched = [[] for _ in layout[0]], [[] for _ in layout[0]]
+    sums = {i: ({}, {}) for i in resolved}
     for subset, first in _walks(layout, len(layout[0]), budget=1):
-        for i in subset:  # t: the chords first reached tail-first in D, then in D^i
-            for found, t in ((same, len(first)), (switched, len(first) + (-1 if i in first else 1))):
-                if t in (0, len(subset)):
-                    found[i].append((subset, not t, t == len(subset)))
-    return same, switched
+        size, num = len(subset), len(first)  # num: the chords first reached tail-first in D
+        prod = math.prod([signs[i] for i in subset])
+        for i in subset:
+            if i in sums:
+                same, switched = sums[i]
+                if num == 0 or num == size:  # column 0 when ascending, 1 when descending
+                    same.setdefault(size, [0, 0])[num != 0] += prod
+                flipped = num - 1 if i in first else num + 1  # in D^i
+                if flipped == 0 or flipped == size:
+                    switched.setdefault(size, [0, 0])[flipped != 0] -= prod
+    return {i: (_nonzero(same), _nonzero(switched)) for i, (same, switched) in sums.items()}
+
+
+def _nonzero(sums):
+    """``{size: (ascending, descending)}`` of the sizes of ``sums`` with a nonzero sum, in increasing order."""
+    return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
 
 
 def _pairing_sums(classified, signs):
@@ -354,7 +382,7 @@ def _pairing_sums(classified, signs):
         entry = sums.setdefault(len(subset), [0, 0])
         entry[0] += prod if asc else 0
         entry[1] += prod if des else 0
-    return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
+    return _nonzero(sums)
 
 
 def _z2_pairs(word, index):

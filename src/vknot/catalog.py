@@ -106,7 +106,10 @@ def load_catalog(path):
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError("cannot read catalog %s: %s" % (path, exc)) from None
-    return loads_catalog(text)
+    try:
+        return loads_catalog(text)
+    except CatalogError as exc:
+        raise CatalogError("%s: %s" % (path, exc)) from None
 
 
 @functools.cache

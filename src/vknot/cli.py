@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -132,14 +133,13 @@ def _cmd_verify(args):
 
 
 def _cmd_enumerate(args):
-    printed = 0
-    for diagram in enumerate_diagrams(args.chords, canonical=args.canonical):
-        if args.limit is not None and printed >= args.limit:
-            break
-        if args.colorable is not None and not is_mod_p_numberable(diagram, args.colorable):
-            continue
+    p = args.colorable
+    # mod 2 the colorable words are generated, not filtered, in the same order
+    diagrams = enumerate_diagrams(args.chords, canonical=args.canonical, colorable=p == 2)
+    if p not in (None, 2):
+        diagrams = (diagram for diagram in diagrams if is_mod_p_numberable(diagram, p))
+    for diagram in itertools.islice(diagrams, args.limit):
         print(serialize_gauss_code(diagram))
-        printed += 1
     return 0
 
 

@@ -264,6 +264,18 @@ def _congruent(a, b, p):
     return (a - b) % p == 0
 
 
+def _closed(segment):
+    """True iff every chord with an endpoint in the endpoint sequence ``segment`` has both there."""
+    return len({chord for chord, _ in segment}) * 2 == len(segment)
+
+
+def _interleaves_nothing(word, chord):
+    """True iff no chord of the one-circle ``word`` has exactly one end between the ends of
+    ``chord``, so that its smoothing (:func:`smooth`) leaves two circles that share no chord."""
+    a, b = sorted([word.index((chord, False)), word.index((chord, True))])
+    return _closed(word[a + 1 : b])
+
+
 def _ends_of_opposite_parity(word):
     """True iff each chord of the one-circle ``word`` has its two ends at positions of opposite parity.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagram import _first_occurrence, _require_knot, _rotations, make_diagram
+from .diagram import _closed, _first_occurrence, _require_knot, _rotations, make_diagram
 
 
 def raw_diagram_count(k):
@@ -88,18 +88,19 @@ def enumerate_structures(max_chords, colorable=False):
             yield word, vectors
 
 
-def enumerate_diagrams(k, canonical=False):
+def enumerate_diagrams(k, canonical=False, colorable=False):
     """All one-circle based diagrams with exactly ``k`` chords.
 
     Yields every combination of endpoint pairing, chord orientation and
     signs, signs varying fastest; with ``canonical=True`` only the first
     diagram of each rotation class (basepoint placement), decided on each
-    word alone by :func:`_canonical_sign_vectors`.
+    word alone by :func:`_canonical_sign_vectors`.  With ``colorable=True``
+    only the checkerboard colorable diagrams, in the same order.
     """
     if k < 0:
         raise ValueError("chord count must be >= 0")
     vectors = list(itertools.product((1, -1), repeat=k))
-    for word in _words(k):
+    for word in _words(k, colorable):
         for signs in _canonical_sign_vectors(word, vectors) if canonical else vectors:
             yield make_diagram([word], zip(range(1, k + 1), signs))
 
@@ -142,20 +143,24 @@ def random_knot_diagram(k, rng):
     return make_diagram([slots], signs)
 
 
+def _random_link_words(k, rng, require_connecting=True):
+    """``(circles, signs)`` of :func:`random_link_diagram`, drawn by the same calls on ``rng``."""
+    if k < 1:
+        raise ValueError("a two-circle diagram needs at least one chord")
+    while True:
+        slots, signs = _random_chords(k, rng)
+        split = rng.randint(0, 2 * k)
+        if not require_connecting or not _closed(slots[:split]):  # a chord joins the circles
+            return (slots[:split], slots[split:]), signs
+
+
 def random_link_diagram(k, rng, require_connecting=True):
     """Random two-circle diagram with ``k`` chords.
 
     With ``require_connecting`` at least one chord joins the circles, so the
     diagram has a crossing whose smoothing merges the components.
     """
-    if k < 1:
-        raise ValueError("a two-circle diagram needs at least one chord")
-    while True:
-        slots, signs = _random_chords(k, rng)
-        split = rng.randint(0, 2 * k)
-        diagram = make_diagram([slots[:split], slots[split:]], signs)
-        if not require_connecting or connecting_chords(diagram):
-            return diagram
+    return make_diagram(*_random_link_words(k, rng, require_connecting))
 
 
 def connecting_chords(diagram):

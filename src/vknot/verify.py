@@ -26,8 +26,7 @@ import traceback
 from dataclasses import asdict, dataclass
 
 from .arrows import (
-    _crossing_change_subsets,
-    _endpoints,
+    _crossing_change_tables,
     _pairing_sums,
     _qualifying_subsets,
     _z2_pairs,
@@ -37,6 +36,7 @@ from .diagram import (
     _ends_of_opposite_parity,
     _first_occurrence,
     _interleavings,
+    _interleaves_nothing,
     _layout,
     _require_knot,
     _rotations,
@@ -46,12 +46,7 @@ from .diagram import (
     parse_gauss_code,
     serialize_gauss_code,
 )
-from .enumeration import (
-    connecting_chords,
-    enumerate_structures,
-    random_knot_diagram,
-    random_link_diagram,
-)
+from .enumeration import _random_chords, _random_link_words, enumerate_structures
 from .errors import PreconditionError, UnknownCheckError
 
 
@@ -95,31 +90,45 @@ def reports_to_json(reports):
 
 
 def _population_random_skein(config):
+    """``(circles, signs)`` of each sample: the endpoint words and ``{chord: sign}`` of chords
+    1..k that :func:`random_knot_diagram` (even samples) and :func:`random_link_diagram` (odd
+    ones) would build a diagram from, drawn by the same calls on the seeded generator."""
     rng = random.Random(config.seed)
     for i in range(config.samples):
         k = rng.randint(1, config.random_max_chords)
-        yield (random_link_diagram if i % 2 else random_knot_diagram)(k, rng)
+        if i % 2:
+            yield _random_link_words(k, rng)
+        else:
+            slots, signs = _random_chords(k, rng)
+            yield (slots,), signs
 
 
-def skein_verdict(diagram, config):
-    """Exact skein identities at every resolvable crossing.
+def skein_verdict(circles, signs, config):
+    """Exact skein identities at every resolvable crossing of the diagram with endpoint words
+    ``circles`` and chord signs ``signs`` (``{chord: sign}``); no diagram is built.
 
     For a knot every chord is resolved; for a two-circle diagram only chords
     joining the circles (smoothing a self-chord leaves the one- or two-circle
-    pairing domain).  A smoothing's table is ``conway_pairing_table`` of
-    ``smooth(diagram, chord)``, read from the smoothed endpoint words.
+    pairing domain).  The tables of the diagram and of each crossing change
+    come from one walk (:func:`_crossing_change_tables`).  Each smoothing gets
+    its own walk of its own endpoint words (:func:`_smoothed_words`), so the
+    identity stays a check; only a knot chord that interleaves no other is
+    not spliced, as its smoothing's two circles share no chord and so no
+    subset counts (:func:`_walks`).
     """
-    chords = diagram.chord_ids()
-    layout, signs = _endpoints(diagram)
-    same, switched = _crossing_change_subsets(layout)
-    for chord in chords if diagram.num_circles == 1 else connecting_chords(diagram):
-        i = chords.index(chord)
-        tables = (_pairing_sums(same[i], signs),
-                  _pairing_sums(switched[i], signs[:i] + [-signs[i]] + signs[i + 1 :]))
-        t_plus, t_minus = tables if signs[i] > 0 else tables[::-1]
-        # the smoothing gets its own walk, so the identity stays a check
-        smoothed = _smoothed_layout(diagram.circles, chords, i)
-        t_zero = _pairing_sums(_qualifying_subsets(smoothed, len(chords) - 1), signs[:i] + signs[i + 1 :])
+    chords, sign = tuple(signs), list(signs.values())
+    layout = tails, heads, _ = _layout(circles, chords)
+    if len(circles) == 1:
+        resolved = range(len(chords))
+    else:  # the chords with ends on two circles
+        circle_at = [ci for ci, circle in enumerate(circles) for _ in circle]
+        resolved = [i for i, (t, h) in enumerate(zip(tails, heads)) if circle_at[t] != circle_at[h]]
+    for i, (same, switched) in _crossing_change_tables(layout, sign, resolved).items():
+        t_plus, t_minus = (same, switched) if sign[i] > 0 else (switched, same)
+        t_zero = {}
+        if len(circles) > 1 or not _interleaves_nothing(circles[0], chords[i]):
+            smoothed = _smoothed_layout(circles, chords, i)
+            t_zero = _pairing_sums(_qualifying_subsets(smoothed, len(chords) - 1), sign[:i] + sign[i + 1 :])
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
         for n in sizes:
             for column in (0, 1):
@@ -344,6 +353,9 @@ class CensusStructure:
         """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""
         out = []
         for alpha in _smoothing_candidates((self.word,), self.chords):
+            if _interleaves_nothing(self.word, alpha):  # no subset of its smoothing counts
+                out.append({})
+                continue
             layout = _smoothed_layout((self.word,), self.chords, alpha - 1)
             # the smoothing's chord index i is this structure's i, or i + 1 from alpha's place on,
             # so the subsets hold this structure's chord indices and its lanes apply
@@ -488,19 +500,20 @@ class _Census:
         return not failing
 
 
-class _Diagrams:
-    """The diagrams ``population(config)`` yields, each checked by ``verdict(diagram, config)``."""
+class _Samples:
+    """The samples ``(circles, signs)`` that ``population(config)`` yields, each checked by
+    ``verdict(circles, signs, config)``; a diagram is built only for a failing sample."""
 
     def __init__(self, population):
         self.population = population
 
     def sweep(self, verdict_fn, config, shard, num_shards):
-        for i, diagram in enumerate(self.population(config)):
+        for i, (circles, signs) in enumerate(self.population(config)):
             if i % num_shards == shard:
-                yield (i, 1, []) if verdict_fn(diagram, config) else (i, 0, [diagram])
+                yield (i, 1, []) if verdict_fn(circles, signs, config) else (i, 0, [make_diagram(circles, signs)])
 
     def recheck(self, name, verdict_fn, diagram, config):
-        return verdict_fn(diagram, config)
+        return verdict_fn(diagram.circles, dict(diagram.signs), config)
 
 
 # Each check is (population, verdict): the verdict a sweep runs over the
@@ -509,7 +522,7 @@ CHECKS = {
     "cor-det": (_Census(colorable=True), _corollary_census),
     "det-asc": (_Census(colorable=True), _det_vs_ascending_census),
     "main-theorem": (_Census(), _main_theorem_census),
-    "skein": (_Diagrams(_population_random_skein), skein_verdict),
+    "skein": (_Samples(_population_random_skein), skein_verdict),
     "warp-smooth": (_Census(), _warp_and_smoothing_census),
 }
 

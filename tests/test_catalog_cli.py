@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import vknot
+from vknot import cli
 from vknot.catalog import (
     CatalogEntry,
     CatalogError,
@@ -20,8 +21,8 @@ from vknot.catalog import (
     verify_entry,
 )
 from vknot.cli import main
-from vknot.diagram import is_mod_p_numberable
-from vknot.enumeration import enumerate_all_diagrams
+from vknot.diagram import is_mod_p_numberable, serialize_gauss_code
+from vknot.enumeration import enumerate_all_diagrams, enumerate_diagrams
 
 
 def test_builtin_catalog_loads():
@@ -122,6 +123,17 @@ def test_external_catalog_file(tmp_path):
     entries = load_catalog(path)
     assert [(e.name, e.expected) for e in entries] == [("myknot", (("det", 3), ("source", "local"))), ("plain", ())]
     assert main(["invariants", "plain", "--catalog", str(path)]) == 0
+
+
+def test_catalog_parse_error_names_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("x\tO1+U1+\tdet=yes\n")
+    with pytest.raises(CatalogError, match=re.escape("%s: line 1: " % path)):
+        load_catalog(path)
+    assert main(["invariants", "trefoil", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: line 1: det expects an integer, got 'yes'\n" % path
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
@@ -280,6 +292,22 @@ def test_cli_enumerate(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert main(["enumerate", "2", "--limit", "0"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("options", [[], ["--canonical"], ["--limit", "50"], ["--canonical", "--limit", "50"]])
+def test_cli_enumerate_colorable_mod_2_matches_filtered_census(capsys, monkeypatch, options):
+    # mod 2 the colorable words are generated, so no diagram is built only to be filtered out
+    want = [serialize_gauss_code(G) for G in enumerate_diagrams(4, canonical="--canonical" in options)
+            if is_mod_p_numberable(G, 2)]
+    if "--limit" in options:
+        want = want[:50]
+    filtered = []
+    monkeypatch.setattr(cli, "is_mod_p_numberable", lambda G, p: filtered.append(G) or is_mod_p_numberable(G, p))
+    assert main(["enumerate", "4", "--colorable", "2", *options]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+    assert filtered == []
+    assert main(["enumerate", "3", "--colorable", "3", *options]) == 0  # other moduli still filter
+    assert len(filtered) > 0
 
 
 def test_cli_conway_export(capsys):

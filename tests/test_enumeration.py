@@ -171,7 +171,7 @@ def test_skein_population_is_pinned():
     # both generators draw chords through one helper; the draws, and so every
     # seeded diagram, are those of the generators before it
     population = verify._population_random_skein(verify.SweepConfig())
-    assert [serialize_gauss_code(G) for G in itertools.islice(population, 20)] == [
+    assert [serialize_gauss_code(make_diagram(*sample)) for sample in itertools.islice(population, 20)] == [
         "U6-O1-U3-O3-O6-O2+U7+U5+O5+O4+U2+U1-O7+U4+",
         "U2+U1-O3-;O5+U3-U6+O6+O4-U4-U5+O2+O1-",
         "O2-U1-O1-O3-U3-U2-",

@@ -5,7 +5,8 @@ The reference classifies chord subsets through the public word-based API:
 ``is_descending``.  Signs never enter the classification, so the reference
 classifies each unsigned structure once and re-signs it per diagram.  The
 walk-guided search is also compared subset by subset with the mask walk it
-replaced (``maskwalk``), on knots too large for the word-based reference.
+replaced (``maskwalk``), on knots too large for the word-based reference,
+and on layouts whose circles no chords join, where it must not walk at all.
 """
 
 import contextlib
@@ -17,12 +18,15 @@ import sys
 
 import pytest
 from braidutil import braid_closure_gauss_code
+from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
 from vknot import catalog, cli
 from vknot.arrows import (
     IntPolynomial,
+    _crossing_change_tables,
     _endpoints,
     _qualifying_subsets,
+    _walks,
     ascending_polynomial,
     conway_pairing,
     conway_pairing_table,
@@ -33,8 +37,8 @@ from vknot.arrows import (
     subset_pattern,
     z2_pairings_at_basepoints,
 )
-from vknot.diagram import basepoint_positions, make_diagram, parse_gauss_code
-from vknot.enumeration import enumerate_all_diagrams, random_knot_diagram, random_link_diagram
+from vknot.diagram import basepoint_positions, make_diagram, parse_gauss_code, smooth
+from vknot.enumeration import connecting_chords, enumerate_all_diagrams, random_knot_diagram, random_link_diagram
 from vknot.errors import UnknownChordError
 from vknot.oracle import conway_polynomial
 
@@ -262,7 +266,8 @@ def test_large_braid_closures_match_the_skein_oracle():
         assert descending_polynomial(G) == want, str(G)
 
 
-def _table_and_walk_calls(G):
+def _result_and_walk_calls(call):
+    """``call()`` and the number of branches (``walk`` calls) the search made in it."""
     calls = []
 
     def count_walks(frame, event, arg):
@@ -271,10 +276,14 @@ def _table_and_walk_calls(G):
 
     sys.setprofile(count_walks)
     try:
-        table = conway_pairing_table(G)
+        result = call()
     finally:
         sys.setprofile(None)
-    return table, len(calls)
+    return result, len(calls)
+
+
+def _table_and_walk_calls(G):
+    return _result_and_walk_calls(lambda: conway_pairing_table(G))
 
 
 def test_walks_never_land_on_a_kink():
@@ -315,3 +324,56 @@ def test_walk_matches_mask_walk_at_small_bounds():
     diagrams += [_kinked(rng, G) for G in list(diagrams)]
     for G in diagrams:
         _assert_walk_matches_mask_walk(G, (1, 2, 3))
+
+
+def _relabeled_word(G, shift):
+    """The endpoint word of the knot ``G`` with each chord ``c`` renamed ``c + shift``."""
+    return [(chord + shift, is_head) for chord, is_head in G.circles[0]]
+
+
+def _split_diagrams(rng):
+    """Layouts with no one-component subset, each with a chord on its first circle: two circles
+    no chord joins, three circles of which one (first, middle or last) is isolated or empty, and
+    the smoothings of knot chords that interleave no other chord."""
+    out = []
+    for _ in range(20):
+        A, B = random_knot_diagram(rng.randint(1, 6), rng), random_knot_diagram(rng.randint(0, 6), rng)
+        out.append(make_diagram([A.circles[0], _relabeled_word(B, 10)], dict(A.signs) | {c + 10: s for c, s in B.signs}))
+    while len(out) < 40:
+        G = random_link_diagram(rng.randint(1, 6), rng, require_connecting=False)
+        if G.circles[0] and not connecting_chords(G):
+            out.append(G)
+    for _ in range(30):
+        L, K = random_link_diagram(rng.randint(1, 7), rng), random_knot_diagram(rng.randint(0, 4), rng)
+        at = rng.randint(0, 2)
+        circles = list(L.circles)
+        circles.insert(at, _relabeled_word(K, 10))
+        if circles[0]:
+            out.append(make_diagram(circles, dict(L.signs) | {c + 10: s for c, s in K.signs}))
+    while len(out) < 110:
+        G = random_knot_diagram(rng.randint(2, 9), rng)
+        word = G.circles[0]
+        for chord in G.chord_ids():
+            a, b = sorted(pos for pos, (c, _) in enumerate(word) if c == chord)
+            inside = [c for c, _ in word[a + 1 : b]]
+            if all(inside.count(c) == 2 for c in inside) and (a, b) != (0, len(word) - 1):
+                out.append(smooth(G, chord))  # it interleaves nothing and leaves chords on the first circle
+    return out
+
+
+def test_split_layouts_match_mask_walk_without_walking():
+    # One walk must visit every circle, so when the chords do not join the circles the search
+    # returns at once: no branch, where a cut reading only the first circle's chords walks on.
+    rng = random.Random(83)
+    for G in _split_diagrams(rng):
+        assert G.num_circles > 1 and G.circles[0], str(G)
+        layout, signs = _endpoints(G)
+        n = G.num_chords
+        assert list(mask_qualifying_subsets(layout, range(n + 1))) == [], str(G)
+        assert mask_crossing_change_subsets(layout) == ([[] for _ in range(n)], [[] for _ in range(n)]), str(G)
+        for max_size in (1, 2, n):
+            assert _result_and_walk_calls(lambda: _qualifying_subsets(layout, max_size)) == ([], 0), str(G)
+        assert _result_and_walk_calls(lambda: _walks(layout, n, budget=1)) == ([], 0), str(G)
+        tables = _crossing_change_tables(layout, signs, range(n))
+        assert tables == {i: ({}, {}) for i in range(n)}, str(G)
+        assert _table_and_walk_calls(G) == ({}, 0), str(G)

@@ -6,8 +6,10 @@ per-chord verdict it replaced: three independent ``conway_pairing_table``
 calls per resolvable chord, on D, on the materialized crossing change and on
 the smoothing.  The verdict is True on every diagram the check sees, so the
 tables themselves are compared, and a deliberately wrong smoothing shows
-that the check can still fail.  The shared tables are also compared with the
-mask walk they replaced (``maskwalk``), subset by subset.
+that the check can still fail.  The walk behind the shared tables is also
+compared with the mask walk it replaced (``maskwalk``), subset by subset.
+The check samples endpoint words, not diagrams; its sampler is compared
+with the diagram generators it draws like.
 """
 
 import functools
@@ -15,8 +17,15 @@ import random
 
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from vknot import verify
-from vknot.arrows import _crossing_change_subsets, _endpoints, _pairing_sums, conway_pairing_table
-from vknot.diagram import BasedGaussDiagram, _smoothed_words, crossing_change, serialize_gauss_code, smooth
+from vknot.arrows import _crossing_change_tables, _endpoints, _pairing_sums, _walks, conway_pairing_table
+from vknot.diagram import (
+    BasedGaussDiagram,
+    _smoothed_words,
+    crossing_change,
+    make_diagram,
+    serialize_gauss_code,
+    smooth,
+)
 from vknot.enumeration import (
     connecting_chords,
     enumerate_all_diagrams,
@@ -58,14 +67,16 @@ def reference_skein_verdict(diagram, config, smoothing=smooth):
 
 def _assert_shared_walk_matches(G, chords):
     layout, signs = _endpoints(G)
-    same, switched = _crossing_change_subsets(layout)
-    assert len(same) == len(switched) == G.num_chords, str(G)
-    for chord in chords:
-        i = G.chord_ids().index(chord)
-        switched_signs = signs[:i] + [-signs[i]] + signs[i + 1:]
-        tables = (_pairing_sums(same[i], signs), _pairing_sums(switched[i], switched_signs))
-        for shared, diagram in zip(tables, (G, crossing_change(G, chord))):
+    resolved = [G.chord_ids().index(chord) for chord in chords]
+    tables = _crossing_change_tables(layout, signs, resolved)
+    assert list(tables) == resolved, str(G)
+    for chord, i in zip(chords, resolved):
+        for shared, diagram in zip(tables[i], (G, crossing_change(G, chord))):
             assert shared == reference_table(diagram, required_chord=chord), (str(G), chord)
+
+
+def _verdict(G, config):
+    return skein_verdict(G.circles, dict(G.signs), config)
 
 
 def _seeded_links(count=200, seed=41):
@@ -77,7 +88,7 @@ def test_shared_walk_matches_materialized_tables_on_census():
     config = SweepConfig()
     for G in enumerate_all_diagrams(4):
         _assert_shared_walk_matches(G, G.chord_ids())
-        assert skein_verdict(G, config) is reference_skein_verdict(G, config), str(G)
+        assert _verdict(G, config) is reference_skein_verdict(G, config), str(G)
 
 
 def test_shared_walk_matches_materialized_tables_on_links():
@@ -85,22 +96,64 @@ def test_shared_walk_matches_materialized_tables_on_links():
     for G in _seeded_links():
         assert connecting_chords(G)
         _assert_shared_walk_matches(G, connecting_chords(G))
-        assert skein_verdict(G, config) is reference_skein_verdict(G, config), str(G)
+        assert _verdict(G, config) is reference_skein_verdict(G, config), str(G)
 
 
 def _by_subset(lists):
     return [sorted((tuple(sorted(s)), a, d) for s, a, d in found) for found in lists]
 
 
+def _walk_crossing_change_subsets(layout):
+    """``(same, switched)`` from the budget-1 walk, as the mask version lists them: at chord
+    index ``i``, the subsets holding ``i`` that count in D and in D^i."""
+    same, switched = [[] for _ in layout[0]], [[] for _ in layout[0]]
+    for subset, first in _walks(layout, len(layout[0]), budget=1):
+        for i in subset:  # t: the chords first reached tail-first in D, then in D^i
+            for found, t in ((same, len(first)), (switched, len(first) + (-1 if i in first else 1))):
+                if t in (0, len(subset)):
+                    found[i].append((subset, not t, t == len(subset)))
+    return same, switched
+
+
 def test_shared_walk_matches_mask_walk():
+    # The budget-1 walk lists the mask walk's subsets, and the shared tables are their sums.
     rng = random.Random(59)
     diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(60)]
     diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(60)]
     for G in diagrams:
-        layout, _ = _endpoints(G)
-        walk = _crossing_change_subsets(layout)
+        layout, signs = _endpoints(G)
         mask = mask_crossing_change_subsets(layout)
+        walk = _walk_crossing_change_subsets(layout)
         assert [_by_subset(lists) for lists in walk] == [_by_subset(lists) for lists in mask], str(G)
+        tables = _crossing_change_tables(layout, signs, range(G.num_chords))
+        for i, (same, switched) in tables.items():
+            switched_signs = signs[:i] + [-signs[i]] + signs[i + 1:]
+            assert same == _pairing_sums(mask[0][i], signs), (str(G), i)
+            assert switched == _pairing_sums(mask[1][i], switched_signs), (str(G), i)
+
+
+def _diagram_population(config):
+    """The skein population as diagrams, drawn by the diagram generators."""
+    rng = random.Random(config.seed)
+    for i in range(config.samples):
+        k = rng.randint(1, config.random_max_chords)
+        yield (random_link_diagram if i % 2 else random_knot_diagram)(k, rng)
+
+
+def _sample_diagrams(config):
+    return [make_diagram(circles, signs) for circles, signs in verify._population_random_skein(config)]
+
+
+def test_word_sampler_draws_what_the_diagram_generators_draw():
+    configs = (SweepConfig(), SweepConfig(samples=5000, seed=1),
+               SweepConfig(samples=2000, random_max_chords=10, seed=7))
+    for config in configs:
+        samples = list(verify._population_random_skein(config))
+        diagrams = list(_diagram_population(config))
+        assert len(samples) == len(diagrams) == config.samples
+        for (circles, signs), G in zip(samples, diagrams):
+            assert tuple(map(tuple, circles)) == G.circles, str(G)
+            assert list(signs.items()) == list(G.signs), str(G)  # chords 1..k, in order
 
 
 def _smoothed_words_off_basepoint(circles, chord):
@@ -120,7 +173,7 @@ def test_wrong_smoothing_is_caught(monkeypatch):
     config = SweepConfig(samples=200, seed=3)
     expected = [
         serialize_gauss_code(G)
-        for G in verify._population_random_skein(config)
+        for G in _sample_diagrams(config)
         if not reference_skein_verdict(G, config, smoothing=_smooth_off_basepoint)
     ]
     monkeypatch.setattr(verify, "_smoothed_words", _smoothed_words_off_basepoint)
