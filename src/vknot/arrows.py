@@ -20,8 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _layout, _require_knot, _rotations,
-                      basepoint_positions, is_mod_p_numberable)
+from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _interleaves_nothing, _layout,
+                      _require_knot, _rotations, _smoothed_words, basepoint_positions, is_mod_p_numberable)
 from .enumeration import _words
 from .errors import GaussCodeError, PreconditionError
 
@@ -341,10 +341,28 @@ def _qualifying_subsets(layout, max_size):
     return [(subset, not first, len(first) == len(subset)) for subset, first in _walks(layout, max_size)]
 
 
-def _crossing_change_tables(layout, signs, resolved):
-    """``{i: (table, switched)}`` for each chord index ``i`` of ``resolved``: the signed sums, as
-    :func:`_pairing_sums`, over the subsets holding ``i`` that count in D and in D^i.
+def _smoothing_subsets(circles, chords, i):
+    """:func:`_qualifying_subsets` of the smoothing along ``chords[i]`` of the diagram with endpoint
+    words ``circles`` (:func:`~vknot.diagram.smooth`), its chords the others, each subset in the
+    chord indices of ``chords``, so the diagram's own signs apply.
 
+    A knot chord that interleaves nothing is not spliced: its smoothing's two
+    circles share no chord, so no subset counts (:func:`_walks`).
+    """
+    if len(circles) == 1 and _interleaves_nothing(circles[0], chords[i]):
+        return []
+    others = chords[:i] + chords[i + 1 :]
+    layout = _layout(_smoothed_words(circles, chords[i]), others)
+    # the smoothing's chord index j is the diagram's j, or j + 1 from i on
+    return [(tuple([j + (j >= i) for j in subset]), asc, des)
+            for subset, asc, des in _qualifying_subsets(layout, len(others))]
+
+
+def _crossing_change_tables(layout, signs, resolved):
+    """``{i: (same, switched)}`` for each chord index ``i`` of ``resolved``: the raw signed sums
+    ``{size: [ascending, descending]}`` over the subsets holding ``i`` that count in D and in D^i.
+
+    A size may hold two zero sums, and a missing size reads as zero sums.
     D^i, the crossing change at chord ``i``, swaps its tail and head in place and negates its
     sign, so each walk keeps its path, only chord ``i``'s first-reached role flips, and the sign
     product changes sign: a subset is ascending in D when no chord is first reached tail-first,
@@ -363,12 +381,7 @@ def _crossing_change_tables(layout, signs, resolved):
                 flipped = num - 1 if i in first else num + 1  # in D^i
                 if flipped == 0 or flipped == size:
                     switched.setdefault(size, [0, 0])[flipped != 0] -= prod
-    return {i: (_nonzero(same), _nonzero(switched)) for i, (same, switched) in sums.items()}
-
-
-def _nonzero(sums):
-    """``{size: (ascending, descending)}`` of the sizes of ``sums`` with a nonzero sum, in increasing order."""
-    return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
+    return sums
 
 
 def _pairing_sums(classified, signs):
@@ -382,7 +395,7 @@ def _pairing_sums(classified, signs):
         entry = sums.setdefault(len(subset), [0, 0])
         entry[0] += prod if asc else 0
         entry[1] += prod if des else 0
-    return _nonzero(sums)
+    return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
 
 
 def _z2_pairs(word, index):
@@ -456,39 +469,28 @@ def conway_pairing(diagram, degree, variant):
     """Pairing of the full degree-``degree`` Conway combination with ``diagram``.
 
     Equals the sum of :func:`pairing` over every member of
-    ``conway_set(degree, ...)`` but walks the diagram's chord subsets of at
-    most ``degree`` chords (:func:`_walks`).  Degree 2 reads :func:`_z2`,
-    on a knot one sweep over the endpoints, O(n) big-integer operations.
+    ``conway_set(degree, ...)`` but reads :func:`conway_pairing_table` up to
+    ``degree``.  Degree 2 reads :func:`_z2`, on a knot one sweep over the
+    endpoints, O(n) big-integer operations.
     """
     column = 0 if _variant_name(variant) == "ascending" else 1
-    chords, signs = diagram.chord_ids(), [s for _, s in diagram.signs]
     if degree == 2:
-        return _z2(diagram.circles, chords, signs)[column]
-    table = _pairing_sums(_qualifying_subsets(_layout(diagram.circles, chords), degree), signs)
-    return table.get(degree, (0, 0))[column]
+        return _z2(diagram.circles, diagram.chord_ids(), [s for _, s in diagram.signs])[column]
+    return conway_pairing_table(diagram, max_degree=degree).get(degree, (0, 0))[column]
 
 
-def conway_pairing_table(diagram, required_chord=None, max_degree=None):
+def conway_pairing_table(diagram, *, max_degree=None):
     """All Conway pairings of a diagram up to ``max_degree`` at once.
 
     Returns ``{size: (ascending_sum, descending_sum)}`` over chord-subset
-    sizes up to ``max_degree`` (default: every chord); a size is a key
-    only when one of its two sums is nonzero.  With ``required_chord`` set,
-    only subsets containing that chord are counted (sums over the remaining
-    subsets cancel in skein differences).  A subset's classification reads
-    only its own chords, so these are the subsets of the one walk over every
-    chord that hold ``required_chord``: the table of the diagram minus that
-    of the diagram without the chord.
+    sizes up to ``max_degree`` (default: every chord), from the walk-guided
+    search of :func:`_walks`; a size is a key only when one of its two sums
+    is nonzero.
     """
     if max_degree is None:
         max_degree = diagram.num_chords
     layout, signs = _endpoints(diagram)
-    classified = _qualifying_subsets(layout, max_degree)
-    if required_chord is not None:
-        diagram.sign(required_chord)  # refuses a chord the diagram does not have
-        i = diagram.chord_ids().index(required_chord)
-        classified = [entry for entry in classified if i in entry[0]]
-    return _pairing_sums(classified, signs)
+    return _pairing_sums(_qualifying_subsets(layout, max_degree), signs)
 
 
 def z2_pairings_at_basepoints(diagram):

@@ -1,10 +1,10 @@
 """Named knots with expected invariant values.
 
 The catalog file format is line oriented: ``name<TAB>gauss_code<TAB>kv``
-where ``kv`` is a comma-separated list of ``key=value`` pairs and ``#``
-starts a comment.  Every expected value carries a ``source`` provenance
-string; golden values are re-derived by the test suite on every run and a
-mismatch fails the build quoting that provenance.
+where ``kv`` is a comma-separated list of ``key=value`` pairs; from ``#`` to
+the end of a line is a comment.  Every expected value carries a ``source``
+provenance string; golden values are re-derived by the test suite on every
+run and a mismatch fails the build quoting that provenance.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def loads_catalog(text):
     entries = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        line = line.split("#", 1)[0]
+        if not line.strip():
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) == 2:
             parts.append("")
         if len(parts) != 3:

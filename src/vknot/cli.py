@@ -2,7 +2,7 @@
 
 Exit status: 0 on success, 1 on Gauss-code parse errors, 2 when a requested
 computation's precondition fails (for example the determinant of a knot that
-is not checkerboard colorable).
+is not checkerboard colorable), 3 when ``verify`` reports a counterexample.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _cmd_verify(args):
         print(reports_to_json(reports))
     else:
         print("\n\n".join(r.to_text() for r in reports))
-    return 0
+    return 3 if any(r.failures for r in reports) else 0
 
 
 def _cmd_enumerate(args):

@@ -243,19 +243,17 @@ def indices(diagram):
     return out
 
 
-def index(diagram, chord, flip=False):
+def index(diagram, chord):
     """Signed count of chords interleaved with ``chord``.
 
     A chord ``d`` crossing ``chord`` counts with weight ``+sign(d)`` when its
     tail lies on the arc running from the head of ``chord`` to its tail, and
     ``-sign(d)`` otherwise; the total is multiplied by ``sign(chord)``.
-    ``flip`` swaps the left/right convention, negating the result; every
-    predicate downstream only uses the value modulo p, which is unaffected.
     """
     value = indices(diagram).get(chord)
     if value is None:
         raise UnknownChordError(chord)
-    return -value if flip else value
+    return value
 
 
 def _congruent(a, b, p):

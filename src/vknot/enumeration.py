@@ -143,24 +143,21 @@ def random_knot_diagram(k, rng):
     return make_diagram([slots], signs)
 
 
-def _random_link_words(k, rng, require_connecting=True):
+def _random_link_words(k, rng):
     """``(circles, signs)`` of :func:`random_link_diagram`, drawn by the same calls on ``rng``."""
     if k < 1:
         raise ValueError("a two-circle diagram needs at least one chord")
     while True:
         slots, signs = _random_chords(k, rng)
         split = rng.randint(0, 2 * k)
-        if not require_connecting or not _closed(slots[:split]):  # a chord joins the circles
+        if not _closed(slots[:split]):  # a chord joins the circles
             return (slots[:split], slots[split:]), signs
 
 
-def random_link_diagram(k, rng, require_connecting=True):
-    """Random two-circle diagram with ``k`` chords.
-
-    With ``require_connecting`` at least one chord joins the circles, so the
-    diagram has a crossing whose smoothing merges the components.
-    """
-    return make_diagram(*_random_link_words(k, rng, require_connecting))
+def random_link_diagram(k, rng):
+    """Random two-circle diagram with ``k`` chords, at least one of them joining the circles,
+    so the diagram has a crossing whose smoothing merges the components."""
+    return make_diagram(*_random_link_words(k, rng))
 
 
 def connecting_chords(diagram):

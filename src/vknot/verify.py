@@ -29,6 +29,7 @@ from .arrows import (
     _crossing_change_tables,
     _pairing_sums,
     _qualifying_subsets,
+    _smoothing_subsets,
     _z2_pairs,
 )
 from .determinant import _word_determinant
@@ -36,11 +37,9 @@ from .diagram import (
     _ends_of_opposite_parity,
     _first_occurrence,
     _interleavings,
-    _interleaves_nothing,
     _layout,
     _require_knot,
     _rotations,
-    _smoothed_words,
     _warping_degree,
     make_diagram,
     parse_gauss_code,
@@ -109,12 +108,10 @@ def skein_verdict(circles, signs, config):
 
     For a knot every chord is resolved; for a two-circle diagram only chords
     joining the circles (smoothing a self-chord leaves the one- or two-circle
-    pairing domain).  The tables of the diagram and of each crossing change
-    come from one walk (:func:`_crossing_change_tables`).  Each smoothing gets
-    its own walk of its own endpoint words (:func:`_smoothed_words`), so the
-    identity stays a check; only a knot chord that interleaves no other is
-    not spliced, as its smoothing's two circles share no chord and so no
-    subset counts (:func:`_walks`).
+    pairing domain).  The raw tables of the diagram and of each crossing
+    change come from one walk (:func:`_crossing_change_tables`).  Each
+    smoothing gets its own walk of its own endpoint words
+    (:func:`_smoothing_subsets`), so the identity stays a check.
     """
     chords, sign = tuple(signs), list(signs.values())
     layout = tails, heads, _ = _layout(circles, chords)
@@ -125,10 +122,7 @@ def skein_verdict(circles, signs, config):
         resolved = [i for i, (t, h) in enumerate(zip(tails, heads)) if circle_at[t] != circle_at[h]]
     for i, (same, switched) in _crossing_change_tables(layout, sign, resolved).items():
         t_plus, t_minus = (same, switched) if sign[i] > 0 else (switched, same)
-        t_zero = {}
-        if len(circles) > 1 or not _interleaves_nothing(circles[0], chords[i]):
-            smoothed = _smoothed_layout(circles, chords, i)
-            t_zero = _pairing_sums(_qualifying_subsets(smoothed, len(chords) - 1), sign[:i] + sign[i + 1 :])
+        t_zero = _pairing_sums(_smoothing_subsets(circles, chords, i), sign)
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
         for n in sizes:
             for column in (0, 1):
@@ -137,11 +131,6 @@ def skein_verdict(circles, signs, config):
                 if lhs != rhs:
                     return False
     return True
-
-
-def _smoothed_layout(circles, chords, i):
-    """The layout of the smoothing along ``chords[i]`` (:func:`smooth`), whose chords are the others."""
-    return _layout(_smoothed_words(circles, chords[i]), chords[:i] + chords[i + 1 :])
 
 
 # -- the census engine ---------------------------------------------------------
@@ -351,18 +340,8 @@ class CensusStructure:
 
     def smoothed_tables(self, lanes):
         """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""
-        out = []
-        for alpha in _smoothing_candidates((self.word,), self.chords):
-            if _interleaves_nothing(self.word, alpha):  # no subset of its smoothing counts
-                out.append({})
-                continue
-            layout = _smoothed_layout((self.word,), self.chords, alpha - 1)
-            # the smoothing's chord index i is this structure's i, or i + 1 from alpha's place on,
-            # so the subsets hold this structure's chord indices and its lanes apply
-            subsets = [(tuple(i + (i >= alpha - 1) for i in subset), asc, des)
-                       for subset, asc, des in _qualifying_subsets(layout, len(self.chords) - 1)]
-            out.append(_table_lanes(subsets, lanes))
-        return out
+        return [_table_lanes(_smoothing_subsets((self.word,), self.chords, alpha - 1), lanes)
+                for alpha in _smoothing_candidates((self.word,), self.chords)]
 
 
 # -- the exhaustive checks -----------------------------------------------------

@@ -115,6 +115,17 @@ def test_catalog_errors_carry_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_catalog_comments_run_to_the_end_of_the_line():
+    text = ("# header\n  # indented\nx\tO1+U1+\tdet=1  # note\n"
+            "y\tO1+U2+O3+U1+O2+U3+\tdet=3,source=a # b\nz\tO1+U1+ # no fields\n")
+    entries = loads_catalog(text)
+    assert [(e.name, e.code, e.expected) for e in entries] == [
+        ("x", "O1+U1+", (("det", 1),)),
+        ("y", "O1+U2+O3+U1+O2+U3+", (("det", 3), ("source", "a"))),
+        ("z", "O1+U1+", ()),
+    ]
+
+
 def test_external_catalog_file(tmp_path):
     path = tmp_path / "mine.txt"
     path.write_text("myknot\tO1+U2+O3+U1+O2+U3+\tdet=3,source=local\nplain\tO1+U1+\n")

@@ -388,6 +388,17 @@ def test_failing_structure_verdict_reports_per_diagram_order(monkeypatch):
         assert recheck("bad", code, config) is False
 
 
+def test_cli_verify_exits_3_on_counterexamples(monkeypatch, capsys):
+    check, _ = _bad_check()
+    monkeypatch.setitem(CHECKS, "bad", check)
+    assert main(["verify", "bad", "--max-chords", "2", "--json"]) == 3
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["failures"] == len(report["counterexamples"]) == 27
+    assert main(["verify", "cor-det", "bad", "--max-chords", "2"]) == 3
+    assert "failures: 27" in capsys.readouterr().out
+    assert main(["verify", "cor-det", "--max-chords", "2"]) == 0
+
+
 class Hung(Exception):
     """Not an OSError, which a wait for a child process would swallow."""
 

@@ -103,7 +103,6 @@ def test_index_examples():
     assert sorted(index(VT, c) for c in VT.chord_ids()) == [-1, 1]
     kink = parse_gauss_code("O1+U1+O2+U2+")
     assert index(kink, 1) == index(kink, 2) == 0
-    assert index(VT, 1, flip=True) == -index(VT, 1)
     with pytest.raises(UnknownChordError):
         index(G, 99)
 

@@ -38,8 +38,13 @@ from vknot.arrows import (
     z2_pairings_at_basepoints,
 )
 from vknot.diagram import basepoint_positions, make_diagram, parse_gauss_code, smooth
-from vknot.enumeration import connecting_chords, enumerate_all_diagrams, random_knot_diagram, random_link_diagram
-from vknot.errors import UnknownChordError
+from vknot.enumeration import (
+    _random_chords,
+    connecting_chords,
+    enumerate_all_diagrams,
+    random_knot_diagram,
+    random_link_diagram,
+)
 from vknot.oracle import conway_polynomial
 
 VARIANTS = ("ascending", "descending")
@@ -141,16 +146,23 @@ def test_three_circle_diagrams_match_reference():
         _assert_pairings_match(G, table)
 
 
+def _held_tables(G):
+    """``{chord: table}``: the subsets holding each chord, as the raw sums of D in
+    ``_crossing_change_tables`` hold them, sizes whose sums are both 0 left out."""
+    layout, signs = _endpoints(G)
+    tables = _crossing_change_tables(layout, signs, range(G.num_chords))
+    return {chord: {size: tuple(sums) for size, sums in tables[i][0].items() if any(sums)}
+            for i, chord in enumerate(G.chord_ids())}
+
+
 def test_required_chord_tables_match_reference():
     rng = random.Random(17)
     diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(6)]
     diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(6)]
     for G in diagrams:
+        held = _held_tables(G)
         for chord in G.chord_ids():
-            assert conway_pairing_table(G, required_chord=chord) == reference_table(G, chord), (
-                str(G), chord)
-    with pytest.raises(UnknownChordError):
-        conway_pairing_table(parse_gauss_code("O1+U2+O3+U1+O2+U3+"), required_chord=9)
+            assert held[chord] == reference_table(G, chord), (str(G), chord)
 
 
 def test_larger_tables_match_reference():
@@ -161,9 +173,9 @@ def test_larger_tables_match_reference():
     diagrams += [random_link_diagram(rng.randint(6, 9), rng) for _ in range(4)]
     for G in diagrams:
         assert conway_pairing_table(G) == reference_table(G), str(G)
+        held = _held_tables(G)
         for chord in G.chord_ids():
-            assert conway_pairing_table(G, required_chord=chord) == reference_table(G, chord), (
-                str(G), chord)
+            assert held[chord] == reference_table(G, chord), (str(G), chord)
 
 
 def test_degree_bound_bounds_the_work():
@@ -174,6 +186,8 @@ def test_degree_bound_bounds_the_work():
                                 (descending_polynomial, "descending")):
         want = IntPolynomial.from_dict({0: 1, 2: conway_pairing(G, 2, variant)})
         assert polynomial(G, 2) == want
+    with pytest.raises(TypeError):  # the bound is keyword-only; a positional one is refused
+        conway_pairing_table(G, 2)
 
 
 def test_invariants_builds_one_table_per_knot(monkeypatch):
@@ -213,16 +227,19 @@ def _assert_walk_matches_mask_walk(G, max_sizes):
     # Subset by subset, not only by sums, so that two errors cannot cancel.
     layout, _ = _endpoints(G)
     ids = G.chord_ids()
+    held = _held_tables(G)
     for max_size in max_sizes:
         walk = _qualifying_subsets(layout, max_size)
         mask = list(mask_qualifying_subsets(layout, range(max_size + 1)))
         assert sorted((tuple(sorted(s)), a, d) for s, a, d in walk) == _counting(mask), (str(G), max_size)
         for required in (None, *range(len(ids))):
             mask = list(mask_qualifying_subsets(layout, range(max_size + 1), required))
-            chord = None if required is None else ids[required]
             named = [(tuple(ids[i] for i in s), a, d) for s, a, d in mask]
-            assert conway_pairing_table(G, chord, max_size) == _signed_table(G, named), (
-                str(G), max_size, required)
+            if required is None:
+                got = conway_pairing_table(G, max_degree=max_size)
+            else:
+                got = {size: sums for size, sums in held[ids[required]].items() if size <= max_size}
+            assert got == _signed_table(G, named), (str(G), max_size, required)
 
 
 def test_walk_matches_mask_walk_on_larger_knots():
@@ -331,6 +348,14 @@ def _relabeled_word(G, shift):
     return [(chord + shift, is_head) for chord, is_head in G.circles[0]]
 
 
+def _random_split_link(k, rng):
+    """A random two-circle diagram whose chords need not join the circles: one draw of
+    ``random_link_diagram``, which would draw again when none does."""
+    slots, signs = _random_chords(k, rng)
+    split = rng.randint(0, 2 * k)
+    return make_diagram([slots[:split], slots[split:]], signs)
+
+
 def _split_diagrams(rng):
     """Layouts with no one-component subset, each with a chord on its first circle: two circles
     no chord joins, three circles of which one (first, middle or last) is isolated or empty, and
@@ -340,7 +365,7 @@ def _split_diagrams(rng):
         A, B = random_knot_diagram(rng.randint(1, 6), rng), random_knot_diagram(rng.randint(0, 6), rng)
         out.append(make_diagram([A.circles[0], _relabeled_word(B, 10)], dict(A.signs) | {c + 10: s for c, s in B.signs}))
     while len(out) < 40:
-        G = random_link_diagram(rng.randint(1, 6), rng, require_connecting=False)
+        G = _random_split_link(rng.randint(1, 6), rng)
         if G.circles[0] and not connecting_chords(G):
             out.append(G)
     for _ in range(30):

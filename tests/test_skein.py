@@ -1,25 +1,35 @@
 """Differential tests of the skein check's shared crossing-change walk.
 
-``skein_verdict`` reads the tables of a diagram D and of every crossing
-change D^c from one walk of D's subsets.  The reference below is the
-per-chord verdict it replaced: three independent ``conway_pairing_table``
-calls per resolvable chord, on D, on the materialized crossing change and on
-the smoothing.  The verdict is True on every diagram the check sees, so the
-tables themselves are compared, and a deliberately wrong smoothing shows
-that the check can still fail.  The walk behind the shared tables is also
-compared with the mask walk it replaced (``maskwalk``), subset by subset.
-The check samples endpoint words, not diagrams; its sampler is compared
-with the diagram generators it draws like.
+``skein_verdict`` reads the raw tables of a diagram D and of every crossing
+change D^c from one walk of D's subsets, and the table of each smoothing
+from ``_smoothing_subsets``.  The reference below is the per-chord verdict
+it replaced, with three tables per resolvable chord, on D, on the
+materialized crossing change and on the smoothing, each from the mask walk
+(``maskwalk``) of its own diagram, so none shares the walk under test.  The
+verdict is True on every diagram the check sees, so the tables themselves
+are compared, and a deliberately wrong smoothing shows that the check can
+still fail.  The walk behind the shared tables is also compared with the
+mask walk, subset by subset.  The check samples endpoint words, not
+diagrams; its sampler is compared with the diagram generators it draws like.
 """
 
 import functools
 import random
 
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
-from vknot import verify
-from vknot.arrows import _crossing_change_tables, _endpoints, _pairing_sums, _walks, conway_pairing_table
+from maskwalk import _qualifying_subsets as mask_qualifying_subsets
+from vknot import arrows, verify
+from vknot.arrows import (
+    _crossing_change_tables,
+    _endpoints,
+    _pairing_sums,
+    _qualifying_subsets,
+    _smoothing_subsets,
+    _walks,
+)
 from vknot.diagram import (
     BasedGaussDiagram,
+    _interleaves_nothing,
     _smoothed_words,
     crossing_change,
     make_diagram,
@@ -34,9 +44,20 @@ from vknot.enumeration import (
 )
 from vknot.verify import SweepConfig, recheck, run_check, skein_verdict
 
+
+def _nonzero(raw):
+    """A raw table ``{size: [ascending, descending]}`` with the sizes whose sums are both 0 left out."""
+    return {size: tuple(sums) for size, sums in raw.items() if any(sums)}
+
+
 # Diagrams are values, so the table comparison and the reference verdict
 # can share each materialized diagram's table.
-reference_table = functools.lru_cache(maxsize=256)(conway_pairing_table)
+@functools.lru_cache(maxsize=256)
+def reference_table(diagram, chord=None):
+    """The signed table of ``diagram`` from the mask walk, over the subsets holding ``chord`` if it is set."""
+    layout, signs = _endpoints(diagram)
+    required = None if chord is None else diagram.chord_ids().index(chord)
+    return _pairing_sums(mask_qualifying_subsets(layout, range(diagram.num_chords + 1), required), signs)
 
 
 def reference_skein_verdict(diagram, config, smoothing=smooth):
@@ -50,8 +71,8 @@ def reference_skein_verdict(diagram, config, smoothing=smooth):
         switched = crossing_change(diagram, chord)
         plus, minus = (diagram, switched) if eps > 0 else (switched, diagram)
         zero = smoothing(diagram, chord)
-        t_plus = reference_table(plus, required_chord=chord)
-        t_minus = reference_table(minus, required_chord=chord)
+        t_plus = reference_table(plus, chord)
+        t_minus = reference_table(minus, chord)
         t_zero = reference_table(zero)
         sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
         for n in sizes:
@@ -72,7 +93,7 @@ def _assert_shared_walk_matches(G, chords):
     assert list(tables) == resolved, str(G)
     for chord, i in zip(chords, resolved):
         for shared, diagram in zip(tables[i], (G, crossing_change(G, chord))):
-            assert shared == reference_table(diagram, required_chord=chord), (str(G), chord)
+            assert _nonzero(shared) == reference_table(diagram, chord), (str(G), chord)
 
 
 def _verdict(G, config):
@@ -128,8 +149,29 @@ def test_shared_walk_matches_mask_walk():
         tables = _crossing_change_tables(layout, signs, range(G.num_chords))
         for i, (same, switched) in tables.items():
             switched_signs = signs[:i] + [-signs[i]] + signs[i + 1:]
-            assert same == _pairing_sums(mask[0][i], signs), (str(G), i)
-            assert switched == _pairing_sums(mask[1][i], switched_signs), (str(G), i)
+            assert _nonzero(same) == _pairing_sums(mask[0][i], signs), (str(G), i)
+            assert _nonzero(switched) == _pairing_sums(mask[1][i], switched_signs), (str(G), i)
+
+
+def test_smoothing_subsets_match_the_smoothed_diagrams_walk():
+    # In the diagram's chord indices, the subsets of the smoothing's own walk; none exactly when a
+    # knot chord interleaves nothing (a connecting chord of a link merges its circles).
+    checked = 0
+    for G in [*enumerate_all_diagrams(4), *_seeded_links()]:
+        ids = G.chord_ids()
+        for i, chord in enumerate(ids):
+            smoothed = smooth(G, chord)
+            at = [ids.index(other) for other in smoothed.chord_ids()]
+            want = [(tuple([at[j] for j in subset]), asc, des)
+                    for subset, asc, des in _qualifying_subsets(_endpoints(smoothed)[0], len(at))]
+            got = _smoothing_subsets(G.circles, ids, i)
+            assert sorted(got) == sorted(want), (str(G), chord)
+            if G.num_circles == 1:
+                assert (got == []) is _interleaves_nothing(G.circles[0], chord), (str(G), chord)
+            elif chord in connecting_chords(G):
+                assert got, (str(G), chord)
+            checked += 1
+    assert checked > 90000
 
 
 def _diagram_population(config):
@@ -176,7 +218,7 @@ def test_wrong_smoothing_is_caught(monkeypatch):
         for G in _sample_diagrams(config)
         if not reference_skein_verdict(G, config, smoothing=_smooth_off_basepoint)
     ]
-    monkeypatch.setattr(verify, "_smoothed_words", _smoothed_words_off_basepoint)
+    monkeypatch.setattr(arrows, "_smoothed_words", _smoothed_words_off_basepoint)
     report = run_check("skein", config)
     assert 0 < report.failures < report.population == 200
     assert list(report.counterexamples) == expected
