@@ -30,6 +30,16 @@ def _matchings(items, opposite_parity=False):
             yield (pair,) + sub
 
 
+def _word(matching, heads):
+    """The endpoint word of ``matching`` (pairs of slots, in order of their first slot) with chord
+    ``c`` the ``c``-th pair and its head at the pair's first slot where ``heads[c - 1]``."""
+    slots = [None] * (2 * len(matching))
+    for chord, ((a, b), head_at_a) in enumerate(zip(matching, heads), start=1):
+        slots[a] = (chord, head_at_a)
+        slots[b] = (chord, not head_at_a)
+    return tuple(slots)
+
+
 def _words(k, colorable=False):
     """Each one-circle endpoint word with ``k`` chords, in census order: every matching of the
     ``2k`` slots, then every orientation.  Chord ``c`` is the ``c``-th pair, which numbers the
@@ -38,11 +48,7 @@ def _words(k, colorable=False):
     (:func:`~vknot.diagram._ends_of_opposite_parity`), in the same order."""
     for matching in _matchings(tuple(range(2 * k)), colorable):
         for heads in itertools.product((False, True), repeat=k):
-            slots = [None] * (2 * k)
-            for chord, ((a, b), head_at_a) in enumerate(zip(matching, heads), start=1):
-                slots[a] = (chord, head_at_a)
-                slots[b] = (chord, not head_at_a)
-            yield tuple(slots)
+            yield _word(matching, heads)
 
 
 def _census_key(word):
@@ -54,19 +60,56 @@ def _census_key(word):
     return tuple(second for _, (second, _) in ends.values()), tuple(head for (_, head), _ in ends.values())
 
 
-def _canonical_sign_vectors(word, vectors):
-    """The sign vectors of ``vectors`` whose diagram on the census word ``word`` comes first in
-    census order among its rotations: none unless ``word`` is least among its rotations under
-    :func:`_census_key`, else those that no rotation mapping ``word`` to itself takes to an
-    earlier vector (+1 before -1)."""
-    key = _census_key(word)
-    symmetries = []
-    for rotated in _rotations(word):
-        rotated_key = _census_key(rotated)
-        if rotated_key < key:
-            return []
-        if rotated_key == key:  # the chords in order of their first occurrence in ``rotated``
-            symmetries.append([c - 1 for c in _first_occurrence(c for c, _ in rotated)])
+def _rotation_orbits(k, colorable=False):
+    """Each word of :func:`_words` that is least among its rotations under :func:`_census_key`
+    (each renumbered by first occurrence), in census order, with its stabilizer: the shifts ``r``
+    whose rotation (:func:`_rotations`) gives the word back, 0 first.  They form a subgroup, so
+    the rotation class has 2k / |stabilizer| members, the rotations by 0, 1, ... (one for k = 0).
+
+    Each word is decided alone (orderly generation).  ``gap[p]`` counts the slots from ``p``
+    forward to its partner, and a rotation rotates the gaps: the key's partner slots are
+    ``p + gap[p]`` wherever that is below 2k.  A matching that some rotation makes smaller is
+    dropped with all its orientations, which only the shifts giving the matching back compare,
+    and no rotated word is built."""
+    n = 2 * k
+    for matching in _matchings(tuple(range(n)), colorable):
+        gap = [0] * n
+        for a, b in matching:
+            gap[a], gap[b] = b - a, n + a - b
+        if n and min(gap) < gap[0]:  # the first partner slot of some rotation is smaller
+            continue
+        half = [b for _, b in matching]
+        chord_at = {a: c for c, pair in enumerate(matching) for a in pair}
+        shifts = []  # (r, the chords in the order word[r:] first meets them, each with whether at its second end)
+        for r in range(1, n):
+            if gap[r] != gap[0]:
+                continue
+            rotated = gap[r:] + gap[:r]
+            rotated_half = [p + d for p, d in enumerate(rotated) if p + d < n]
+            if rotated_half < half:
+                break
+            if rotated_half == half:
+                firsts = [(p + r) % n for p, d in enumerate(rotated) if p + d < n]
+                shifts.append((r, [(chord_at[q], q + gap[q] >= n) for q in firsts]))
+        else:
+            for heads in itertools.product((False, True), repeat=k):
+                stabilizer = [0]
+                for r, order in shifts:
+                    rotated_heads = tuple([heads[c] != second for c, second in order])
+                    if rotated_heads < heads:
+                        break
+                    if rotated_heads == heads:
+                        stabilizer.append(r)
+                else:
+                    yield _word(matching, heads), tuple(stabilizer)
+
+
+def _canonical_sign_vectors(word, stabilizer, vectors):
+    """The sign vectors of ``vectors`` whose diagram on the word ``word``, least of its rotation
+    class, comes first in census order among its rotations: those that no shift of ``stabilizer``
+    (:func:`_rotation_orbits`) takes to an earlier vector (+1 before -1)."""
+    # the chords in order of their first occurrence in each rotation mapping ``word`` to itself
+    symmetries = [[c - 1 for c in _first_occurrence(c for c, _ in _rotations(word)[r])] for r in stabilizer[1:]]
     # +1 comes before -1, so an earlier vector is a larger tuple
     return [signs for signs in vectors
             if all(signs >= tuple(signs[i] for i in source) for source in symmetries)]
@@ -94,14 +137,19 @@ def enumerate_diagrams(k, canonical=False, colorable=False):
     Yields every combination of endpoint pairing, chord orientation and
     signs, signs varying fastest; with ``canonical=True`` only the first
     diagram of each rotation class (basepoint placement), decided on each
-    word alone by :func:`_canonical_sign_vectors`.  With ``colorable=True``
+    word alone by :func:`_rotation_orbits` and :func:`_canonical_sign_vectors`.  With ``colorable=True``
     only the checkerboard colorable diagrams, in the same order.
     """
     if k < 0:
         raise ValueError("chord count must be >= 0")
     vectors = list(itertools.product((1, -1), repeat=k))
-    for word in _words(k, colorable):
-        for signs in _canonical_sign_vectors(word, vectors) if canonical else vectors:
+    if canonical:
+        classes = ((word, _canonical_sign_vectors(word, stabilizer, vectors))
+                   for word, stabilizer in _rotation_orbits(k, colorable))
+    else:
+        classes = zip(_words(k, colorable), itertools.repeat(vectors))
+    for word, signs_of_word in classes:
+        for signs in signs_of_word:
             yield make_diagram([word], zip(range(1, k + 1), signs))
 
 

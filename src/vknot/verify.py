@@ -5,7 +5,8 @@ or seeded random) and applies a pure verdict.  An exhaustive check's
 verdict reads an unsigned chord structure of the census and all of its
 sign vectors at once, one per lane of an integer, so work done once per
 structure serves all of its diagrams (see :class:`CensusStructure` and
-:class:`SignLanes`).  Failures never abort a sweep: the
+:class:`SignLanes`); a verdict with an orbit form (:data:`_ORBIT_FORMS`)
+reads one structure per rotation orbit.  Failures never abort a sweep: the
 offending Gauss codes are collected, because a failure almost certainly
 pins down a convention bug and the codes are the debugging artifact.
 :func:`recheck` runs the verdict the sweep ran on a recorded code, so it
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 import math
 import multiprocessing
@@ -45,7 +47,7 @@ from .diagram import (
     parse_gauss_code,
     serialize_gauss_code,
 )
-from .enumeration import _random_chords, _random_link_words, enumerate_structures
+from .enumeration import _random_chords, _random_link_words, _rotation_orbits, _words
 from .errors import PreconditionError, UnknownCheckError
 
 
@@ -303,13 +305,20 @@ class CensusStructure:
         """``{chord: i}``: chord ``i + 1`` is bit ``i`` of a :func:`_z2_pairs` row, as in ``lanes.planes``."""
         return {chord: chord - 1 for chord in self.chords}
 
-    @property
-    def c2_parity(self):
-        """The parity of c2, the ascending z^2 pairing at the basepoint.
+    def c2_parities(self, gaps):
+        """The parity of c2, the ascending z^2 pairing, with the basepoint in each of the first
+        ``gaps`` gaps (:func:`_rotations` order).
 
         c2 sums +-1 over the ascending pairs, so its parity is their count's.
         """
-        return sum([mask.bit_count() for _, mask in _z2_pairs(self.word, self._index)[0]]) % 2
+        index = self._index
+        return [sum([mask.bit_count() for _, mask in _z2_pairs(rotated, index)[0]]) % 2
+                for rotated in _rotations(self.word)[:gaps]]
+
+    @property
+    def c2_parity(self):
+        """The parity of c2 at the basepoint."""
+        return self.c2_parities(1)[0]
 
     @property
     def z2_pairs(self):
@@ -362,6 +371,13 @@ def _corollary_census(structure, lanes, config):
     if not structure.colorable:
         return 0, 0
     return lanes.ones, 0 if structure.determinant % 8 in _mod8_residues(structure.c2_parity) else lanes.ones
+
+
+def _corollary_gaps(structure, members):
+    """``cor-det``'s verdict on a colorable structure with the basepoint in each of its first
+    ``members`` gaps: the determinant does not depend on the basepoint, c2 does."""
+    det = structure.determinant % 8
+    return [det in _mod8_residues(parity) for parity in structure.c2_parities(members)]
 
 
 def _det_vs_ascending_census(structure, lanes, config):
@@ -440,6 +456,34 @@ def _warp_and_smoothing_census(structure, lanes, config):
     return lanes.ones, failing
 
 
+# -- the orbit forms ------------------------------------------------------------
+
+# Each takes (structure, lanes, config, members): the least word of a rotation
+# orbit of ``members`` structures, rotations 0 to members - 1 of it.  It returns
+# (population, failures), in diagrams summed over the members.  Rotating a word
+# and renumbering its chords by first occurrence permutes the chords, which maps
+# the sign vectors onto themselves, so a count read on every sign vector of one
+# member is read on each.
+
+
+def _corollary_orbit(structure, lanes, config, members):
+    """``cor-det`` on every member of a colorable orbit: the determinant once, the c2 parity at
+    each member's basepoint."""
+    return len(lanes.vectors) * members, len(lanes.vectors) * _corollary_gaps(structure, members).count(False)
+
+
+def _main_theorem_orbit(structure, lanes, config, members):
+    """``main-theorem`` on every member: its verdict reads every basepoint, and numberability does
+    not depend on the basepoint, so each member has the representative's counts."""
+    population, failing = _main_theorem_census(structure, lanes, config)
+    return population.bit_count() * members, failing.bit_count() * members
+
+
+# The orbit form of a census verdict.  A verdict put in CHECKS in its place has none,
+# so its check sweeps per structure.
+_ORBIT_FORMS = {_corollary_census: _corollary_orbit, _main_theorem_census: _main_theorem_orbit}
+
+
 # -- the check registry --------------------------------------------------------
 
 
@@ -447,7 +491,8 @@ class _Census:
     """Every one-circle diagram with at most ``max_chords`` chords.
 
     A sweep shards over the unsigned structures, evaluates each one's sign
-    vectors together, and builds a diagram only for a failure.  With
+    vectors together, and builds a diagram only for a failure; an orbit sweep
+    shards over their rotation orbits.  With
     ``colorable`` it visits only the checkerboard colorable structures, which
     are all a check of colorable diagrams needs.  :func:`recheck` refuses a
     code with more than one circle.
@@ -458,17 +503,31 @@ class _Census:
 
     def sweep(self, verdict_fn, config, shard, num_shards):
         """``(index, passes, failing diagrams)`` of each structure of this shard, in census order."""
-        structures = enumerate_structures(config.max_chords, colorable=self.colorable)
-        lanes = None
-        for i, (word, vectors) in enumerate(structures):
-            if i % num_shards != shard:
-                continue
-            if lanes is None or lanes.k != len(word) // 2:
-                lanes = SignLanes(vectors, len(word) // 2)
-            structure = CensusStructure(word)
+        words = ((word, 1) for k in range(config.max_chords + 1) for word in _words(k, self.colorable))
+        for i, structure, lanes, _ in self._shard(words, shard, num_shards):
             population, failing = verdict_fn(structure, lanes, config)
             yield (i, population.bit_count() - failing.bit_count(),
-                   [structure.diagram(vectors[v]) for v in lanes.selected(failing)])
+                   [structure.diagram(lanes.vectors[v]) for v in lanes.selected(failing)])
+
+    def orbit_sweep(self, orbit_fn, config, shard, num_shards):
+        """``(population, failures)`` of each rotation orbit of this shard (:data:`_ORBIT_FORMS`)."""
+        words = ((word, max(1, 2 * k) // len(stabilizer)) for k in range(config.max_chords + 1)
+                 for word, stabilizer in _rotation_orbits(k, self.colorable))
+        for _, structure, lanes, members in self._shard(words, shard, num_shards):
+            yield orbit_fn(structure, lanes, config, members)
+
+    @staticmethod
+    def _shard(words, shard, num_shards):
+        """``(index, structure, lanes, members)`` of the ``(word, members)`` of this shard; the
+        lanes hold every sign vector, and are built once per chord count."""
+        lanes = None
+        for i, (word, members) in enumerate(words):
+            if i % num_shards != shard:
+                continue
+            k = len(word) // 2
+            if lanes is None or lanes.k != k:
+                lanes = SignLanes(list(itertools.product((1, -1), repeat=k)), k)
+            yield i, CensusStructure(word), lanes, members
 
     def recheck(self, name, verdict_fn, diagram, config):
         _require_knot(diagram, "the %s check" % name)
@@ -506,11 +565,18 @@ CHECKS = {
 }
 
 
-def _run_shard(name, config, shard, num_shards):
+def _run_shard(name, config, shard, num_shards, orbits=False):
     """``(passes, failures, counterexamples)`` of one shard, each counterexample
-    ``(index, code)`` with the index of its structure or sample in the population."""
+    ``(index, code)`` with the index of its structure or sample in the population.
+    With ``orbits`` the shard is one of the check's rotation orbits, and lists no
+    counterexample."""
     population, verdict_fn = CHECKS[name]
     passes = failures = 0
+    if orbits:
+        for total, failing in population.orbit_sweep(_ORBIT_FORMS[verdict_fn], config, shard, num_shards):
+            passes += total - failing
+            failures += failing
+        return passes, failures, []
     counterexamples = []
     for index, passed, failed in population.sweep(verdict_fn, config, shard, num_shards):
         passes += passed
@@ -519,11 +585,11 @@ def _run_shard(name, config, shard, num_shards):
     return passes, failures, counterexamples
 
 
-def _send_shard(conn, name, config, shard, num_shards):
+def _send_shard(conn, name, config, shard, num_shards, orbits):
     """Run :func:`_run_shard` in a child process and send its result, or the exception it raised
     with the child's traceback as a note (a traceback does not pickle)."""
     try:
-        part = _run_shard(name, config, shard, num_shards)
+        part = _run_shard(name, config, shard, num_shards, orbits)
     except Exception as exc:
         exc.__notes__ = [*getattr(exc, "__notes__", ()), "raised in shard %d: %s" % (shard, traceback.format_exc())]
         part = exc
@@ -531,7 +597,7 @@ def _send_shard(conn, name, config, shard, num_shards):
     conn.close()
 
 
-def _run_shards(name, config, num_shards):
+def _run_shards(name, config, num_shards, orbits=False):
     """The parts of ``num_shards`` shards: this process sweeps shard 0 and one child process
     each other shard, so one shard starts no process.
 
@@ -546,11 +612,11 @@ def _run_shards(name, config, num_shards):
     try:
         for shard in range(1, num_shards):
             receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_send_shard, args=(sender, name, config, shard, num_shards))
+            child = multiprocessing.Process(target=_send_shard, args=(sender, name, config, shard, num_shards, orbits))
             child.start()
             sender.close()
             children.append((child, receiver))
-        parts = [_run_shard(name, config, 0, num_shards)]
+        parts = [_run_shard(name, config, 0, num_shards, orbits)]
         for shard, (child, receiver) in enumerate(children, 1):
             try:
                 part = receiver.recv()
@@ -580,12 +646,20 @@ def _require_checks(names):
 
 def run_check(name, config=None):
     """Sweep check ``name`` in ``config.workers`` processes, this one included (0 is serial,
-    as 1 is); the report is the serial sweep's but for ``elapsed_ms``."""
+    as 1 is); the report is the serial sweep's but for ``elapsed_ms``.
+
+    A check whose verdict has an orbit form (:data:`_ORBIT_FORMS`) sweeps one word per
+    rotation orbit.  If any orbit fails, every shard is swept again per structure, which
+    alone lists the counterexamples, in census order."""
     _require_checks([name])
     if config is None:
         config = SweepConfig()
     start = time.monotonic()
-    parts = _run_shards(name, config, max(1, config.workers))
+    num_shards = max(1, config.workers)
+    orbits = CHECKS[name][1] in _ORBIT_FORMS
+    parts = _run_shards(name, config, num_shards, orbits)
+    if orbits and any(failures for _, failures, _ in parts):
+        parts = _run_shards(name, config, num_shards)
     passes = sum(p for p, _, _ in parts)
     failures = sum(f for _, f, _ in parts)
     # each index is one shard's, and a shard lists its own in increasing order

@@ -29,25 +29,38 @@ from vknot.arrows import (
 )
 from vknot.cli import main
 from vknot.determinant import determinant
+from vknot import verify
 from vknot.diagram import (
     _congruent,
+    _first_occurrence,
     _require_knot,
     alexander_numbering,
     crossing_change,
     is_mod_p_numberable,
     make_diagram,
+    _rotations,
     parse_gauss_code,
     serialize_gauss_code,
     smooth,
     warping_degree,
 )
-from vknot.enumeration import enumerate_all_diagrams, enumerate_structures, random_knot_diagram
+from vknot.enumeration import (
+    _census_key,
+    _rotation_orbits,
+    _words,
+    enumerate_all_diagrams,
+    enumerate_structures,
+    random_knot_diagram,
+)
 from vknot.verify import (
     CHECKS,
     CensusStructure,
     SignLanes,
     SweepConfig,
     _Census,
+    _corollary_census,
+    _corollary_gaps,
+    _main_theorem_census,
     _smoothing_candidates,
     recheck,
     run_check,
@@ -482,6 +495,81 @@ def test_recheck_runs_the_structure_form(monkeypatch):
     for code in report.counterexamples:
         assert corollary_verdict(parse_gauss_code(code), config) is True
         assert recheck("cor-det", code, config) is False
+
+
+def _rotated_structures(word):
+    """The structure at each rotation of ``word``, its chords renumbered by first occurrence."""
+    structures = []
+    for rotated in _rotations(word):
+        label = _first_occurrence(c for c, _ in rotated)
+        structures.append(CensusStructure(tuple((label[c] + 1, is_head) for c, is_head in rotated)))
+    return structures
+
+
+def test_orbit_values_hold_on_every_rotation():
+    # What the orbit sweep reads once per rotation orbit, on every structure with <= 4 chords:
+    # the determinant and main-theorem's lane counts are those of every rotation, and
+    # cor-det's verdict at each gap is the per-structure verdict on that rotation.
+    moduli_sets = [(2, 3), (0,), (3, 5)]
+    for word, vectors in enumerate_structures(4):
+        structure, lanes = CensusStructure(word), SignLanes(vectors, len(word) // 2)
+        rotations = _rotated_structures(word)
+        for moduli in moduli_sets:
+            config = SweepConfig(moduli=moduli)
+            want = [mask.bit_count() for mask in _main_theorem_census(structure, lanes, config)]
+            for rotated in rotations:
+                assert [mask.bit_count() for mask in _main_theorem_census(rotated, lanes, config)] == want, word
+        if not structure.colorable:
+            continue
+        gaps = _corollary_gaps(structure, len(rotations))
+        assert structure.c2_parities(len(rotations)) == [rotated.c2_parity for rotated in rotations], word
+        for passed, rotated in zip(gaps, rotations):
+            assert rotated.determinant == structure.determinant, word
+            population, failing = _corollary_census(rotated, lanes, SweepConfig())
+            assert population == lanes.ones and passed is (failing == 0), word
+
+
+def _least_rotation(word):
+    return min((rotated.word for rotated in _rotated_structures(word)), key=_census_key)
+
+
+@FORKED_CHILDREN
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failing_orbit_reruns_every_shard_per_structure(monkeypatch, workers):
+    # The determinant shifted by 4 on the rotation class of one 4-chord word fails cor-det on
+    # each of its 8 structures and only there: one orbit fails, in one orbit shard, while its
+    # structures lie in several structure shards.  The report must still be the per-structure one.
+    chosen = [word for word, _ in _rotation_orbits(4, colorable=True)][20]
+    census_words = [word for k in range(5) for word in _words(k, colorable=True)]
+    failing_at = [i for i, word in enumerate(census_words) if _least_rotation(word) == chosen]
+    assert len(failing_at) == 8 and all(len({i % n for i in failing_at}) > 1 for n in (2, 3))
+    determinant = verify._word_determinant
+
+    def shifted(circles, chords):
+        det = determinant(circles, chords)
+        return det + 4 if _least_rotation(circles[0]) == chosen else det
+
+    monkeypatch.setattr(verify, "_word_determinant", shifted)
+    sweeps = []
+    run_shards = verify._run_shards
+
+    def recording(name, config, num_shards, orbits=False):
+        sweeps.append(orbits)
+        return run_shards(name, config, num_shards, orbits)
+
+    monkeypatch.setattr(verify, "_run_shards", recording)
+    config = SweepConfig(max_chords=4, workers=workers)
+    with _deadline(60):
+        report = run_check("cor-det", config)
+    assert sweeps == [True, False]  # the orbit sweep, then every shard per structure
+    assert report.failures == len(report.counterexamples) == 8 * 16
+    for code in report.counterexamples:
+        assert recheck("cor-det", code, config) is False
+    population, census = CHECKS["cor-det"]
+    monkeypatch.setitem(CHECKS, "cor-det", (population, lambda *args: census(*args)))  # no orbit form
+    per_structure = run_check("cor-det", SweepConfig(max_chords=4))
+    assert sweeps == [True, False, False]
+    assert _fields(report) == _fields(per_structure)
 
 
 def test_recheck_past_one_byte_lanes_matches_reference():

@@ -8,12 +8,15 @@ from vknot.arrows import parse_arrow_code
 from vknot.diagram import (
     BasedGaussDiagram,
     _ends_of_opposite_parity,
+    _first_occurrence,
+    _rotations,
     make_diagram,
     parse_gauss_code,
     serialize_gauss_code,
 )
 from vknot.enumeration import (
     _census_key,
+    _rotation_orbits,
     _words,
     connecting_chords,
     enumerate_all_diagrams,
@@ -109,6 +112,41 @@ def test_canonical_signs_on_a_word_a_rotation_maps_to_itself():
     word = parse_gauss_code("O1+U1+O2+U2+").circles[0]
     kept = [tuple(s for _, s in G.signs) for G in enumerate_diagrams(2, canonical=True) if G.circles[0] == word]
     assert kept == [(1, 1), (1, -1), (-1, -1)]
+
+
+def _renumbered(word):
+    """``word`` with its chords numbered 1..k by first occurrence, as the census numbers them."""
+    label = _first_occurrence(c for c, _ in word)
+    return tuple((label[c] + 1, is_head) for c, is_head in word)
+
+
+@pytest.mark.parametrize("k, orbits, colorable_orbits", [(4, 218, 54), (5, 3028, 388)])
+def test_rotation_orbit_counts(k, orbits, colorable_orbits):
+    assert sum(1 for _ in _rotation_orbits(k)) == orbits
+    assert sum(1 for _ in _rotation_orbits(k, colorable=True)) == colorable_orbits
+
+
+@pytest.mark.parametrize("colorable", [False, True])
+def test_rotation_orbits_are_least_words_with_their_stabilizers(colorable):
+    for k in range(6):
+        members = 0
+        for word, stabilizer in _rotation_orbits(k, colorable):
+            rotations = [_renumbered(rotated) for rotated in _rotations(word)]
+            assert all(_census_key(word) <= _census_key(rotated) for rotated in rotations), word
+            assert stabilizer == tuple(r for r, rotated in enumerate(rotations) if rotated == word), word
+            members += len(rotations) // len(stabilizer)
+        assert members == sum(1 for _ in _words(k, colorable)), k
+
+
+def test_rotation_orbits_match_brute_force_classes():
+    for k in range(5):
+        classes = {}
+        for word in _words(k):
+            least = min(map(_renumbered, _rotations(word)), key=_census_key)
+            classes.setdefault(least, set()).add(word)
+        want = [(least, len(words)) for least, words in sorted(classes.items(), key=lambda c: _census_key(c[0]))]
+        got = [(word, len(_rotations(word)) // len(stabilizer)) for word, stabilizer in _rotation_orbits(k)]
+        assert got == want, k
 
 
 def _reference_rotation_key(diagram):
