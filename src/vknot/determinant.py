@@ -11,9 +11,9 @@ floating point rounding.
 
 A coloring matrix has at most three nonzeros per row.  :func:`determinant`
 builds its rows as ``{column: value}`` dicts in one pass over each circle
-and eliminates them in two phases: ±1 pivots in columns held by at most two
-rows, which need no division and only merge two rows, then a sparse Bareiss
-kernel that pivots on the column with the fewest nonzeros, so its work
+and eliminates them in two phases, each taking the column with the fewest
+nonzeros first: ±1 pivots, which need no division, for as long as any
+column holds one, then a sparse Bareiss kernel on what is left, so the work
 follows the fill-in, not n^3.
 """
 
@@ -94,26 +94,28 @@ def _bareiss(rows, n):
     from each pivot row to its pivot column across both: the parity of the
     row order times that of the column order.
 
-    Contraction: while a live column has at most two holders and one of
-    them holds a ±1 ``u`` there, pivot on the shorter row holding such a
-    unit and subtract the multiple of it that clears the column, in place,
-    from the other holder, if any.  No division is needed, the determinant
-    is ``u`` times that of what is left, and the step only merges two rows,
-    so the count of nonzeros never grows.  A column becomes a candidate
-    again whenever a step changes it.
+    Contraction: columns come from a heap in fewest-holders order, whose
+    stale entries (a retired column, or an old count) are skipped when
+    popped.  If a holder of the popped column has a ±1 ``u`` there, pivot
+    on the shortest such row and subtract the multiple of it that clears
+    the column, in place, from every other holder; otherwise pass the
+    column over.  No division is needed and the determinant is ``u`` times
+    that of what is left, but a step may fill in entries.  It changes only
+    the pivot row's columns, so those alone go back on the heap, and a
+    column passed over returns only when a step changes it.  The phase ends
+    when no live column holds a ±1.
 
-    Then fraction-free (Bareiss) elimination of what is left, in a
-    fill-reducing order.  The pivot column is the live column with the
-    fewest holders, from a heap whose stale entries (a retired column, or an
-    old count) are skipped when popped; the pivot row is the shortest row
-    holding it.  Dense Bareiss would scale every row the step leaves alone by
-    ``p_k / p_(k-1)``; those factors telescope, so such a row is left as it
-    was and remembers the pivot ``d`` it was last updated under.  Its next
-    update, under pivot ``p`` with pivot row ``a_k``, is
-    ``(a_ij * p - a_ik * a_kj) // d``, and the pivot row itself is first
-    brought up to date by ``* p_(k-1) // d``.  Every value computed this way
-    is a true Bareiss entry, a minor of the matrix left by the contraction,
-    so each division is exact.
+    Then fraction-free (Bareiss) elimination of what is left, in the same
+    fill-reducing order: the pivot column is the live column with the
+    fewest holders, from a second heap kept the same way, and the pivot row
+    is the shortest row holding it.  Dense Bareiss would scale every row
+    the step leaves alone by ``p_k / p_(k-1)``; those factors telescope, so
+    such a row is left as it was and remembers the pivot ``d`` it was last
+    updated under.  Its next update, under pivot ``p`` with pivot row
+    ``a_k``, is ``(a_ij * p - a_ik * a_kj) // d``, and the pivot row itself
+    is first brought up to date by ``* p_(k-1) // d``.  Every value
+    computed this way is a true Bareiss entry, a minor of the matrix left
+    by the contraction, so each division is exact.
     """
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
@@ -121,11 +123,12 @@ def _bareiss(rows, n):
             holders[j].add(i)
     pivot_col = [None] * n
     units = 1
-    candidates = [j for j, h in enumerate(holders) if len(h) <= 2]
-    while candidates:
-        col = candidates.pop()
+    heap = [(len(h), j) for j, h in enumerate(holders)]
+    heapq.heapify(heap)
+    while heap:
+        count, col = heapq.heappop(heap)
         held = holders[col]
-        if held is None or len(held) > 2:
+        if held is None or count != len(held):
             continue
         r = None
         for i in held:
@@ -153,7 +156,8 @@ def _bareiss(rows, n):
                 else:
                     del row[j]
                     holders[j].discard(i)
-        candidates.extend(j for j in pivot_row if len(holders[j]) <= 2)
+        for j in pivot_row:
+            heapq.heappush(heap, (len(holders[j]), j))
     heap = [(len(h), j) for j, h in enumerate(holders) if h is not None]
     heapq.heapify(heap)
     # rows[i] holds its entries as of the pivot scale[i]

@@ -165,25 +165,31 @@ def test_int_det_matches_sympy_on_40x40():
     assert values[0] != 0 and values[2] == 0
 
 
-# -- the contraction phase of _bareiss ------------------------------------------
+# -- the contraction (unit) phase of _bareiss -----------------------------------
 
 
 class _Row(dict):
-    """A sparse row that counts the entries the kernel writes into it in place."""
+    """A sparse row that counts the entries the kernel writes into it in place,
+    and how many of those it did not hold (fill-in)."""
 
-    writes = 0
+    writes = fills = 0
 
     def __setitem__(self, key, value):
         self.writes += 1
+        self.fills += key not in self
         super().__setitem__(key, value)
 
 
 def _kernel_run(dense, monkeypatch):
-    """``(det, in-place writes, rows left for the Bareiss phase)`` of ``_bareiss`` on ``dense``."""
-    residual = []
+    """``(det, in-place writes, rows left for the Bareiss phase)`` of ``_bareiss`` on ``dense``.
+
+    Each phase builds its heap with one ``heapify``: the contraction over every
+    column, then the Bareiss phase over the live ones, one per row it is left.
+    """
+    heaps = []
 
     def heapify(heap):
-        residual.append(len(heap))
+        heaps.append(len(heap))
         heapq.heapify(heap)
 
     rows = [_Row({j: v for j, v in enumerate(row) if v}) for row in dense]
@@ -191,7 +197,8 @@ def _kernel_run(dense, monkeypatch):
         patch.setattr(det_module, "heapq", SimpleNamespace(
             heapify=heapify, heappop=heapq.heappop, heappush=heapq.heappush))
         det = det_module._bareiss(list(rows), len(dense))
-    return det, sum(row.writes for row in rows), residual[0]
+    assert len(heaps) == 2 and heaps[0] == len(dense), heaps
+    return det, sum(row.writes for row in rows), heaps[1]
 
 
 def _shuffled(rows, rng):
@@ -263,8 +270,8 @@ def test_contraction_leaves_even_matrices_to_bareiss(monkeypatch):
 
 
 def test_column_emptied_by_contraction_gives_zero(monkeypatch):
-    # rows 0 and 1 differ by e_2: once row 2 has cleared column 2, the unit
-    # steps cancel row 1 against row 0 and leave one column with no holder
+    # rows 0 and 1 differ by e_2: the unit steps cancel row 1 against row 0
+    # and leave one column with no holder
     rows = [[1, 1, 0], [1, 1, 1], [0, 0, 1]]
     assert _assert_det(rows, monkeypatch)[0] == 0
     assert _kernel_run(rows, monkeypatch)[2] == 1
@@ -274,6 +281,33 @@ def test_column_emptied_by_contraction_gives_zero(monkeypatch):
         a, b = rng.sample(range(len(rows)), 2)
         rows[b] = list(rows[a])
         assert _assert_det(rows, monkeypatch)[0] == 0
+
+
+def _crowded_units(rng, n):
+    """A random n x n matrix whose every column has at least three holders,
+    with entries in {-1, 1, -2, 2, 3}."""
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in rng.sample(range(n), rng.randint(3, n)):
+            rows[i][j] = rng.choice((-1, 1, -2, 2, 3))
+    return rows
+
+
+def test_contraction_takes_units_in_columns_of_three_or_more_holders(monkeypatch):
+    # every ±1 sits in a column that three or more rows hold, so a contraction
+    # restricted to columns of at most two holders would leave all n rows
+    rng = random.Random(67)
+    both = negative = 0
+    for _ in range(400):
+        n = rng.randint(3, 20)
+        rows = _crowded_units(rng, n)
+        det, _ = _assert_det(rows, monkeypatch)
+        residual = _kernel_run(rows, monkeypatch)[2]
+        if any(v in (1, -1) for row in rows for v in row):
+            assert residual < n, rows
+        both += 0 < residual < n
+        negative += det < 0
+    assert both > 300 and negative > 100
 
 
 def test_contraction_pivots_on_the_shorter_unit_row(monkeypatch):
@@ -317,3 +351,49 @@ def test_contraction_on_large_closures():
         det = determinant(G)
         assert det == detref.determinant(G), crossings
         assert det % 8 in ({1, 7} if v2(G, 2) == 0 else {3, 5}), crossings
+
+
+def test_contraction_on_seed1_large_minors(monkeypatch):
+    # the rows the Bareiss phase starts with on the 79-249-row minors of the
+    # seed-1 `large` knots; pivots in columns of at most two holders only left
+    # it 22, 49, 64, 78 and 114
+    left = []
+    for code in BENCH_INPUTS["large_inputs"](1):
+        G = parse_gauss_code(code)
+        minor = [list(row[:-1]) for row in coloring_matrix(G).entries[:-1]]
+        det, _, residual = _kernel_run(minor, monkeypatch)
+        assert det == detref.int_det(minor) and abs(det) == determinant(G), code
+        left.append(residual)
+    assert left == [4, 5, 6, 11, 14]
+
+
+def _colorable_virtual_knot(rng, chords):
+    """A random knot whose every chord joins an even endpoint slot to an odd
+    one, so it is checkerboard colorable, with random directions and signs."""
+    odd = list(range(1, 2 * chords, 2))
+    rng.shuffle(odd)
+    slots = [None] * (2 * chords)
+    signs = {}
+    for chord, (a, b) in enumerate(zip(range(0, 2 * chords, 2), odd), 1):
+        head_at_a = rng.random() < 0.5
+        slots[a], slots[b] = (chord, head_at_a), (chord, not head_at_a)
+        signs[chord] = rng.choice((1, -1))
+    return make_diagram([slots], signs)
+
+
+def test_colorable_virtual_knots_match_reference():
+    # unlike the braid closures, these minors fill in during the contraction:
+    # its steps write entries that the rows did not hold
+    rng = random.Random(68)
+    residues = set()
+    filled = 0
+    for _ in range(40):
+        G = _colorable_virtual_knot(rng, rng.randint(60, 200))
+        det = determinant(G)
+        assert det == detref.determinant(G), str(G)
+        assert det % 8 in ({1, 7} if v2(G, 2) == 0 else {3, 5}), str(G)
+        residues.add(det % 8)
+        minor = [_Row({j: v for j, v in enumerate(row[:-1]) if v}) for row in coloring_matrix(G).entries[:-1]]
+        assert abs(det_module._bareiss(list(minor), len(minor))) == det
+        filled += any(row.fills for row in minor)
+    assert residues == {1, 3, 5, 7} and filled == 40
