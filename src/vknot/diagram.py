@@ -26,6 +26,13 @@ def _first_occurrence(chords):
     return {chord: label for label, chord in enumerate(dict.fromkeys(chords))}
 
 
+def _renumbered(word):
+    """``(renumbered, label)``: the one-circle endpoint ``word`` with each chord ``c`` renamed
+    ``label[c] + 1``, numbering its chords 1, 2, ... by first occurrence (:func:`_first_occurrence`)."""
+    label = _first_occurrence(c for c, _ in word)
+    return tuple([(label[c] + 1, is_head) for c, is_head in word]), label
+
+
 def _endpoint_positions(circles, noun):
     """``{(chord, is_head): (circle, pos)}`` of the endpoint words ``circles``.
 

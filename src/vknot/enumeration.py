@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagram import _closed, _first_occurrence, _require_knot, _rotations, make_diagram
+from .diagram import _closed, _first_occurrence, _renumbered, _require_knot, _rotations, make_diagram
 
 
 def raw_diagram_count(k):
@@ -109,7 +109,7 @@ def _canonical_sign_vectors(word, stabilizer, vectors):
     class, comes first in census order among its rotations: those that no shift of ``stabilizer``
     (:func:`_rotation_orbits`) takes to an earlier vector (+1 before -1)."""
     # the chords in order of their first occurrence in each rotation mapping ``word`` to itself
-    symmetries = [[c - 1 for c in _first_occurrence(c for c, _ in _rotations(word)[r])] for r in stabilizer[1:]]
+    symmetries = [[c - 1 for c in _renumbered(_rotations(word)[r])[1]] for r in stabilizer[1:]]
     # +1 comes before -1, so an earlier vector is a larger tuple
     return [signs for signs in vectors
             if all(signs >= tuple(signs[i] for i in source) for source in symmetries)]

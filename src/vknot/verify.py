@@ -5,18 +5,18 @@ or seeded random) and applies a pure verdict.  An exhaustive check's
 verdict reads an unsigned chord structure of the census and all of its
 sign vectors at once, one per lane of an integer, so work done once per
 structure serves all of its diagrams (see :class:`CensusStructure` and
-:class:`SignLanes`); a verdict with an orbit form (:data:`_ORBIT_FORMS`)
-reads one structure per rotation orbit.  Failures never abort a sweep: the
-offending Gauss codes are collected, because a failure almost certainly
-pins down a convention bug and the codes are the debugging artifact.
-:func:`recheck` runs the verdict the sweep ran on a recorded code, so it
-reproduces the failure.
+:class:`SignLanes`).  The census is swept one rotation orbit at a time:
+the members of an orbit share its basepoint-free values, and a verdict
+declared ``rotation_invariant`` runs on the orbit's representative alone.
+Failures never abort a sweep: the offending Gauss codes are collected, in
+census order, because a failure almost certainly pins down a convention
+bug and the codes are the debugging artifact.  :func:`recheck` runs the
+verdict the sweep ran on a recorded code, so it reproduces the failure.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import json
 import math
@@ -37,9 +37,9 @@ from .arrows import (
 from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
-    _first_occurrence,
     _interleavings,
     _layout,
+    _renumbered,
     _require_knot,
     _rotations,
     _warping_degree,
@@ -47,7 +47,7 @@ from .diagram import (
     parse_gauss_code,
     serialize_gauss_code,
 )
-from .enumeration import _random_chords, _random_link_words, _rotation_orbits, _words
+from .enumeration import _census_key, _random_chords, _random_link_words, _rotation_orbits
 from .errors import PreconditionError, UnknownCheckError
 
 
@@ -255,20 +255,26 @@ class CensusStructure:
 
     The 2^k diagrams of a structure differ only in their chord signs.  None
     of the following reads a sign, so each serves them all, computed from the
-    endpoint word when read: mod 2 colorability, the determinant, the warping
+    endpoint word: mod 2 colorability, the determinant, the warping
     degree, the z^2 pairs at every basepoint, and the chord subsets that can
     add to the Conway table of the diagram and of each smoothing candidate's
-    smoothing (walked by :meth:`table` and :meth:`smoothed_tables`).  A
-    structure serves one verdict, which reads each at most once, so only the
-    word is kept.  The methods taking ``lanes``
+    smoothing (walked by :meth:`table` and :meth:`smoothed_tables`).
+    Colorability and the determinant are kept, and shared by the structures
+    at the word's other rotations (:meth:`members`); the rest is computed when
+    read, by the one verdict a structure serves.  The methods taking ``lanes``
     (:class:`SignLanes`) evaluate the diagrams of all its sign vectors from
     them at once; ``signs[i]`` is the sign of chord ``i + 1``.  No diagram is
     built but by :meth:`diagram`.
     """
 
     def __init__(self, word):
-        self.word = word
+        self.word = self.rotation = word
         self.chords = tuple(range(1, len(word) // 2 + 1))
+        # chord i + 1 is bit i of a _z2_pairs row, as in lanes.planes
+        self._index = {chord: chord - 1 for chord in self.chords}
+        # every chord interleaves an even number of others
+        self.colorable = _ends_of_opposite_parity(word)
+        self._determinant = None
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -279,46 +285,33 @@ class CensusStructure:
         that relabeling.
         """
         _require_knot(diagram, "a census structure")
-        label = _first_occurrence(c for c, _ in diagram.circles[0])
-        word = tuple((label[c] + 1, is_head) for c, is_head in diagram.circles[0])
+        word, label = _renumbered(diagram.circles[0])
         return cls(word), tuple(diagram.sign(chord) for chord in label)
+
+    def members(self, count):
+        """The structures at rotations 0 to ``count - 1`` of the word (:func:`_rotations`): this
+        one, then one :class:`_Member` per other rotation."""
+        return [self, *[_Member(rotated, self) for rotated in _rotations(self.word)[1:count]]]
 
     def diagram(self, signs):
         return make_diagram([self.word], zip(self.chords, signs))
 
     @property
-    def colorable(self):
-        """Mod 2 colorability: every chord interleaves an even number of others."""
-        return _ends_of_opposite_parity(self.word)
-
-    @property
     def determinant(self):
-        return _word_determinant((self.word,), self.chords)
+        if self._determinant is None:
+            self._determinant = _word_determinant((self.word,), self.chords)
+        return self._determinant
 
     @property
     def warping_degree(self):
         """The chords met head-first from the basepoint."""
-        return _warping_degree(self.word)
-
-    @property
-    def _index(self):
-        """``{chord: i}``: chord ``i + 1`` is bit ``i`` of a :func:`_z2_pairs` row, as in ``lanes.planes``."""
-        return {chord: chord - 1 for chord in self.chords}
-
-    def c2_parities(self, gaps):
-        """The parity of c2, the ascending z^2 pairing, with the basepoint in each of the first
-        ``gaps`` gaps (:func:`_rotations` order).
-
-        c2 sums +-1 over the ascending pairs, so its parity is their count's.
-        """
-        index = self._index
-        return [sum([mask.bit_count() for _, mask in _z2_pairs(rotated, index)[0]]) % 2
-                for rotated in _rotations(self.word)[:gaps]]
+        return _warping_degree(self.rotation)
 
     @property
     def c2_parity(self):
-        """The parity of c2 at the basepoint."""
-        return self.c2_parities(1)[0]
+        """The parity of c2, the ascending z^2 pairing, at the basepoint: c2 sums +-1 over the
+        ascending pairs, so its parity is their count's."""
+        return sum([mask.bit_count() for _, mask in _z2_pairs(self.rotation, self._index)[0]]) % 2
 
     @property
     def z2_pairs(self):
@@ -353,6 +346,29 @@ class CensusStructure:
                 for alpha in _smoothing_candidates((self.word,), self.chords)]
 
 
+class _Member(CensusStructure):
+    """The structure at a rotation of the word of ``orbit``, sharing its basepoint-free colorability
+    and determinant.  The label-free values read ``rotation``, in ``orbit``'s chord labels; the
+    values that pair chords with lanes, and the diagrams, read :attr:`word`, built when first read:
+    ``rotation`` numbered by first occurrence, as the census and :func:`recheck` number it."""
+
+    def __init__(self, rotation, orbit):
+        self.rotation = rotation
+        self.chords, self._index, self.colorable = orbit.chords, orbit._index, orbit.colorable
+        self._orbit = orbit
+        self._word = None
+
+    @property
+    def word(self):
+        if self._word is None:
+            self._word = _renumbered(self.rotation)[0]
+        return self._word
+
+    @property
+    def determinant(self):
+        return self._orbit.determinant
+
+
 # -- the exhaustive checks -----------------------------------------------------
 
 # Each takes (structure, lanes, config) and returns (population, failing):
@@ -371,13 +387,6 @@ def _corollary_census(structure, lanes, config):
     if not structure.colorable:
         return 0, 0
     return lanes.ones, 0 if structure.determinant % 8 in _mod8_residues(structure.c2_parity) else lanes.ones
-
-
-def _corollary_gaps(structure, members):
-    """``cor-det``'s verdict on a colorable structure with the basepoint in each of its first
-    ``members`` gaps: the determinant does not depend on the basepoint, c2 does."""
-    det = structure.determinant % 8
-    return [det in _mod8_residues(parity) for parity in structure.c2_parities(members)]
 
 
 def _det_vs_ascending_census(structure, lanes, config):
@@ -425,6 +434,12 @@ def _main_theorem_census(structure, lanes, config):
     return population, failing
 
 
+# Every basepoint is read, and numberability does not depend on the basepoint, so each member of
+# a rotation orbit has the representative's counts (a member's numbering permutes the sign
+# vectors).  A verdict put in CHECKS in its place lacks this declaration.
+_main_theorem_census.rotation_invariant = True
+
+
 def _warp_and_smoothing_census(structure, lanes, config):
     """Vanishing pairings on descending diagrams plus the smoothing lemma.
 
@@ -456,43 +471,15 @@ def _warp_and_smoothing_census(structure, lanes, config):
     return lanes.ones, failing
 
 
-# -- the orbit forms ------------------------------------------------------------
-
-# Each takes (structure, lanes, config, members): the least word of a rotation
-# orbit of ``members`` structures, rotations 0 to members - 1 of it.  It returns
-# (population, failures), in diagrams summed over the members.  Rotating a word
-# and renumbering its chords by first occurrence permutes the chords, which maps
-# the sign vectors onto themselves, so a count read on every sign vector of one
-# member is read on each.
-
-
-def _corollary_orbit(structure, lanes, config, members):
-    """``cor-det`` on every member of a colorable orbit: the determinant once, the c2 parity at
-    each member's basepoint."""
-    return len(lanes.vectors) * members, len(lanes.vectors) * _corollary_gaps(structure, members).count(False)
-
-
-def _main_theorem_orbit(structure, lanes, config, members):
-    """``main-theorem`` on every member: its verdict reads every basepoint, and numberability does
-    not depend on the basepoint, so each member has the representative's counts."""
-    population, failing = _main_theorem_census(structure, lanes, config)
-    return population.bit_count() * members, failing.bit_count() * members
-
-
-# The orbit form of a census verdict.  A verdict put in CHECKS in its place has none,
-# so its check sweeps per structure.
-_ORBIT_FORMS = {_corollary_census: _corollary_orbit, _main_theorem_census: _main_theorem_orbit}
-
-
 # -- the check registry --------------------------------------------------------
 
 
 class _Census:
     """Every one-circle diagram with at most ``max_chords`` chords.
 
-    A sweep shards over the unsigned structures, evaluates each one's sign
-    vectors together, and builds a diagram only for a failure; an orbit sweep
-    shards over their rotation orbits.  With
+    A sweep shards over the rotation orbits of the unsigned structures,
+    evaluates each structure's sign vectors together, and builds a diagram
+    only for a failure.  With
     ``colorable`` it visits only the checkerboard colorable structures, which
     are all a check of colorable diagrams needs.  :func:`recheck` refuses a
     code with more than one circle.
@@ -501,33 +488,46 @@ class _Census:
     def __init__(self, colorable=False):
         self.colorable = colorable
 
-    def sweep(self, verdict_fn, config, shard, num_shards):
-        """``(index, passes, failing diagrams)`` of each structure of this shard, in census order."""
-        words = ((word, 1) for k in range(config.max_chords + 1) for word in _words(k, self.colorable))
-        for i, structure, lanes, _ in self._shard(words, shard, num_shards):
-            population, failing = verdict_fn(structure, lanes, config)
-            yield (i, population.bit_count() - failing.bit_count(),
-                   [structure.diagram(lanes.vectors[v]) for v in lanes.selected(failing)])
+    def sweep(self, name, verdict_fn, config, shard, num_shards):
+        """``(passes, counterexamples)`` of each rotation orbit of this shard.
 
-    def orbit_sweep(self, orbit_fn, config, shard, num_shards):
-        """``(population, failures)`` of each rotation orbit of this shard (:data:`_ORBIT_FORMS`)."""
-        words = ((word, max(1, 2 * k) // len(stabilizer)) for k in range(config.max_chords + 1)
-                 for word, stabilizer in _rotation_orbits(k, self.colorable))
-        for _, structure, lanes, members in self._shard(words, shard, num_shards):
-            yield orbit_fn(structure, lanes, config, members)
-
-    @staticmethod
-    def _shard(words, shard, num_shards):
-        """``(index, structure, lanes, members)`` of the ``(word, members)`` of this shard; the
-        lanes hold every sign vector, and are built once per chord count."""
+        The verdict gets each member of the orbit (:meth:`CensusStructure.members`), and the
+        lanes of every sign vector, built once per chord count.  One declared
+        ``rotation_invariant`` gets the representative alone, its counts taken once per member;
+        only a failing orbit is expanded to its members, to list them.  A counterexample is
+        ``(key, diagram)``, ``key`` being ``(k, _census_key(word), v)`` for lane ``v`` of the
+        structure on ``word``: its place in census order.  An exception the verdict raises gets a
+        note naming the check and the structure.
+        """
+        invariant = getattr(verdict_fn, "rotation_invariant", False)
+        orbits = ((word, max(1, len(word)) // len(stabilizer)) for k in range(config.max_chords + 1)
+                  for word, stabilizer in _rotation_orbits(k, self.colorable))
         lanes = None
-        for i, (word, members) in enumerate(words):
+        for i, (word, size) in enumerate(orbits):
             if i % num_shards != shard:
                 continue
             k = len(word) // 2
             if lanes is None or lanes.k != k:
                 lanes = SignLanes(list(itertools.product((1, -1), repeat=k)), k)
-            yield i, CensusStructure(word), lanes, members
+            structure = orbit = CensusStructure(word)
+            passes, failed = 0, []
+            try:
+                if invariant:
+                    population, failing = verdict_fn(orbit, lanes, config)
+                    if not failing:
+                        yield population.bit_count() * size, []
+                        continue
+                for structure in orbit.members(size):
+                    population, failing = verdict_fn(structure, lanes, config)
+                    passes += population.bit_count() - failing.bit_count()
+                    if failing:
+                        key = k, _census_key(structure.word)
+                        failed += [((*key, v), structure.diagram(lanes.vectors[v])) for v in lanes.selected(failing)]
+            except Exception as exc:
+                code = structure.diagram(lanes.vectors[0])  # every sign +1
+                exc.add_note("raised by the %s check on the structure of %s" % (name, code))
+                raise
+            yield passes, failed
 
     def recheck(self, name, verdict_fn, diagram, config):
         _require_knot(diagram, "the %s check" % name)
@@ -545,10 +545,11 @@ class _Samples:
     def __init__(self, population):
         self.population = population
 
-    def sweep(self, verdict_fn, config, shard, num_shards):
+    def sweep(self, name, verdict_fn, config, shard, num_shards):
+        """``(passes, counterexamples)`` of each sample of this shard, a counterexample ``(index, diagram)``."""
         for i, (circles, signs) in enumerate(self.population(config)):
             if i % num_shards == shard:
-                yield (i, 1, []) if verdict_fn(circles, signs, config) else (i, 0, [make_diagram(circles, signs)])
+                yield (1, []) if verdict_fn(circles, signs, config) else (0, [(i, make_diagram(circles, signs))])
 
     def recheck(self, name, verdict_fn, diagram, config):
         return verdict_fn(diagram.circles, dict(diagram.signs), config)
@@ -565,39 +566,31 @@ CHECKS = {
 }
 
 
-def _run_shard(name, config, shard, num_shards, orbits=False):
-    """``(passes, failures, counterexamples)`` of one shard, each counterexample
-    ``(index, code)`` with the index of its structure or sample in the population.
-    With ``orbits`` the shard is one of the check's rotation orbits, and lists no
-    counterexample."""
+def _run_shard(name, config, shard, num_shards):
+    """``(passes, counterexamples)`` of one shard, each counterexample ``(key, code)`` with the key
+    of its place in the population."""
     population, verdict_fn = CHECKS[name]
-    passes = failures = 0
-    if orbits:
-        for total, failing in population.orbit_sweep(_ORBIT_FORMS[verdict_fn], config, shard, num_shards):
-            passes += total - failing
-            failures += failing
-        return passes, failures, []
-    counterexamples = []
-    for index, passed, failed in population.sweep(verdict_fn, config, shard, num_shards):
+    passes, counterexamples = 0, []
+    for passed, failed in population.sweep(name, verdict_fn, config, shard, num_shards):
         passes += passed
-        failures += len(failed)
-        counterexamples += [(index, serialize_gauss_code(diagram)) for diagram in failed]
-    return passes, failures, counterexamples
+        counterexamples += [(key, serialize_gauss_code(diagram)) for key, diagram in failed]
+    return passes, counterexamples
 
 
-def _send_shard(conn, name, config, shard, num_shards, orbits):
+def _send_shard(conn, name, config, shard, num_shards):
     """Run :func:`_run_shard` in a child process and send its result, or the exception it raised
-    with the child's traceback as a note (a traceback does not pickle)."""
+    with the child's traceback, which prints its notes, as its one note (a traceback does not
+    pickle)."""
     try:
-        part = _run_shard(name, config, shard, num_shards, orbits)
+        part = _run_shard(name, config, shard, num_shards)
     except Exception as exc:
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), "raised in shard %d: %s" % (shard, traceback.format_exc())]
+        exc.__notes__ = ["raised in shard %d: %s" % (shard, traceback.format_exc())]
         part = exc
     conn.send(part)
     conn.close()
 
 
-def _run_shards(name, config, num_shards, orbits=False):
+def _run_shards(name, config, num_shards):
     """The parts of ``num_shards`` shards: this process sweeps shard 0 and one child process
     each other shard, so one shard starts no process.
 
@@ -612,11 +605,11 @@ def _run_shards(name, config, num_shards, orbits=False):
     try:
         for shard in range(1, num_shards):
             receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_send_shard, args=(sender, name, config, shard, num_shards, orbits))
+            child = multiprocessing.Process(target=_send_shard, args=(sender, name, config, shard, num_shards))
             child.start()
             sender.close()
             children.append((child, receiver))
-        parts = [_run_shard(name, config, 0, num_shards, orbits)]
+        parts = [_run_shard(name, config, 0, num_shards)]
         for shard, (child, receiver) in enumerate(children, 1):
             try:
                 part = receiver.recv()
@@ -646,31 +639,22 @@ def _require_checks(names):
 
 def run_check(name, config=None):
     """Sweep check ``name`` in ``config.workers`` processes, this one included (0 is serial,
-    as 1 is); the report is the serial sweep's but for ``elapsed_ms``.
-
-    A check whose verdict has an orbit form (:data:`_ORBIT_FORMS`) sweeps one word per
-    rotation orbit.  If any orbit fails, every shard is swept again per structure, which
-    alone lists the counterexamples, in census order."""
+    as 1 is); the report is the serial sweep's but for ``elapsed_ms``, its counterexamples in
+    population order."""
     _require_checks([name])
     if config is None:
         config = SweepConfig()
     start = time.monotonic()
-    num_shards = max(1, config.workers)
-    orbits = CHECKS[name][1] in _ORBIT_FORMS
-    parts = _run_shards(name, config, num_shards, orbits)
-    if orbits and any(failures for _, failures, _ in parts):
-        parts = _run_shards(name, config, num_shards)
-    passes = sum(p for p, _, _ in parts)
-    failures = sum(f for _, f, _ in parts)
-    # each index is one shard's, and a shard lists its own in increasing order
-    merged = heapq.merge(*(c for _, _, c in parts), key=operator.itemgetter(0))
-    counterexamples = tuple(code for _, code in merged)
+    parts = _run_shards(name, config, max(1, config.workers))
+    passes = sum(p for p, _ in parts)
+    keyed = sorted(itertools.chain.from_iterable(c for _, c in parts), key=operator.itemgetter(0))
+    counterexamples = tuple(code for _, code in keyed)
     elapsed = int((time.monotonic() - start) * 1000)
     return CheckReport(
         check=name,
-        population=passes + failures,
+        population=passes + len(counterexamples),
         passes=passes,
-        failures=failures,
+        failures=len(counterexamples),
         counterexamples=counterexamples,
         seed=config.seed,
         elapsed_ms=elapsed,

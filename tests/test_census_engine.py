@@ -59,7 +59,6 @@ from vknot.verify import (
     SweepConfig,
     _Census,
     _corollary_census,
-    _corollary_gaps,
     _main_theorem_census,
     _smoothing_candidates,
     recheck,
@@ -478,23 +477,75 @@ def test_failing_shard_raises_and_leaves_no_child(monkeypatch, fault):
         assert note.startswith("raised in shard 1:") and "in faulty" in note
 
 
-def test_recheck_runs_the_structure_form(monkeypatch):
-    # Break cor-det's structure form on the sign vectors whose first chord
-    # is negative; the per-diagram reference still passes those diagrams,
-    # so only a recheck through the structure form reproduces the failures.
+def _chord_one_check():
+    """cor-det's census check broken on the sign vectors whose first chord is negative, and the
+    per-diagram verdict that fails the same diagrams, ``(census check, per-diagram verdict)``."""
     population, census = CHECKS["cor-det"]
 
     def broken(structure, lanes, config):
         population, failing = census(structure, lanes, config)
         return population, failing | population & sum(lanes.planes[:1])
 
+    def verdict(diagram, config):
+        return corollary_verdict(diagram, config) and dict(diagram.signs).get(1, 1) > 0
+
+    return (population, broken), verdict
+
+
+def test_recheck_runs_the_structure_form(monkeypatch):
+    # Break cor-det's structure form on the sign vectors whose first chord
+    # is negative; the per-diagram reference still passes those diagrams,
+    # so only a recheck through the structure form reproduces the failures.
+    check, _ = _chord_one_check()
     config = SweepConfig(max_chords=3)
-    monkeypatch.setitem(CHECKS, "cor-det", (population, broken))
+    monkeypatch.setitem(CHECKS, "cor-det", check)
     report = run_check("cor-det", config)
     assert report.failures > 0 and report.passes > 0
     for code in report.counterexamples:
         assert corollary_verdict(parse_gauss_code(code), config) is True
         assert recheck("cor-det", code, config) is False
+
+
+@FORKED_CHILDREN
+@pytest.mark.parametrize("make_check", [_bad_check, _chord_one_check], ids=["bad", "chord-one"])
+def test_counterexamples_keep_census_order_and_numbering_across_shards(monkeypatch, make_check):
+    # Each orbit member must number its chords by first occurrence, as the census does: the
+    # chord-one check reads chord 1's plane, so a member with its representative's labels
+    # fails other diagrams.  Orbit shards interleave the census order, which the merged
+    # report must restore.
+    check, verdict = make_check()
+    monkeypatch.setitem(CHECKS, "failing", check)
+    want = _reference_fields("failing", _population_colorable, verdict, SweepConfig(max_chords=4))
+    assert want["failures"] > 0 and want["passes"] > 0
+    for workers in (1, 2, 3):
+        with _deadline(60):
+            report = run_check("failing", SweepConfig(max_chords=4, workers=workers))
+        assert _fields(report) == want, workers
+
+
+@FORKED_CHILDREN
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_verdict_keeps_the_structure_code(monkeypatch, workers):
+    # A rotation of the 14th colorable orbit, so with 2 workers the child's shard meets it.
+    representative = [word for k in range(4) for word, _ in _rotation_orbits(k, colorable=True)][13]
+    word = _rotated_structures(representative)[1].word
+    assert word != representative
+    population, census = CHECKS["cor-det"]
+
+    def raising(structure, lanes, config):
+        if structure.word == word:
+            raise ValueError("verdict failed")
+        return census(structure, lanes, config)
+
+    monkeypatch.setitem(CHECKS, "raising", (population, raising))
+    with _deadline(60), pytest.raises(ValueError, match="verdict failed") as raised:
+        run_check("raising", SweepConfig(max_chords=3, workers=workers))
+    assert multiprocessing.active_children() == []
+    code = serialize_gauss_code(make_diagram([word], {chord: 1 for chord in range(1, 4)}))
+    (note,) = raised.value.__notes__
+    assert "raised by the raising check on the structure of %s" % code in note
+    if workers == 2:
+        assert note.startswith("raised in shard 1:") and "in raising" in note
 
 
 def _rotated_structures(word):
@@ -507,26 +558,30 @@ def _rotated_structures(word):
 
 
 def test_orbit_values_hold_on_every_rotation():
-    # What the orbit sweep reads once per rotation orbit, on every structure with <= 4 chords:
-    # the determinant and main-theorem's lane counts are those of every rotation, and
-    # cor-det's verdict at each gap is the per-structure verdict on that rotation.
+    # What the sweep reads once per rotation orbit, on every structure with <= 4 chords: the
+    # determinant and main-theorem's lane counts are those of every rotation, and each member
+    # the structure hands out numbers its chords as the rotation does and gives cor-det's
+    # per-structure verdict on that rotation.
     moduli_sets = [(2, 3), (0,), (3, 5)]
     for word, vectors in enumerate_structures(4):
         structure, lanes = CensusStructure(word), SignLanes(vectors, len(word) // 2)
         rotations = _rotated_structures(word)
+        members = structure.members(len(rotations))
+        assert [member.word for member in members] == [rotated.word for rotated in rotations], word
         for moduli in moduli_sets:
             config = SweepConfig(moduli=moduli)
             want = [mask.bit_count() for mask in _main_theorem_census(structure, lanes, config)]
-            for rotated in rotations:
+            for rotated, member in zip(rotations, members):
                 assert [mask.bit_count() for mask in _main_theorem_census(rotated, lanes, config)] == want, word
+                assert _main_theorem_census(member, lanes, config) == _main_theorem_census(rotated, lanes, config)
         if not structure.colorable:
             continue
-        gaps = _corollary_gaps(structure, len(rotations))
-        assert structure.c2_parities(len(rotations)) == [rotated.c2_parity for rotated in rotations], word
-        for passed, rotated in zip(gaps, rotations):
-            assert rotated.determinant == structure.determinant, word
+        for member, rotated in zip(members, rotations):
+            assert member.c2_parity == rotated.c2_parity, word
+            assert member.determinant == rotated.determinant == structure.determinant, word
             population, failing = _corollary_census(rotated, lanes, SweepConfig())
-            assert population == lanes.ones and passed is (failing == 0), word
+            assert population == lanes.ones
+            assert _corollary_census(member, lanes, SweepConfig()) == (population, failing), word
 
 
 def _least_rotation(word):
@@ -538,7 +593,8 @@ def _least_rotation(word):
 def test_failing_orbit_reruns_every_shard_per_structure(monkeypatch, workers):
     # The determinant shifted by 4 on the rotation class of one 4-chord word fails cor-det on
     # each of its 8 structures and only there: one orbit fails, in one orbit shard, while its
-    # structures lie in several structure shards.  The report must still be the per-structure one.
+    # structures lie in several shards of the census order.  The report must still be the
+    # per-diagram one, counterexamples in census order.
     chosen = [word for word, _ in _rotation_orbits(4, colorable=True)][20]
     census_words = [word for k in range(5) for word in _words(k, colorable=True)]
     failing_at = [i for i, word in enumerate(census_words) if _least_rotation(word) == chosen]
@@ -549,27 +605,17 @@ def test_failing_orbit_reruns_every_shard_per_structure(monkeypatch, workers):
         det = determinant(circles, chords)
         return det + 4 if _least_rotation(circles[0]) == chosen else det
 
+    def reference(diagram, config):
+        return corollary_verdict(diagram, config) is (_least_rotation(diagram.circles[0]) != chosen)
+
     monkeypatch.setattr(verify, "_word_determinant", shifted)
-    sweeps = []
-    run_shards = verify._run_shards
-
-    def recording(name, config, num_shards, orbits=False):
-        sweeps.append(orbits)
-        return run_shards(name, config, num_shards, orbits)
-
-    monkeypatch.setattr(verify, "_run_shards", recording)
     config = SweepConfig(max_chords=4, workers=workers)
     with _deadline(60):
         report = run_check("cor-det", config)
-    assert sweeps == [True, False]  # the orbit sweep, then every shard per structure
     assert report.failures == len(report.counterexamples) == 8 * 16
     for code in report.counterexamples:
         assert recheck("cor-det", code, config) is False
-    population, census = CHECKS["cor-det"]
-    monkeypatch.setitem(CHECKS, "cor-det", (population, lambda *args: census(*args)))  # no orbit form
-    per_structure = run_check("cor-det", SweepConfig(max_chords=4))
-    assert sweeps == [True, False, False]
-    assert _fields(report) == _fields(per_structure)
+    assert _fields(report) == _reference_fields("cor-det", _population_colorable, reference, config)
 
 
 def test_recheck_past_one_byte_lanes_matches_reference():
