@@ -15,14 +15,16 @@ heads-first everywhere is ascending, tails-first everywhere descending.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _interleaves_nothing, _layout,
                       _require_knot, _rotations, _smoothed_words, basepoint_positions, is_mod_p_numberable)
-from .enumeration import _words
+from .enumeration import _matchings, _word
 from .errors import GaussCodeError, PreconditionError
 
 _ARROW_TOKEN = re.compile(r"([OU])(\d+)")
@@ -107,30 +109,30 @@ def jump_traversal(diagram):
     return tuple(reached), frozenset([(0, 0), *reached])
 
 
-def _classify(diagram):
-    """``(one_component, ascending, descending)`` from the jump traversal."""
+def _first_reached(diagram):
+    """``(one_component, first)`` from the jump traversal, ``first[chord]`` telling whether travel
+    reaches the chord first at its head."""
     reached, gaps = jump_traversal(diagram)
     first = {}
     for ci, g in reached:
         chord, is_head = diagram.circles[ci][g]
         first.setdefault(chord, is_head)
-    one = len(gaps) == sum(max(1, len(word)) for word in diagram.circles)
-    return one, all(first.values()), not any(first.values())
+    return len(gaps) == sum(max(1, len(word)) for word in diagram.circles), first
 
 
 def is_one_component(diagram):
     """True iff the jump traversal visits every arc of every circle."""
-    return _classify(diagram)[0]
+    return _first_reached(diagram)[0]
 
 
 def is_ascending(diagram):
     """True iff every arrow is first reached by travel at its head."""
-    return _classify(diagram)[1]
+    return all(_first_reached(diagram)[1].values())
 
 
 def is_descending(diagram):
     """True iff every arrow is first reached by travel at its tail."""
-    return _classify(diagram)[2]
+    return not any(_first_reached(diagram)[1].values())
 
 
 # -- Conway combinations ------------------------------------------------------
@@ -162,26 +164,36 @@ def conway_sets(degree, circles):
     """The ascending and descending :class:`ConwaySet` of one degree, from one pass.
 
     Even degrees live on one circle, odd degrees on two; anything else is a
-    parity mismatch.  Candidates are census words (:func:`_words`), cut in two
-    for two circles; each numbers its arrows by first occurrence, so no two are
-    isomorphic.  Each is classified once for both variants, and members are
-    sorted by :meth:`ArrowDiagram.canonical_key`.
+    parity mismatch.  Candidates are the matchings of the endpoint slots
+    (:func:`_matchings`), cut in two for two circles, with arrows numbered by
+    first occurrence (:func:`_word`), so no two members are isomorphic.  The
+    jump traversal goes to an arrow's other end whichever end it reached, so
+    its path reads only the matching and the cut: one traversal per
+    one-component candidate gives its one ascending orientation (each head
+    where travel first reaches its arrow) and its one descending orientation.
+    Members are sorted by :meth:`ArrowDiagram.canonical_key`.
     """
     if degree < 0 or circles not in (1, 2):
         raise ValueError("degree must be >= 0 and circles 1 or 2")
     if (degree % 2 == 0) != (circles == 1):
         raise ValueError("degree %d cannot live on %d circle(s)" % (degree, circles))
+    cuts = [None] if circles == 1 else range(2 * degree + 1)
     ascending, descending = [], []
-    for word in _words(degree):
-        for cut in [None] if circles == 1 else range(2 * degree + 1):
-            cand = ArrowDiagram((word,) if cut is None else (word[:cut], word[cut:]))
-            one, asc, des = _classify(cand)
-            if one and asc:
-                ascending.append(cand)
-            if one and des:
-                descending.append(cand)
+    for matching in _matchings(tuple(range(2 * degree))):
+        word = _word(matching, [True] * degree)  # each head at its pair's first slot
+        for cut in cuts:
+            one, first = _first_reached(ArrowDiagram(_cut(word, cut)))
+            if one:
+                heads = [first[chord] for chord in range(1, degree + 1)]
+                ascending.append(ArrowDiagram(_cut(_word(matching, heads), cut)))
+                descending.append(ArrowDiagram(_cut(_word(matching, [not h for h in heads]), cut)))
     return tuple(ConwaySet(degree, circles, variant, tuple(sorted(members, key=ArrowDiagram.canonical_key)))
                  for variant, members in (("ascending", ascending), ("descending", descending)))
+
+
+def _cut(word, cut):
+    """The circles of ``word``: itself, or cut in two before slot ``cut``."""
+    return (word,) if cut is None else (word[:cut], word[cut:])
 
 
 def conway_set(degree, circles, variant):
@@ -336,15 +348,10 @@ def _walks(layout, max_size, budget=0):
     return found
 
 
-def _qualifying_subsets(layout, max_size):
-    """``(subset, ascending, descending)`` for each subset of :func:`_walks` that can count."""
-    return [(subset, not first, len(first) == len(subset)) for subset, first in _walks(layout, max_size)]
-
-
 def _smoothing_subsets(circles, chords, i):
-    """:func:`_qualifying_subsets` of the smoothing along ``chords[i]`` of the diagram with endpoint
-    words ``circles`` (:func:`~vknot.diagram.smooth`), its chords the others, each subset in the
-    chord indices of ``chords``, so the diagram's own signs apply.
+    """:func:`_walks` of the smoothing along ``chords[i]`` of the diagram with endpoint words
+    ``circles`` (:func:`~vknot.diagram.smooth`), its chords the others, each subset in the chord
+    indices of ``chords``, so the diagram's own signs apply.
 
     A knot chord that interleaves nothing is not spliced: its smoothing's two
     circles share no chord, so no subset counts (:func:`_walks`).
@@ -353,49 +360,72 @@ def _smoothing_subsets(circles, chords, i):
         return []
     others = chords[:i] + chords[i + 1 :]
     layout = _layout(_smoothed_words(circles, chords[i]), others)
-    # the smoothing's chord index j is the diagram's j, or j + 1 from i on
-    return [(tuple([j + (j >= i) for j in subset]), asc, des)
-            for subset, asc, des in _qualifying_subsets(layout, len(others))]
+    # the smoothing's chord index j is the diagram's j, or j + 1 from i on; first is () or all of subset
+    return [(mapped, mapped if first else ()) for subset, first in _walks(layout, len(others))
+            for mapped in [tuple([j + (j >= i) for j in subset])]]
 
 
 def _crossing_change_tables(layout, signs, resolved):
-    """``{i: (same, switched)}`` for each chord index ``i`` of ``resolved``: the raw signed sums
-    ``{size: [ascending, descending]}`` over the subsets holding ``i`` that count in D and in D^i.
+    """``{i: T(D+) - T(D-)}`` for each chord index ``i`` of ``resolved``: the skein difference of
+    the Conway tables ``{size: (ascending, descending)}`` of the diagrams D+ and D- whose chord
+    ``i`` is positive and negative, the sizes with a nonzero difference in increasing order.
 
-    A size may hold two zero sums, and a missing size reads as zero sums.
     D^i, the crossing change at chord ``i``, swaps its tail and head in place and negates its
     sign, so each walk keeps its path, only chord ``i``'s first-reached role flips, and the sign
     product changes sign: a subset is ascending in D when no chord is first reached tail-first,
     and in D^i when ``i`` is the only one (descending likewise).  So one :func:`_walks` with a
-    budget of one chord serves D and every D^i, and each subset's sign product is formed once.
+    budget of one chord serves D and every D^i.  Only the subsets holding ``i`` differ between D+
+    and D-, and such a subset adds s_i times its sign product once for its class in D and once
+    for its class in D^i: the product over its other chords, the chords of the smoothing at ``i``.
     """
-    sums = {i: ({}, {}) for i in resolved}
+    diffs = {i: {} for i in resolved}
     for subset, first in _walks(layout, len(layout[0]), budget=1):
         size, num = len(subset), len(first)  # num: the chords first reached tail-first in D
         prod = math.prod([signs[i] for i in subset])
         for i in subset:
-            if i in sums:
-                same, switched = sums[i]
+            if i in diffs:
+                diff, term = diffs[i], prod * signs[i]
                 if num == 0 or num == size:  # column 0 when ascending, 1 when descending
-                    same.setdefault(size, [0, 0])[num != 0] += prod
+                    diff.setdefault(size, [0, 0])[num != 0] += term
                 flipped = num - 1 if i in first else num + 1  # in D^i
                 if flipped == 0 or flipped == size:
-                    switched.setdefault(size, [0, 0])[flipped != 0] -= prod
-    return sums
+                    diff.setdefault(size, [0, 0])[flipped != 0] += term
+    return {i: {size: (a, d) for size, (a, d) in sorted(diff.items()) if a or d} for i, diff in diffs.items()}
 
 
-def _pairing_sums(classified, signs):
-    """``{size: (ascending, descending)}`` signed sums over classified subsets.
+def _pairing_sums(walked, signs):
+    """``{size: (ascending, descending)}`` signed sums over the subsets of a :func:`_walks` (budget 0).
 
     Only the sizes with a nonzero sum are keys, in increasing order.
     """
     sums = {}
-    for subset, asc, des in classified:
+    for subset, first in walked:
         prod = math.prod([signs[i] for i in subset])
         entry = sums.setdefault(len(subset), [0, 0])
-        entry[0] += prod if asc else 0
-        entry[1] += prod if des else 0
+        entry[0] += prod if not first else 0
+        entry[1] += prod if len(first) == len(subset) else 0
     return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
+
+
+def _table_lanes(walked, planes):
+    """:func:`_pairing_sums` in every lane of the sign planes ``planes`` (``SignLanes.planes``), as
+    ``{size: ((count, negatives), (count, negatives))}``, ascending then descending.
+
+    ``count`` is the number of subsets of that size that count and
+    ``negatives`` counts per lane those with sign product -1, so the pairing
+    is ``count - 2 * negatives``; every size with a subset that counts is a key.
+    """
+    sums = {}
+    for subset, first in walked:
+        negative = functools.reduce(operator.xor, [planes[i] for i in subset], 0)
+        entry = sums.setdefault(len(subset), [0, 0, 0, 0])
+        if not first:
+            entry[0] += 1
+            entry[1] += negative
+        if len(first) == len(subset):
+            entry[2] += 1
+            entry[3] += negative
+    return {size: ((a, na), (d, nd)) for size, (a, na, d, nd) in sorted(sums.items())}
 
 
 def _z2_pairs(word, index):
@@ -460,7 +490,7 @@ def _z2(circles, chords, signs):
     chord ``chords[i]`` having sign ``signs[i]``: on a knot from the rows of :func:`_z2_pairs`,
     on a link from the subset walk of every other degree."""
     if len(circles) != 1:
-        return _pairing_sums(_qualifying_subsets(_layout(circles, chords), 2), signs).get(2, (0, 0))
+        return _pairing_sums(_walks(_layout(circles, chords), 2), signs).get(2, (0, 0))
     index = {chord: i for i, chord in enumerate(chords)}
     return _z2_sums(_z2_pairs(circles[0], index), signs, _plus_mask(signs))
 
@@ -490,7 +520,7 @@ def conway_pairing_table(diagram, *, max_degree=None):
     if max_degree is None:
         max_degree = diagram.num_chords
     layout, signs = _endpoints(diagram)
-    return _pairing_sums(_qualifying_subsets(layout, max_degree), signs)
+    return _pairing_sums(_walks(layout, max_degree), signs)
 
 
 def z2_pairings_at_basepoints(diagram):

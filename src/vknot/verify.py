@@ -27,13 +27,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass
 
-from .arrows import (
-    _crossing_change_tables,
-    _pairing_sums,
-    _qualifying_subsets,
-    _smoothing_subsets,
-    _z2_pairs,
-)
+from .arrows import _crossing_change_tables, _pairing_sums, _smoothing_subsets, _table_lanes, _walks, _z2_pairs
 from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
@@ -61,6 +55,15 @@ class SweepConfig:
     random_max_chords: int = 8
     seed: int = 0
     workers: int = 1
+
+    def __post_init__(self):
+        for field in ("max_chords", "samples", "workers"):
+            if getattr(self, field) < 0:
+                raise PreconditionError("%s must be >= 0, got %d" % (field, getattr(self, field)))
+        if any(p < 0 for p in self.moduli):
+            raise PreconditionError("every modulus in moduli must be >= 0, got %s" % (self.moduli,))
+        if self.random_max_chords < 1:
+            raise PreconditionError("random_max_chords must be >= 1, got %d" % self.random_max_chords)
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,11 @@ def skein_verdict(circles, signs, config):
 
     For a knot every chord is resolved; for a two-circle diagram only chords
     joining the circles (smoothing a self-chord leaves the one- or two-circle
-    pairing domain).  The raw tables of the diagram and of each crossing
-    change come from one walk (:func:`_crossing_change_tables`).  Each
-    smoothing gets its own walk of its own endpoint words
-    (:func:`_smoothing_subsets`), so the identity stays a check.
+    pairing domain).  The skein difference T(D+) - T(D-) at each of them
+    comes from one walk of D (:func:`_crossing_change_tables`) and must be
+    the smoothing's table shifted up one size.  Each smoothing gets its own
+    walk of its own endpoint words (:func:`_smoothing_subsets`), so the
+    identity stays a check.
     """
     chords, sign = tuple(signs), list(signs.values())
     layout = tails, heads, _ = _layout(circles, chords)
@@ -122,16 +126,10 @@ def skein_verdict(circles, signs, config):
     else:  # the chords with ends on two circles
         circle_at = [ci for ci, circle in enumerate(circles) for _ in circle]
         resolved = [i for i, (t, h) in enumerate(zip(tails, heads)) if circle_at[t] != circle_at[h]]
-    for i, (same, switched) in _crossing_change_tables(layout, sign, resolved).items():
-        t_plus, t_minus = (same, switched) if sign[i] > 0 else (switched, same)
-        t_zero = _pairing_sums(_smoothing_subsets(circles, chords, i), sign)
-        sizes = set(t_plus) | set(t_minus) | {s + 1 for s in t_zero}
-        for n in sizes:
-            for column in (0, 1):
-                lhs = t_plus.get(n, (0, 0))[column] - t_minus.get(n, (0, 0))[column]
-                rhs = t_zero.get(n - 1, (0, 0))[column]
-                if lhs != rhs:
-                    return False
+    for i, diff in _crossing_change_tables(layout, sign, resolved).items():
+        smoothed = _pairing_sums(_smoothing_subsets(circles, chords, i), sign)
+        if diff != {n + 1: sums for n, sums in smoothed.items()}:
+            return False
     return True
 
 
@@ -216,28 +214,6 @@ class SignLanes:
     def nonzero(self, count, negatives):
         """The lanes where the signed sum ``count - 2 * negatives`` is not 0."""
         return self.ones ^ self.twice_congruent(negatives, count, 0, count)
-
-
-def _table_lanes(classified, lanes):
-    """The Conway table of classified subsets per lane, as
-    ``{size: ((count, negatives), (count, negatives))}``, ascending then descending.
-
-    ``count`` is the number of qualifying subsets of that size and
-    ``negatives`` counts per lane those with sign product -1, so the pairing
-    is ``count - 2 * negatives``; every size with a qualifying subset is a key.
-    """
-    planes = lanes.planes
-    sums = {}
-    for subset, asc, des in classified:
-        negative = functools.reduce(operator.xor, [planes[i] for i in subset], 0)
-        entry = sums.setdefault(len(subset), [0, 0, 0, 0])
-        if asc:
-            entry[0] += 1
-            entry[1] += negative
-        if des:
-            entry[2] += 1
-            entry[3] += negative
-    return {size: ((a, na), (d, nd)) for size, (a, na, d, nd) in sorted(sums.items())}
 
 
 def _smoothing_candidates(circles, chords):
@@ -326,8 +302,6 @@ class CensusStructure:
         The index criterion asks each chord's index ``m - 2 * negatives``
         (:func:`_interleavings`, read on the sign lanes) to be 0 mod ``p``.
         """
-        if any(p < 0 for p in moduli):
-            raise ValueError("modulus must be >= 0")
         found = [lanes.ones] * len(moduli)
         for _, _, m, negatives in _interleavings(self.word, dict(zip(self.chords, lanes.planes)), lanes.ones):
             if not any(found):
@@ -338,11 +312,11 @@ class CensusStructure:
 
     def table(self, lanes):
         """``conway_pairing_table`` in every lane, as :func:`_table_lanes`."""
-        return _table_lanes(_qualifying_subsets(_layout((self.word,), self.chords), len(self.chords)), lanes)
+        return _table_lanes(_walks(_layout((self.word,), self.chords), len(self.chords)), lanes.planes)
 
     def smoothed_tables(self, lanes):
         """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""
-        return [_table_lanes(_smoothing_subsets((self.word,), self.chords, alpha - 1), lanes)
+        return [_table_lanes(_smoothing_subsets((self.word,), self.chords, alpha - 1), lanes.planes)
                 for alpha in _smoothing_candidates((self.word,), self.chords)]
 
 
@@ -546,10 +520,16 @@ class _Samples:
         self.population = population
 
     def sweep(self, name, verdict_fn, config, shard, num_shards):
-        """``(passes, counterexamples)`` of each sample of this shard, a counterexample ``(index, diagram)``."""
+        """``(passes, counterexamples)`` of each sample of this shard, a counterexample ``(index, diagram)``.
+        An exception the verdict raises gets a note naming the check, the sample and its code."""
         for i, (circles, signs) in enumerate(self.population(config)):
             if i % num_shards == shard:
-                yield (1, []) if verdict_fn(circles, signs, config) else (0, [(i, make_diagram(circles, signs))])
+                try:
+                    passed = verdict_fn(circles, signs, config)
+                except Exception as exc:
+                    exc.add_note("raised by the %s check on sample %d, %s" % (name, i, make_diagram(circles, signs)))
+                    raise
+                yield (1, []) if passed else (0, [(i, make_diagram(circles, signs))])
 
     def recheck(self, name, verdict_fn, diagram, config):
         return verdict_fn(diagram.circles, dict(diagram.signs), config)

@@ -6,9 +6,48 @@ traversal over the bits of the subset's endpoint mask, so its cost is
 reference that ``arrows._walks`` must agree with on every subset that adds
 to a sum.  Besides the ascending and descending subsets it yields the first
 one-component subset of each size, which may be neither.
+
+Its subsets come as ``(subset, ascending, descending)`` triples.
+:func:`walk_triples` reads the ``(subset, tails_first)`` pairs of the walk
+under test as such triples, and :func:`signed_sums` and
+:func:`skein_difference` build the reference tables from them.
 """
 
 import itertools
+
+from vknot.arrows import _walks
+
+
+def walk_triples(layout, max_size):
+    """``(subset, ascending, descending)`` for each subset of ``arrows._walks(layout, max_size)``."""
+    return [(subset, not first, len(first) == len(subset)) for subset, first in _walks(layout, max_size)]
+
+
+def signed_sums(classified, signs):
+    """``{size: (ascending, descending)}`` signed sums over ``(subset, ascending, descending)``
+    triples, chord index ``i`` having sign ``signs[i]``; a size whose two sums are 0 is not a key."""
+    sums = {}
+    for subset, asc, des in classified:
+        prod = 1
+        for i in subset:
+            prod *= signs[i]
+        entry = sums.setdefault(len(subset), [0, 0])
+        entry[0] += prod if asc else 0
+        entry[1] += prod if des else 0
+    return {size: tuple(pair) for size, pair in sorted(sums.items()) if any(pair)}
+
+
+def skein_difference(table, switched, sign):
+    """``sign * (table - switched)`` of two tables ``{size: (ascending, descending)}``: with
+    ``table`` that of D over the subsets holding chord c, ``switched`` that of the crossing
+    change D^c and ``sign`` the sign of c in D, the skein difference T(D+) - T(D-); a size whose
+    two differences are 0 is not a key."""
+    out = {}
+    for size in sorted(set(table) | set(switched)):
+        pair = tuple(sign * (a - b) for a, b in zip(table.get(size, (0, 0)), switched.get(size, (0, 0))))
+        if any(pair):
+            out[size] = pair
+    return out
 
 def _walk_setup(layout):
     """The tables of a mask walk over ``layout``: ``partner``, ``role`` (2 at a

@@ -548,6 +548,32 @@ def test_raising_verdict_keeps_the_structure_code(monkeypatch, workers):
         assert note.startswith("raised in shard 1:") and "in raising" in note
 
 
+@FORKED_CHILDREN
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_skein_verdict_keeps_the_sample_code(monkeypatch, workers):
+    # Sample 7 is odd, so with 2 workers the child's shard meets it.
+    config = SweepConfig(samples=20, seed=3, workers=workers)
+    samples = list(verify._population_random_skein(config))
+    target = samples[7]
+    assert samples.count(target) == 1
+    population, skein = CHECKS["skein"]
+
+    def raising(circles, signs, config):
+        if (circles, signs) == target:
+            raise ValueError("verdict failed")
+        return skein(circles, signs, config)
+
+    monkeypatch.setitem(CHECKS, "raising", (population, raising))
+    with _deadline(60), pytest.raises(ValueError, match="verdict failed") as raised:
+        run_check("raising", config)
+    assert multiprocessing.active_children() == []
+    code = serialize_gauss_code(make_diagram(*target))
+    (note,) = raised.value.__notes__
+    assert "raised by the raising check on sample 7, %s" % code in note
+    if workers == 2:
+        assert note.startswith("raised in shard 1:") and "in raising" in note
+
+
 def _rotated_structures(word):
     """The structure at each rotation of ``word``, its chords renumbered by first occurrence."""
     structures = []

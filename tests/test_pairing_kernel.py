@@ -20,12 +20,12 @@ import pytest
 from braidutil import braid_closure_gauss_code
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
+from maskwalk import skein_difference, walk_triples
 from vknot import catalog, cli
 from vknot.arrows import (
     IntPolynomial,
     _crossing_change_tables,
     _endpoints,
-    _qualifying_subsets,
     _walks,
     ascending_polynomial,
     conway_pairing,
@@ -37,7 +37,7 @@ from vknot.arrows import (
     subset_pattern,
     z2_pairings_at_basepoints,
 )
-from vknot.diagram import basepoint_positions, make_diagram, parse_gauss_code, smooth
+from vknot.diagram import basepoint_positions, crossing_change, make_diagram, parse_gauss_code, smooth
 from vknot.enumeration import (
     _random_chords,
     connecting_chords,
@@ -147,12 +147,18 @@ def test_three_circle_diagrams_match_reference():
 
 
 def _held_tables(G):
-    """``{chord: table}``: the subsets holding each chord, as the raw sums of D in
-    ``_crossing_change_tables`` hold them, sizes whose sums are both 0 left out."""
+    """``{chord: difference}``: the skein difference T(D+) - T(D-) at each chord, as
+    ``_crossing_change_tables`` holds it."""
     layout, signs = _endpoints(G)
     tables = _crossing_change_tables(layout, signs, range(G.num_chords))
-    return {chord: {size: tuple(sums) for size, sums in tables[i][0].items() if any(sums)}
-            for i, chord in enumerate(G.chord_ids())}
+    return {chord: tables[i] for i, chord in enumerate(G.chord_ids())}
+
+
+def reference_difference(G, chord):
+    """s_c * (T(D) - T(D^c)) over the subsets holding ``chord``, each table from the reference
+    classification of its own materialized diagram."""
+    switched = crossing_change(G, chord)
+    return skein_difference(reference_table(G, chord), reference_table(switched, chord), G.sign(chord))
 
 
 def test_required_chord_tables_match_reference():
@@ -162,7 +168,7 @@ def test_required_chord_tables_match_reference():
     for G in diagrams:
         held = _held_tables(G)
         for chord in G.chord_ids():
-            assert held[chord] == reference_table(G, chord), (str(G), chord)
+            assert held[chord] == reference_difference(G, chord), (str(G), chord)
 
 
 def test_larger_tables_match_reference():
@@ -175,7 +181,7 @@ def test_larger_tables_match_reference():
         assert conway_pairing_table(G) == reference_table(G), str(G)
         held = _held_tables(G)
         for chord in G.chord_ids():
-            assert held[chord] == reference_table(G, chord), (str(G), chord)
+            assert held[chord] == reference_difference(G, chord), (str(G), chord)
 
 
 def test_degree_bound_bounds_the_work():
@@ -223,23 +229,29 @@ def _counting(classified):
     return sorted((tuple(sorted(subset)), asc, des) for subset, asc, des in classified if asc or des)
 
 
+def _mask_table(G, max_size, required=None):
+    """The signed table of ``G`` up to ``max_size`` chords from the mask walk, over the subsets
+    holding chord index ``required`` if it is set."""
+    ids = G.chord_ids()
+    mask = mask_qualifying_subsets(_endpoints(G)[0], range(max_size + 1), required)
+    return _signed_table(G, [(tuple(ids[i] for i in s), a, d) for s, a, d in mask])
+
+
 def _assert_walk_matches_mask_walk(G, max_sizes):
     # Subset by subset, not only by sums, so that two errors cannot cancel.
     layout, _ = _endpoints(G)
-    ids = G.chord_ids()
     held = _held_tables(G)
     for max_size in max_sizes:
-        walk = _qualifying_subsets(layout, max_size)
+        walk = walk_triples(layout, max_size)
         mask = list(mask_qualifying_subsets(layout, range(max_size + 1)))
         assert sorted((tuple(sorted(s)), a, d) for s, a, d in walk) == _counting(mask), (str(G), max_size)
-        for required in (None, *range(len(ids))):
-            mask = list(mask_qualifying_subsets(layout, range(max_size + 1), required))
-            named = [(tuple(ids[i] for i in s), a, d) for s, a, d in mask]
-            if required is None:
-                got = conway_pairing_table(G, max_degree=max_size)
-            else:
-                got = {size: sums for size, sums in held[ids[required]].items() if size <= max_size}
-            assert got == _signed_table(G, named), (str(G), max_size, required)
+        assert conway_pairing_table(G, max_degree=max_size) == _mask_table(G, max_size), (str(G), max_size)
+        for required, chord in enumerate(G.chord_ids()):
+            switched = crossing_change(G, chord)
+            want = skein_difference(_mask_table(G, max_size, required), _mask_table(switched, max_size, required),
+                                    G.sign(chord))
+            got = {size: sums for size, sums in held[chord].items() if size <= max_size}
+            assert got == want, (str(G), max_size, chord)
 
 
 def test_walk_matches_mask_walk_on_larger_knots():
@@ -397,8 +409,8 @@ def test_split_layouts_match_mask_walk_without_walking():
         assert list(mask_qualifying_subsets(layout, range(n + 1))) == [], str(G)
         assert mask_crossing_change_subsets(layout) == ([[] for _ in range(n)], [[] for _ in range(n)]), str(G)
         for max_size in (1, 2, n):
-            assert _result_and_walk_calls(lambda: _qualifying_subsets(layout, max_size)) == ([], 0), str(G)
+            assert _result_and_walk_calls(lambda: _walks(layout, max_size)) == ([], 0), str(G)
         assert _result_and_walk_calls(lambda: _walks(layout, n, budget=1)) == ([], 0), str(G)
         tables = _crossing_change_tables(layout, signs, range(n))
-        assert tables == {i: ({}, {}) for i in range(n)}, str(G)
+        assert tables == {i: {} for i in range(n)}, str(G)
         assert _table_and_walk_calls(G) == ({}, 0), str(G)

@@ -1,14 +1,15 @@
 """Differential tests of the skein check's shared crossing-change walk.
 
-``skein_verdict`` reads the raw tables of a diagram D and of every crossing
-change D^c from one walk of D's subsets, and the table of each smoothing
-from ``_smoothing_subsets``.  The reference below is the per-chord verdict
-it replaced, with three tables per resolvable chord, on D, on the
-materialized crossing change and on the smoothing, each from the mask walk
-(``maskwalk``) of its own diagram, so none shares the walk under test.  The
-verdict is True on every diagram the check sees, so the tables themselves
-are compared, and a deliberately wrong smoothing shows that the check can
-still fail.  The walk behind the shared tables is also compared with the
+``skein_verdict`` reads the skein difference T(D+) - T(D-) at every
+resolvable chord c of a diagram D from one walk of D's subsets, and the
+table of each smoothing from ``_smoothing_subsets``.  The reference below is
+the per-chord verdict it replaced, with three tables per resolvable chord,
+on D, on the materialized crossing change D^c and on the smoothing, each
+from the mask walk (``maskwalk``) of its own diagram, so none shares the
+walk under test.  The verdict is True on every diagram the check sees, so
+each difference is also compared with s_c * (T(D) - T(D^c)) from those
+tables, and a deliberately wrong smoothing shows that the check can still
+fail.  The walk behind the shared tables is also compared with the
 mask walk, subset by subset.  The check samples endpoint words, not
 diagrams; its sampler is compared with the diagram generators it draws like.
 """
@@ -18,15 +19,9 @@ import random
 
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
+from maskwalk import signed_sums, skein_difference
 from vknot import arrows, verify
-from vknot.arrows import (
-    _crossing_change_tables,
-    _endpoints,
-    _pairing_sums,
-    _qualifying_subsets,
-    _smoothing_subsets,
-    _walks,
-)
+from vknot.arrows import _crossing_change_tables, _endpoints, _smoothing_subsets, _walks
 from vknot.diagram import (
     BasedGaussDiagram,
     _interleaves_nothing,
@@ -45,11 +40,6 @@ from vknot.enumeration import (
 from vknot.verify import SweepConfig, recheck, run_check, skein_verdict
 
 
-def _nonzero(raw):
-    """A raw table ``{size: [ascending, descending]}`` with the sizes whose sums are both 0 left out."""
-    return {size: tuple(sums) for size, sums in raw.items() if any(sums)}
-
-
 # Diagrams are values, so the table comparison and the reference verdict
 # can share each materialized diagram's table.
 @functools.lru_cache(maxsize=256)
@@ -57,7 +47,13 @@ def reference_table(diagram, chord=None):
     """The signed table of ``diagram`` from the mask walk, over the subsets holding ``chord`` if it is set."""
     layout, signs = _endpoints(diagram)
     required = None if chord is None else diagram.chord_ids().index(chord)
-    return _pairing_sums(mask_qualifying_subsets(layout, range(diagram.num_chords + 1), required), signs)
+    return signed_sums(mask_qualifying_subsets(layout, range(diagram.num_chords + 1), required), signs)
+
+
+def reference_difference(diagram, chord):
+    """s_c * (T(D) - T(D^c)) over the subsets holding ``chord``, from the materialized diagrams."""
+    switched = crossing_change(diagram, chord)
+    return skein_difference(reference_table(diagram, chord), reference_table(switched, chord), diagram.sign(chord))
 
 
 def reference_skein_verdict(diagram, config, smoothing=smooth):
@@ -92,8 +88,7 @@ def _assert_shared_walk_matches(G, chords):
     tables = _crossing_change_tables(layout, signs, resolved)
     assert list(tables) == resolved, str(G)
     for chord, i in zip(chords, resolved):
-        for shared, diagram in zip(tables[i], (G, crossing_change(G, chord))):
-            assert _nonzero(shared) == reference_table(diagram, chord), (str(G), chord)
+        assert tables[i] == reference_difference(G, chord), (str(G), chord)
 
 
 def _verdict(G, config):
@@ -137,7 +132,8 @@ def _walk_crossing_change_subsets(layout):
 
 
 def test_shared_walk_matches_mask_walk():
-    # The budget-1 walk lists the mask walk's subsets, and the shared tables are their sums.
+    # The budget-1 walk lists the mask walk's subsets, and each shared difference is that of their
+    # sums, and that of the materialized diagrams' tables.
     rng = random.Random(59)
     diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(60)]
     diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(60)]
@@ -147,10 +143,10 @@ def test_shared_walk_matches_mask_walk():
         walk = _walk_crossing_change_subsets(layout)
         assert [_by_subset(lists) for lists in walk] == [_by_subset(lists) for lists in mask], str(G)
         tables = _crossing_change_tables(layout, signs, range(G.num_chords))
-        for i, (same, switched) in tables.items():
+        for (i, diff), chord in zip(tables.items(), G.chord_ids()):
             switched_signs = signs[:i] + [-signs[i]] + signs[i + 1:]
-            assert _nonzero(same) == _pairing_sums(mask[0][i], signs), (str(G), i)
-            assert _nonzero(switched) == _pairing_sums(mask[1][i], switched_signs), (str(G), i)
+            want = skein_difference(signed_sums(mask[0][i], signs), signed_sums(mask[1][i], switched_signs), signs[i])
+            assert diff == want == reference_difference(G, chord), (str(G), i)
 
 
 def test_smoothing_subsets_match_the_smoothed_diagrams_walk():
@@ -162,8 +158,8 @@ def test_smoothing_subsets_match_the_smoothed_diagrams_walk():
         for i, chord in enumerate(ids):
             smoothed = smooth(G, chord)
             at = [ids.index(other) for other in smoothed.chord_ids()]
-            want = [(tuple([at[j] for j in subset]), asc, des)
-                    for subset, asc, des in _qualifying_subsets(_endpoints(smoothed)[0], len(at))]
+            want = [(tuple([at[j] for j in subset]), tuple([at[j] for j in first]))
+                    for subset, first in _walks(_endpoints(smoothed)[0], len(at))]
             got = _smoothing_subsets(G.circles, ids, i)
             assert sorted(got) == sorted(want), (str(G), chord)
             if G.num_circles == 1:

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+from vknot import verify
 from vknot.errors import PreconditionError, UnknownCheckError
 from vknot.verify import (
     CHECKS,
@@ -113,3 +115,30 @@ def test_workers_match_serial():
         parallel.failures,
     )
 
+
+
+BAD_CONFIGS = {
+    "max_chords": {"max_chords": -1},
+    "samples": {"samples": -1},
+    "workers": {"workers": -1},
+    "moduli": {"moduli": (2, -3)},
+    "random_max_chords": {"random_max_chords": 0},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_CONFIGS))
+def test_config_refuses_out_of_range_values(monkeypatch, field):
+    # Refused where the config is built, so no sweep starts and no check is blamed for it.
+    started = []
+    monkeypatch.setattr(verify, "_run_shards", lambda *args: started.append(args))
+    for name in ("main-theorem", "skein"):
+        with pytest.raises(PreconditionError, match=field):
+            run_check(name, SweepConfig(**BAD_CONFIGS[field]))
+    assert started == [] and multiprocessing.active_children() == []
+
+
+def test_config_accepts_the_smallest_values():
+    config = SweepConfig(max_chords=0, moduli=(0,), samples=4, random_max_chords=1, workers=0)
+    for name in sorted(CHECKS):
+        report = run_check(name, config)
+        assert report.population > 0 and report.failures == 0, name

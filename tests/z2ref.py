@@ -3,14 +3,15 @@
 ``z2_pairs`` compares the four endpoint positions of every chord pair, O(n^2)
 on a knot, and lists the pairs ``(x, y)`` of chord indices that the
 ascending and descending z^2 pairings count; ``z2_sums`` sums s_x * s_y
-over each list.  They are kept here, unchanged apart from their names, as
+over each list.  They are kept here, unchanged apart from their names and
+the link case reading the subset walk through ``maskwalk.walk_triples``, as
 the reference that ``arrows._z2_pairs`` and ``arrows._z2_sums`` must agree
 with.
 """
 
 import itertools
 
-from vknot.arrows import _qualifying_subsets
+from maskwalk import walk_triples
 
 
 def z2_pairs(layout):
@@ -23,7 +24,7 @@ def z2_pairs(layout):
     """
     tails, heads, bounds = layout
     if len(bounds) != 2:
-        pairs = [(s, a, d) for s, a, d in _qualifying_subsets(layout, 2) if len(s) == 2]
+        pairs = [(s, a, d) for s, a, d in walk_triples(layout, 2) if len(s) == 2]
         return [s for s, a, _ in pairs if a], [s for s, _, d in pairs if d]
     asc, des = [], []
     chords = list(zip(itertools.count(), tails, heads))
