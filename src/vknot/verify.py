@@ -231,16 +231,18 @@ class CensusStructure:
 
     The 2^k diagrams of a structure differ only in their chord signs.  None
     of the following reads a sign, so each serves them all, computed from the
-    endpoint word: mod 2 colorability, the determinant, the warping
-    degree, the z^2 pairs at every basepoint, and the chord subsets that can
-    add to the Conway table of the diagram and of each smoothing candidate's
-    smoothing (walked by :meth:`table` and :meth:`smoothed_tables`).
-    Colorability and the determinant are kept, and shared by the structures
-    at the word's other rotations (:meth:`members`); the rest is computed when
-    read, by the one verdict a structure serves.  The methods taking ``lanes``
-    (:class:`SignLanes`) evaluate the diagrams of all its sign vectors from
-    them at once; ``signs[i]`` is the sign of chord ``i + 1``.  No diagram is
-    built but by :meth:`diagram`.
+    endpoint word with its basepoint at :attr:`rotation`: mod 2 colorability,
+    the determinant, numberability, the warping degree, the z^2 pairs at every
+    basepoint, and the chord subsets that can add to the Conway table of the
+    diagram and of each smoothing candidate's smoothing (walked by
+    :meth:`table` and :meth:`smoothed_tables`).  The first three do not depend
+    on the basepoint: they are kept, and shared by the structures at the
+    word's other rotations (:meth:`members`), which keep these chord labels.
+    The rest is computed when read, by the one verdict a structure serves.
+    The methods taking ``lanes`` (:class:`SignLanes`) evaluate the diagrams of
+    all its sign vectors from them at once; ``signs[i]`` is the sign of chord
+    ``i + 1``.  No diagram is built but by :meth:`diagram`, on :attr:`word`
+    in the census's numbering.
     """
 
     def __init__(self, word):
@@ -250,7 +252,7 @@ class CensusStructure:
         self._index = {chord: chord - 1 for chord in self.chords}
         # every chord interleaves an even number of others
         self.colorable = _ends_of_opposite_parity(word)
-        self._determinant = None
+        self._determinant, self._numberable = None, ()
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -293,61 +295,63 @@ class CensusStructure:
     def z2_pairs(self):
         """The rows of :func:`_z2_pairs` with the basepoint in each gap, in ``basepoint_positions``
         order, as frozensets: one pair set has one set of rows."""
-        index = self._index
-        return [tuple(map(frozenset, _z2_pairs(rotated, index))) for rotated in _rotations(self.word)]
+        return [tuple(map(frozenset, _z2_pairs(rotated, self._index))) for rotated in _rotations(self.rotation)]
 
     def numberable(self, lanes, moduli):
         """Per modulus ``p`` of ``moduli``, the lanes whose diagram is mod ``p`` numberable.
 
         The index criterion asks each chord's index ``m - 2 * negatives``
-        (:func:`_interleavings`, read on the sign lanes) to be 0 mod ``p``.
+        (:func:`_interleavings`, read on the sign lanes) to be 0 mod ``p``;
+        the answer is kept for the last ``lanes`` and ``moduli`` asked.
         """
-        found = [lanes.ones] * len(moduli)
-        for _, _, m, negatives in _interleavings(self.word, dict(zip(self.chords, lanes.planes)), lanes.ones):
-            if not any(found):
-                break
-            found = [lanes.twice_congruent(negatives, m, p, m) & lanes_p if lanes_p else 0
-                     for p, lanes_p in zip(moduli, found)]
-        return found
+        if self._numberable[:2] != (lanes, moduli):
+            found = [lanes.ones] * len(moduli)
+            for _, _, m, negatives in _interleavings(self.rotation, dict(zip(self.chords, lanes.planes)), lanes.ones):
+                if not any(found):
+                    break
+                found = [lanes.twice_congruent(negatives, m, p, m) & lanes_p if lanes_p else 0
+                         for p, lanes_p in zip(moduli, found)]
+            self._numberable = lanes, moduli, found
+        return self._numberable[2]
 
     def table(self, lanes):
         """``conway_pairing_table`` in every lane, as :func:`_table_lanes`."""
-        return _table_lanes(_walks(_layout((self.word,), self.chords), len(self.chords)), lanes.planes)
+        return _table_lanes(_walks(_layout((self.rotation,), self.chords), len(self.chords)), lanes.planes)
 
     def smoothed_tables(self, lanes):
         """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""
-        return [_table_lanes(_smoothing_subsets((self.word,), self.chords, alpha - 1), lanes.planes)
-                for alpha in _smoothing_candidates((self.word,), self.chords)]
+        return [_table_lanes(_smoothing_subsets((self.rotation,), self.chords, alpha - 1), lanes.planes)
+                for alpha in _smoothing_candidates((self.rotation,), self.chords)]
 
 
 class _Member(CensusStructure):
-    """The structure at a rotation of the word of ``orbit``, sharing its basepoint-free colorability
-    and determinant.  The label-free values read ``rotation``, in ``orbit``'s chord labels; the
-    values that pair chords with lanes, and the diagrams, read :attr:`word`, built when first read:
-    ``rotation`` numbered by first occurrence, as the census and :func:`recheck` number it."""
+    """The structure at a rotation of the word of ``orbit``, in ``orbit``'s chord labels, so that
+    its lane ``v`` is ``orbit``'s and it shares ``orbit``'s basepoint-free values.  Only
+    :attr:`word` (and :meth:`diagram`) numbers the chords as the census and :func:`recheck` do:
+    ``rotation`` renumbered by first occurrence, built when read."""
 
     def __init__(self, rotation, orbit):
-        self.rotation = rotation
+        self.rotation, self._orbit = rotation, orbit
         self.chords, self._index, self.colorable = orbit.chords, orbit._index, orbit.colorable
-        self._orbit = orbit
-        self._word = None
 
     @property
     def word(self):
-        if self._word is None:
-            self._word = _renumbered(self.rotation)[0]
-        return self._word
+        return _renumbered(self.rotation)[0]
 
     @property
     def determinant(self):
         return self._orbit.determinant
 
+    def numberable(self, lanes, moduli):
+        return self._orbit.numberable(lanes, moduli)
+
 
 # -- the exhaustive checks -----------------------------------------------------
 
 # Each takes (structure, lanes, config) and returns (population, failing):
-# the lanes whose diagram structure.diagram(lanes.vectors[v]) is in the
-# check's population, and those of them that fail it.
+# the lanes whose diagram, structure.rotation signed by lanes.vectors[v], is
+# in the check's population, and those of them that fail it.  It reads chords
+# only through the word, never one by its label.
 
 
 def _mod8_residues(c2):
@@ -409,8 +413,8 @@ def _main_theorem_census(structure, lanes, config):
 
 
 # Every basepoint is read, and numberability does not depend on the basepoint, so each member of
-# a rotation orbit has the representative's counts (a member's numbering permutes the sign
-# vectors).  A verdict put in CHECKS in its place lacks this declaration.
+# a rotation orbit, in the representative's labels, has its lanes.  A verdict put in CHECKS in
+# its place lacks this declaration.
 _main_theorem_census.rotation_invariant = True
 
 
@@ -468,10 +472,12 @@ class _Census:
         The verdict gets each member of the orbit (:meth:`CensusStructure.members`), and the
         lanes of every sign vector, built once per chord count.  One declared
         ``rotation_invariant`` gets the representative alone, its counts taken once per member;
-        only a failing orbit is expanded to its members, to list them.  A counterexample is
-        ``(key, diagram)``, ``key`` being ``(k, _census_key(word), v)`` for lane ``v`` of the
-        structure on ``word``: its place in census order.  An exception the verdict raises gets a
-        note naming the check and the structure.
+        only a failing orbit is expanded to its members, to list them.  A member's lanes are in
+        the representative's labels; only a failing one is renumbered to the census ``word`` of
+        its rotation, which moves each failing sign vector to a lane ``v`` of ``word``.  Its
+        counterexample is ``(key, diagram)``, ``key = (k, _census_key(word), v)`` being its
+        place in census order.  An exception the verdict raises gets a note naming the check and
+        the structure.
         """
         invariant = getattr(verdict_fn, "rotation_invariant", False)
         orbits = ((word, max(1, len(word)) // len(stabilizer)) for k in range(config.max_chords + 1)
@@ -495,8 +501,11 @@ class _Census:
                     population, failing = verdict_fn(structure, lanes, config)
                     passes += population.bit_count() - failing.bit_count()
                     if failing:
-                        key = k, _census_key(structure.word)
-                        failed += [((*key, v), structure.diagram(lanes.vectors[v])) for v in lanes.selected(failing)]
+                        word, label = _renumbered(structure.rotation)
+                        key = k, _census_key(word)
+                        for v in lanes.selected(failing):
+                            signs = tuple([lanes.vectors[v][chord - 1] for chord in label])
+                            failed.append(((*key, lanes.vectors.index(signs)), structure.diagram(signs)))
             except Exception as exc:
                 code = structure.diagram(lanes.vectors[0])  # every sign +1
                 exc.add_note("raised by the %s check on the structure of %s" % (name, code))

@@ -10,6 +10,7 @@ over its population must report exactly what ``run_check`` reports.
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -33,6 +34,7 @@ from vknot import verify
 from vknot.diagram import (
     _congruent,
     _first_occurrence,
+    _renumbered,
     _require_knot,
     alexander_numbering,
     crossing_change,
@@ -478,13 +480,15 @@ def test_failing_shard_raises_and_leaves_no_child(monkeypatch, fault):
 
 
 def _chord_one_check():
-    """cor-det's census check broken on the sign vectors whose first chord is negative, and the
-    per-diagram verdict that fails the same diagrams, ``(census check, per-diagram verdict)``."""
+    """cor-det's census check broken on the sign vectors whose chord at the basepoint is negative,
+    and the per-diagram verdict that fails the same diagrams, chord 1 of a census code,
+    ``(census check, per-diagram verdict)``."""
     population, census = CHECKS["cor-det"]
 
     def broken(structure, lanes, config):
         population, failing = census(structure, lanes, config)
-        return population, failing | population & sum(lanes.planes[:1])
+        first = lanes.planes[structure.rotation[0][0] - 1] if structure.rotation else 0
+        return population, failing | population & first
 
     def verdict(diagram, config):
         return corollary_verdict(diagram, config) and dict(diagram.signs).get(1, 1) > 0
@@ -509,10 +513,10 @@ def test_recheck_runs_the_structure_form(monkeypatch):
 @FORKED_CHILDREN
 @pytest.mark.parametrize("make_check", [_bad_check, _chord_one_check], ids=["bad", "chord-one"])
 def test_counterexamples_keep_census_order_and_numbering_across_shards(monkeypatch, make_check):
-    # Each orbit member must number its chords by first occurrence, as the census does: the
-    # chord-one check reads chord 1's plane, so a member with its representative's labels
-    # fails other diagrams.  Orbit shards interleave the census order, which the merged
-    # report must restore.
+    # Each orbit member keeps its representative's chord labels, and a failing one must map its
+    # lanes to the census numbering: the chord-one check fails the lanes where the chord at the
+    # member's basepoint is negative, chord 1 of the census code.  Orbit shards interleave the
+    # census order, which the merged report must restore.
     check, verdict = make_check()
     monkeypatch.setitem(CHECKS, "failing", check)
     want = _reference_fields("failing", _population_colorable, verdict, SweepConfig(max_chords=4))
@@ -583,23 +587,45 @@ def _rotated_structures(word):
     return structures
 
 
+def _renumbered_lanes(lanes, rotation):
+    """``[w for each lane v]``: the lane ``w`` whose sign vector on ``rotation`` renumbered by first
+    occurrence is lane ``v``'s on ``rotation`` in its own chord labels."""
+    label = _first_occurrence(c for c, _ in rotation)
+    lane_of = []
+    for signs in lanes.vectors:
+        renumbered = [0] * len(signs)
+        for chord, sign in enumerate(signs, 1):
+            renumbered[label[chord]] = sign
+        lane_of.append(lanes.vectors.index(tuple(renumbered)))
+    return lane_of
+
+
+def _renumbered_verdict(verdict, member, lanes, config):
+    """``verdict``'s ``(population, failing)`` on ``member``, moved to the lanes of its renumbered rotation."""
+    lane_of = _renumbered_lanes(lanes, member.rotation)
+    return tuple(sum([_lane(lanes, mask, v) << w * lanes.width for v, w in enumerate(lane_of)])
+                 for mask in verdict(member, lanes, config))
+
+
 def test_orbit_values_hold_on_every_rotation():
     # What the sweep reads once per rotation orbit, on every structure with <= 4 chords: the
     # determinant and main-theorem's lane counts are those of every rotation, and each member
-    # the structure hands out numbers its chords as the rotation does and gives cor-det's
-    # per-structure verdict on that rotation.
+    # the structure hands out is its rotation in the structure's chord labels, whose lanes,
+    # mapped to the rotation's own numbering, give main-theorem's and cor-det's verdicts there.
     moduli_sets = [(2, 3), (0,), (3, 5)]
     for word, vectors in enumerate_structures(4):
         structure, lanes = CensusStructure(word), SignLanes(vectors, len(word) // 2)
         rotations = _rotated_structures(word)
         members = structure.members(len(rotations))
+        assert [member.rotation for member in members] == _rotations(word), word
         assert [member.word for member in members] == [rotated.word for rotated in rotations], word
         for moduli in moduli_sets:
             config = SweepConfig(moduli=moduli)
             want = [mask.bit_count() for mask in _main_theorem_census(structure, lanes, config)]
             for rotated, member in zip(rotations, members):
                 assert [mask.bit_count() for mask in _main_theorem_census(rotated, lanes, config)] == want, word
-                assert _main_theorem_census(member, lanes, config) == _main_theorem_census(rotated, lanes, config)
+                mapped = _renumbered_verdict(_main_theorem_census, member, lanes, config)
+                assert mapped == _main_theorem_census(rotated, lanes, config), (word, member.rotation)
         if not structure.colorable:
             continue
         for member, rotated in zip(members, rotations):
@@ -607,7 +633,107 @@ def test_orbit_values_hold_on_every_rotation():
             assert member.determinant == rotated.determinant == structure.determinant, word
             population, failing = _corollary_census(rotated, lanes, SweepConfig())
             assert population == lanes.ones
-            assert _corollary_census(member, lanes, SweepConfig()) == (population, failing), word
+            assert _renumbered_verdict(_corollary_census, member, lanes, SweepConfig()) == (population, failing), word
+
+
+def _lane_values(structure, lanes):
+    """Every value a census verdict reads, per lane; the smoothed tables as a multiset, as their
+    order follows the chord labels."""
+    scalars = (structure.colorable, structure.colorable and structure.determinant, structure.warping_degree,
+               structure.c2_parity)
+    numberable = structure.numberable(lanes, (0, 2, 3, 4, 5))
+    z2, table, smoothed = _z2_lanes(structure, lanes), structure.table(lanes), structure.smoothed_tables(lanes)
+    return [(scalars, [_lane(lanes, found, v) for found in numberable], _z2_at(lanes, v, z2),
+             _table_at(lanes, v, table), sorted(sorted(_table_at(lanes, v, t).items()) for t in smoothed))
+            for v in range(len(lanes.vectors))]
+
+
+def test_members_match_their_renumbered_rotations_on_census():
+    # Each census structure with <= 4 chords, reached as a member of its rotation orbit, against
+    # its rotation renumbered by first occurrence, the form the sweep ran before members kept
+    # their representative's labels: every value a verdict reads, lane by lane through the
+    # renumbering, and every census verdict's lanes, moved through it.
+    seen = []
+    for k in range(5):
+        lanes = SignLanes(list(itertools.product((1, -1), repeat=k)), k)
+        for word, stabilizer in _rotation_orbits(k):
+            for member in CensusStructure(word).members(max(1, 2 * k) // len(stabilizer)):
+                renumbered = CensusStructure(_renumbered(member.rotation)[0])
+                seen.append(renumbered.word)
+                values = _lane_values(renumbered, lanes)
+                assert _lane_values(member, lanes) == [values[w] for w in _renumbered_lanes(lanes, member.rotation)]
+                for moduli in [(2, 3), (0,), (3, 5)]:
+                    config = SweepConfig(moduli=moduli)
+                    for name in CENSUS_CHECKS:
+                        want = CHECKS[name][1](renumbered, lanes, config)
+                        got = _renumbered_verdict(CHECKS[name][1], member, lanes, config)
+                        assert got == want, (name, member.rotation, moduli)
+    assert sorted(seen) == sorted(word for word, _ in enumerate_structures(4)) and len(seen) == 1815
+
+
+def _basepoint_chord_check():
+    """warp-smooth's census check broken on the structures whose rotation orbit has more than one
+    member, in the lanes where the chord at the basepoint is negative, and the per-diagram
+    verdict that fails the same diagrams, ``(census check, per-diagram verdict)``."""
+    population, census = CHECKS["warp-smooth"]
+
+    def several_members(word):
+        return len({_renumbered(rotated)[0] for rotated in _rotations(word)}) > 1
+
+    def broken(structure, lanes, config):
+        population, failing = census(structure, lanes, config)
+        if several_members(structure.rotation):
+            failing |= lanes.planes[structure.rotation[0][0] - 1]
+        return population, failing
+
+    def verdict(diagram, config):
+        (word,) = diagram.circles
+        broken_here = several_members(word) and diagram.sign(word[0][0]) < 0
+        return warp_and_smoothing_verdict(diagram, config) and not broken_here
+
+    return (population, broken), verdict
+
+
+@FORKED_CHILDREN
+def test_basepoint_dependent_failure_on_multi_member_orbits(monkeypatch):
+    # The broken lanes depend on the basepoint, so each member of an orbit fails other sign
+    # vectors; each must be mapped to the census numbering of its own rotation.
+    check, verdict = _basepoint_chord_check()
+    monkeypatch.setitem(CHECKS, "basepoint", check)
+    config = SweepConfig(max_chords=4)
+    want = _reference_fields("basepoint", _population_all, verdict, config)
+    assert want["failures"] > 0 and want["passes"] > 0
+    for workers in (1, 2, 3):
+        with _deadline(60):
+            report = run_check("basepoint", SweepConfig(max_chords=4, workers=workers))
+        assert _fields(report) == want, workers
+    for code in want["counterexamples"]:
+        assert recheck("basepoint", code, config) is False
+
+
+def test_sweep_computes_numberability_once_per_orbit(monkeypatch):
+    # warp-smooth reads numberability on every member; the orbit computes it once.  A sweep
+    # with no failing lane renumbers no member.
+    counts = {"_interleavings": 0, "_renumbered": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def count(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return count
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counted(name))
+    orbits = sum(1 for k in range(5) for _ in _rotation_orbits(k))
+    report = run_check("warp-smooth", SweepConfig(max_chords=4))
+    assert (orbits, report.population, report.failures) == (246, 27893, 0)
+    assert 0 < counts["_interleavings"] <= orbits
+    for name in CENSUS_CHECKS:
+        assert run_check(name, SweepConfig(max_chords=4)).failures == 0
+    assert counts["_renumbered"] == 0
 
 
 def _least_rotation(word):
