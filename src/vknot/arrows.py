@@ -15,15 +15,12 @@ heads-first everywhere is ascending, tails-first everywhere descending.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-import operator
 import re
 from dataclasses import dataclass
 
-from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _interleaves_nothing, _layout,
-                      _require_knot, _rotations, _smoothed_words, basepoint_positions, is_mod_p_numberable)
+from .diagram import (_congruent, _endpoint_positions, _first_occurrence, _require_knot, _rotations, _smoothed_words,
+                      basepoint_positions, is_mod_p_numberable)
 from .enumeration import _matchings, _word
 from .errors import GaussCodeError, PreconditionError
 
@@ -241,20 +238,28 @@ def pairing(arrow_diagram, diagram):
     return total
 
 
-def _endpoints(diagram):
-    """``(layout, signs)`` of a diagram, chords in ``chord_ids`` order."""
-    return _layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
+def _at_tails(circles, values):
+    """``{1 << p: values[chord]}`` at the tail ``p`` of each chord of the endpoint words ``circles``
+    laid end to end, the positions of :func:`_walks`."""
+    return {1 << p: values[chord] for p, (chord, is_head) in enumerate(itertools.chain.from_iterable(circles))
+            if not is_head}
 
 
-def _walks(layout, max_size, budget=0):
-    """``(subset, tails_first)`` for each one-component subset that the walk keeps.
+def _walks(circles, max_size, budget=0):
+    """``(taken, first)`` position masks of each one-component subset that the walk keeps.
 
-    ``subset`` holds chord indices of at most ``max_size`` chords;
-    ``tails_first`` holds those that the jump traversal reaches first at the
-    tail, and the others are reached first at the head.  A subset is kept
-    when at most ``budget`` chords are reached first in one of the two ways
-    (0 for ascending or descending).  Signs are never read, so one pass
-    serves every sign vector of the layout.
+    Positions number the endpoints of the words ``circles`` laid end to end.
+    ``taken`` holds both endpoints of each chord of the subset of at most
+    ``max_size`` chords, and ``first`` the tail of each chord that the jump
+    traversal reaches first at its tail; the others are reached first at the
+    head.  So the subset has ``taken.bit_count() // 2`` chords, it is
+    ascending when ``first`` is 0 and descending when ``first.bit_count()``
+    is that size.  A subset is kept when at most ``budget`` chords are
+    reached first in one of the two ways (0 for ascending or descending).
+    Signs are never read, so one pass serves every sign vector of the words:
+    a reader takes each chord's sign, or its sign plane, at its tail
+    (:func:`_at_tails`), and a sign product is the parity of the negative
+    tails in ``taken``.
 
     The subsets are built while their traversal runs, depth first.  A walk
     starts at the subset's lowest endpoint ``p0`` (on the first circle), so
@@ -264,165 +269,184 @@ def _walks(layout, max_size, budget=0):
     out is passed over, and any other chord is tried both ways, landed on
     (which adds it, reached first there) or left out.  Landing back on
     ``p0`` ends the walk, which counts if it landed on every endpoint and
-    every circle carries one, so when the layout's chords do not join every
-    circle no walk starts.  A branch is cut when it would exceed
-    ``max_size``, reach more than ``budget`` chords first at their tails and
-    at their heads, or land on a chord whose other end no later scan can
-    reach.  A chord that no walk can land on that way (a kink, or a chord
-    enclosing only such chords) is left out before the first walk, and once
-    a subset holds ``max_size`` chords its scans pass over every other chord.
-    So the cost follows the partial walks that stay within the budget, not
-    2^n, and the recursion is at most ``max_size`` deep.
+    every circle carries one, so when the chords do not join every circle no
+    walk starts.  A branch is cut when it would exceed ``max_size``, reach
+    more than ``budget`` chords first at their tails and at their heads, or
+    land on a chord whose other end no later scan can reach.  A chord that
+    no walk can land on that way (a kink, or a chord enclosing only such
+    chords) is left out before the first walk, and once a subset holds
+    ``max_size`` chords its scans pass over every other chord.  So the cost
+    follows the partial walks that stay within the budget, not 2^n, and the
+    recursion is at most ``max_size`` deep.
     """
-    tails, heads, bounds = layout
-    n = bounds[-1]
-    partner, tail_at, chord = [0] * n, [False] * n, [0] * n
-    for i, (t, h) in enumerate(zip(tails, heads)):
-        partner[t], partner[h] = h, t
-        tail_at[t] = True
-        chord[t] = chord[h] = i
-    circles = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
-    wrap = [circle for circle, a, b in zip(circles, bounds, bounds[1:]) for _ in range(a, b)]
-    # A walk visits every circle of a subset that counts, so its chords join them all: when the
-    # layout's chords do not (a circle carries no endpoint, or the circles fall in two groups no
-    # chord joins), no subset counts.  Each pass joins the circles a chord links to those joined.
-    if len(circles) > 1:
-        joined = circles[0]
-        for _ in circles[1:]:
-            for t, h in zip(tails, heads):
-                if (joined >> t ^ joined >> h) & 1:
-                    joined |= wrap[t] | wrap[h]
-        if not all([joined & circle for circle in circles]):
-            return []
-    # above[p]: the positions above p on its circle.  between[p]: those between p and its partner
+    # above[q]: the positions above q on its circle.  between[p]: those between p and its partner
     # q above it on one circle (else -1, which never cuts).  If all are left out, a scan lands on
     # q only from a jump to p, which needs q landed on first.  No scan can land on such a chord
     # (a kink encloses nothing), so it is left out before the first walk; the chords it encloses
-    # have higher lower ends, so a downward pass settles those first.
-    above, between = [0] * n, [-1] * n
-    open_ = (1 << n) - 1
-    for p in range(n - 1, -1, -1):
-        q, circle = partner[p], wrap[p]
-        above[p] = circle & -(2 << p)
-        if p < q and circle >> q & 1:
-            between[p] = (1 << q) - (2 << p)
-            if not open_ & between[p]:
-                open_ &= ~(1 << p | 1 << q)
-    found = [((), ())] if len(circles) == 1 and max_size >= 0 else []  # the empty subset
+    # end below q, so a pass in the order of the upper ends settles those first.
+    n = sum(map(len, circles))
+    partner, above, between = [0] * n, [0] * n, [-1] * n
+    tails, open_, opened, wrap, spans, links = 0, (1 << n) - 1, {}, [], [], []
+    for word in circles:
+        start = len(wrap)
+        circle = (1 << start + len(word)) - (1 << start)
+        spans.append(circle)
+        for q, (chord, is_head) in enumerate(word, start):
+            wrap.append(circle)
+            above[q] = circle & -(2 << q)
+            if not is_head:
+                tails |= 1 << q
+            p = opened.pop(chord, -1)
+            if p < 0:
+                opened[chord] = q
+                continue
+            partner[p], partner[q] = q, p
+            if p < start:
+                links.append(wrap[p] | circle)
+            else:
+                between[p] = (1 << q) - (2 << p)
+                if not open_ & between[p]:
+                    open_ &= ~(1 << p | 1 << q)
+    # A walk visits every circle of a subset that counts, so its chords join them all: when the
+    # chords do not (a circle carries no endpoint, or the circles fall in two groups no chord
+    # joins), no subset counts.  Each pass joins the two circles of a chord (a link) that
+    # meets those joined.
+    if len(spans) > 1:
+        joined = spans[0]
+        for _ in spans[1:]:
+            for link in links:
+                if joined & link:
+                    joined |= link
+        if not all([joined & circle for circle in spans]):
+            return []
+    found = [(0, 0)] if len(spans) == 1 and max_size >= 0 else []  # the empty subset
     last = max_size - 1  # a subset of this many chords is full once it lands on one more
 
-    def walk(q, open_, taken, reached, subset, tails_first, size, num_first):
+    def walk(q, open_, taken, reached, first, size, num_first):
         while True:
             p = open_ & above[q] or open_ & wrap[q]
             p = (p & -p).bit_length() - 1
             if taken >> p & 1:
                 if p == p0:
-                    if reached == taken and all([taken & circle for circle in circles]):
-                        found.append((subset, tails_first))
+                    if reached == taken and all([taken & circle for circle in spans]):
+                        found.append((taken, first))
                     return
                 reached |= 1 << p
                 q = partner[p]
                 continue
-            c, bits = chord[p], 1 << p | 1 << partner[p]
+            bits = 1 << p | 1 << partner[p]
             if size < max_size and open_ & between[p]:
-                first, num = (tails_first + (c,), num_first + 1) if tail_at[p] else (tails_first, num_first)
+                marked, num = (first | 1 << p, num_first + 1) if tails >> p & 1 else (first, num_first)
                 if num <= budget or size + 1 - num <= budget:
                     if size < last:
-                        walk(partner[p], open_, taken | bits, reached | 1 << p, subset + (c,), first, size + 1, num)
+                        walk(partner[p], open_, taken | bits, reached | 1 << p, marked, size + 1, num)
                     else:  # full: it lands only on its own endpoints, every other chord is left out
                         full = taken | bits
                         if full & between[p]:
-                            walk(partner[p], full, full, reached | 1 << p, subset + (c,), first, size + 1, num)
+                            walk(partner[p], full, full, reached | 1 << p, marked, size + 1, num)
             open_ ^= bits
 
-    for p0 in range(bounds[1] if max_size > 0 else 0):
+    for p0 in range(len(circles[0]) if max_size > 0 else 0):
         if open_ >> p0 & 1:
-            c, bits = chord[p0], 1 << p0 | 1 << partner[p0]
-            first, num = ((c,), 1) if tail_at[p0] else ((), 0)
+            bits = 1 << p0 | 1 << partner[p0]
+            marked, num = (1 << p0, 1) if tails >> p0 & 1 else (0, 0)
             if max_size > 1:
                 if open_ & between[p0]:
-                    walk(partner[p0], open_, bits, 1 << p0, (c,), first, 1, num)
+                    walk(partner[p0], open_, bits, 1 << p0, marked, 1, num)
             elif bits & between[p0]:
-                walk(partner[p0], bits, bits, 1 << p0, (c,), first, 1, num)
+                walk(partner[p0], bits, bits, 1 << p0, marked, 1, num)
             open_ ^= bits
     return found
 
 
-def _smoothing_subsets(circles, chords, i):
-    """:func:`_walks` of the smoothing along ``chords[i]`` of the diagram with endpoint words
-    ``circles`` (:func:`~vknot.diagram.smooth`), its chords the others, each subset in the chord
-    indices of ``chords``, so the diagram's own signs apply.
+def _smoothing_subsets(circles, chord):
+    """``(words, walked)``: the endpoint words of the smoothing along ``chord`` of the diagram with
+    endpoint words ``circles`` (:func:`~vknot.diagram.smooth`), and their :func:`_walks` over
+    every chord, whose readers take the smoothing's signs or planes at the tails of ``words``.
 
-    A knot chord that interleaves nothing is not spliced: its smoothing's two
-    circles share no chord, so no subset counts (:func:`_walks`).
+    The smoothing of a knot chord that interleaves nothing leaves two circles
+    that share no chord, so no subset counts and no walk starts.
     """
-    if len(circles) == 1 and _interleaves_nothing(circles[0], chords[i]):
-        return []
-    others = chords[:i] + chords[i + 1 :]
-    layout = _layout(_smoothed_words(circles, chords[i]), others)
-    # the smoothing's chord index j is the diagram's j, or j + 1 from i on; first is () or all of subset
-    return [(mapped, mapped if first else ()) for subset, first in _walks(layout, len(others))
-            for mapped in [tuple([j + (j >= i) for j in subset])]]
+    words = _smoothed_words(circles, chord)
+    return words, _walks(words, sum(map(len, words)) // 2)
 
 
-def _crossing_change_tables(layout, signs, resolved):
-    """``{i: T(D+) - T(D-)}`` for each chord index ``i`` of ``resolved``: the skein difference of
-    the Conway tables ``{size: (ascending, descending)}`` of the diagrams D+ and D- whose chord
-    ``i`` is positive and negative, the sizes with a nonzero difference in increasing order.
+def _crossing_change_tables(circles, signs, resolved):
+    """``{chord: T(D+) - T(D-)}`` for each chord of ``resolved``: the skein difference of the Conway
+    tables ``{size: (ascending, descending)}`` of the diagrams D+ and D- with endpoint words
+    ``circles`` whose ``chord`` is positive and negative, the other chords signed by ``signs``
+    (``{chord: sign}``), the sizes with a nonzero difference in increasing order.
 
-    D^i, the crossing change at chord ``i``, swaps its tail and head in place and negates its
-    sign, so each walk keeps its path, only chord ``i``'s first-reached role flips, and the sign
-    product changes sign: a subset is ascending in D when no chord is first reached tail-first,
-    and in D^i when ``i`` is the only one (descending likewise).  So one :func:`_walks` with a
-    budget of one chord serves D and every D^i.  Only the subsets holding ``i`` differ between D+
-    and D-, and such a subset adds s_i times its sign product once for its class in D and once
-    for its class in D^i: the product over its other chords, the chords of the smoothing at ``i``.
+    D^c, the crossing change at chord c, swaps its tail and head in place and negates its sign,
+    so each walk keeps its path, only c's first-reached role flips, and the sign product changes
+    sign: a subset is ascending in D when no chord is first reached tail-first, and in D^c when c
+    is the only one (descending likewise).  So one :func:`_walks` with a budget of one chord
+    serves D and every D^c.  Only the subsets holding c differ between D+ and D-, and such a
+    subset adds s_c times its sign product once for its class in D and once for its class in
+    D^c: the product over its other chords, the chords of the smoothing at c.
     """
-    diffs = {i: {} for i in resolved}
-    for subset, first in _walks(layout, len(layout[0]), budget=1):
-        size, num = len(subset), len(first)  # num: the chords first reached tail-first in D
-        prod = math.prod([signs[i] for i in subset])
-        for i in subset:
-            if i in diffs:
-                diff, term = diffs[i], prod * signs[i]
-                if num == 0 or num == size:  # column 0 when ascending, 1 when descending
-                    diff.setdefault(size, [0, 0])[num != 0] += term
-                flipped = num - 1 if i in first else num + 1  # in D^i
-                if flipped == 0 or flipped == size:
-                    diff.setdefault(size, [0, 0])[flipped != 0] += term
-    return {i: {size: (a, d) for size, (a, d) in sorted(diff.items()) if a or d} for i, diff in diffs.items()}
+    tail = {chord: 1 << p for p, (chord, is_head) in enumerate(itertools.chain.from_iterable(circles))
+            if not is_head}
+    negative = sum([bit for chord, bit in tail.items() if signs[chord] < 0])
+    diffs = {tail[chord]: {} for chord in resolved}
+    held = sum(diffs)
+    for taken, first in _walks(circles, len(tail), budget=1):
+        size, num = taken.bit_count() >> 1, first.bit_count()  # num: the chords first reached tail-first in D
+        prod = -1 if (taken & negative).bit_count() & 1 else 1
+        chords = taken & held
+        while chords:
+            bit = chords & -chords
+            chords ^= bit
+            diff, term = diffs[bit], -prod if bit & negative else prod
+            if num == 0 or num == size:  # column 0 when ascending, 1 when descending
+                diff.setdefault(size, [0, 0])[num != 0] += term
+            flipped = num - 1 if bit & first else num + 1  # in D^c
+            if flipped == 0 or flipped == size:
+                diff.setdefault(size, [0, 0])[flipped != 0] += term
+    return {chord: {size: (a, d) for size, (a, d) in sorted(diffs[tail[chord]].items()) if a or d}
+            for chord in resolved}
 
 
 def _pairing_sums(walked, signs):
-    """``{size: (ascending, descending)}`` signed sums over the subsets of a :func:`_walks` (budget 0).
+    """``{size: (ascending, descending)}`` signed sums over the subsets of a :func:`_walks` (budget 0),
+    ``signs`` being the chord signs at their tails (:func:`_at_tails`).
 
     Only the sizes with a nonzero sum are keys, in increasing order.
     """
+    negative = sum([bit for bit, sign in signs.items() if sign < 0])
     sums = {}
-    for subset, first in walked:
-        prod = math.prod([signs[i] for i in subset])
-        entry = sums.setdefault(len(subset), [0, 0])
+    for taken, first in walked:
+        size = taken.bit_count() >> 1
+        prod = -1 if (taken & negative).bit_count() & 1 else 1
+        entry = sums.setdefault(size, [0, 0])
         entry[0] += prod if not first else 0
-        entry[1] += prod if len(first) == len(subset) else 0
+        entry[1] += prod if first.bit_count() == size else 0
     return {size: (a, d) for size, (a, d) in sorted(sums.items()) if a or d}
 
 
 def _table_lanes(walked, planes):
-    """:func:`_pairing_sums` in every lane of the sign planes ``planes`` (``SignLanes.planes``), as
-    ``{size: ((count, negatives), (count, negatives))}``, ascending then descending.
+    """:func:`_pairing_sums` in every lane of the sign planes ``planes`` at the chords' tails
+    (:func:`_at_tails`), as ``{size: ((count, negatives), (count, negatives))}``, ascending then
+    descending.
 
     ``count`` is the number of subsets of that size that count and
     ``negatives`` counts per lane those with sign product -1, so the pairing
     is ``count - 2 * negatives``; every size with a subset that counts is a key.
     """
+    tails = sum(planes)
     sums = {}
-    for subset, first in walked:
-        negative = functools.reduce(operator.xor, [planes[i] for i in subset], 0)
-        entry = sums.setdefault(len(subset), [0, 0, 0, 0])
+    for taken, first in walked:
+        negative, chords = 0, taken & tails
+        while chords:
+            bit = chords & -chords
+            negative ^= planes[bit]
+            chords ^= bit
+        size = taken.bit_count() >> 1
+        entry = sums.setdefault(size, [0, 0, 0, 0])
         if not first:
             entry[0] += 1
             entry[1] += negative
-        if len(first) == len(subset):
+        if first.bit_count() == size:
             entry[2] += 1
             entry[3] += negative
     return {size: ((a, na), (d, nd)) for size, (a, na, d, nd) in sorted(sums.items())}
@@ -490,7 +514,7 @@ def _z2(circles, chords, signs):
     chord ``chords[i]`` having sign ``signs[i]``: on a knot from the rows of :func:`_z2_pairs`,
     on a link from the subset walk of every other degree."""
     if len(circles) != 1:
-        return _pairing_sums(_walks(_layout(circles, chords), 2), signs).get(2, (0, 0))
+        return _pairing_sums(_walks(circles, 2), _at_tails(circles, dict(zip(chords, signs)))).get(2, (0, 0))
     index = {chord: i for i, chord in enumerate(chords)}
     return _z2_sums(_z2_pairs(circles[0], index), signs, _plus_mask(signs))
 
@@ -519,8 +543,7 @@ def conway_pairing_table(diagram, *, max_degree=None):
     """
     if max_degree is None:
         max_degree = diagram.num_chords
-    layout, signs = _endpoints(diagram)
-    return _pairing_sums(_walks(layout, max_degree), signs)
+    return _pairing_sums(_walks(diagram.circles, max_degree), _at_tails(diagram.circles, diagram._sign_map))
 
 
 def z2_pairings_at_basepoints(diagram):

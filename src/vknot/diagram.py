@@ -196,23 +196,6 @@ def _require_knot(diagram, what):
         raise PreconditionError("%s is defined for one-circle diagrams only" % what)
 
 
-def _layout(circles, chords):
-    """Integer endpoint positions: ``(tails, heads, bounds)``.
-
-    The circles are laid end to end; chord ``i`` (the ``i``-th of
-    ``chords``) has its tail at ``tails[i]`` and its head at ``heads[i]``,
-    and ``bounds`` holds each circle's first position, then the total.
-    Signs play no part: a sign vector lists chord ``i``'s sign at ``i``.
-    """
-    tails, heads = {}, {}
-    bounds = [0]
-    for circle in circles:
-        for pos, (chord, is_head) in enumerate(circle, start=bounds[-1]):
-            (heads if is_head else tails)[chord] = pos
-        bounds.append(bounds[-1] + len(circle))
-    return [tails[c] for c in chords], [heads[c] for c in chords], bounds
-
-
 def _interleavings(word, planes, ones):
     """``(chord, head_first, m, negatives)`` for each chord of the one-circle ``word`` with
     endpoints strictly between its ends ``lo < hi``, in the order of ``hi``.

@@ -27,12 +27,13 @@ import time
 import traceback
 from dataclasses import asdict, dataclass
 
-from .arrows import _crossing_change_tables, _pairing_sums, _smoothing_subsets, _table_lanes, _walks, _z2_pairs
+from .arrows import (_at_tails, _crossing_change_tables, _pairing_sums, _smoothing_subsets, _table_lanes, _walks,
+                     _z2_pairs)
 from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
     _interleavings,
-    _layout,
+    _interleaves_nothing,
     _renumbered,
     _require_knot,
     _rotations,
@@ -117,17 +118,21 @@ def skein_verdict(circles, signs, config):
     comes from one walk of D (:func:`_crossing_change_tables`) and must be
     the smoothing's table shifted up one size.  Each smoothing gets its own
     walk of its own endpoint words (:func:`_smoothing_subsets`), so the
-    identity stays a check.
+    identity stays a check.  A knot chord that interleaves nothing is not
+    spliced: its smoothing's two circles share no chord, so its table is
+    empty (:func:`_walks`).
     """
-    chords, sign = tuple(signs), list(signs.values())
-    layout = tails, heads, _ = _layout(circles, chords)
     if len(circles) == 1:
-        resolved = range(len(chords))
+        resolved = list(signs)
     else:  # the chords with ends on two circles
-        circle_at = [ci for ci, circle in enumerate(circles) for _ in circle]
-        resolved = [i for i, (t, h) in enumerate(zip(tails, heads)) if circle_at[t] != circle_at[h]]
-    for i, diff in _crossing_change_tables(layout, sign, resolved).items():
-        smoothed = _pairing_sums(_smoothing_subsets(circles, chords, i), sign)
+        circle_of = {end: ci for ci, circle in enumerate(circles) for end in circle}
+        resolved = [chord for chord in signs if circle_of[chord, False] != circle_of[chord, True]]
+    for chord, diff in _crossing_change_tables(circles, signs, resolved).items():
+        if len(circles) == 1 and _interleaves_nothing(circles[0], chord):
+            smoothed = {}
+        else:
+            words, walked = _smoothing_subsets(circles, chord)
+            smoothed = _pairing_sums(walked, _at_tails(words, signs))
         if diff != {n + 1: sums for n, sums in smoothed.items()}:
             return False
     return True
@@ -216,29 +221,21 @@ class SignLanes:
         return self.ones ^ self.twice_congruent(negatives, count, 0, count)
 
 
-def _smoothing_candidates(circles, chords):
-    """Chords of the knot with endpoint words ``circles`` whose interleaving chords all have tails
-    on the basepoint arc: each chord with its tail strictly between the ends has its head there too."""
-    tails, heads, _ = _layout(circles, chords)
-    for chord, t, h in zip(chords, tails, heads):
-        lo, hi = min(t, h), max(t, h)
-        if all(lo < other_head < hi for other_tail, other_head in zip(tails, heads) if lo < other_tail < hi):
-            yield chord
-
-
 class CensusStructure:
     """One unsigned structure of the census and what its diagrams share.
 
     The 2^k diagrams of a structure differ only in their chord signs.  None
     of the following reads a sign, so each serves them all, computed from the
-    endpoint word with its basepoint at :attr:`rotation`: mod 2 colorability,
-    the determinant, numberability, the warping degree, the z^2 pairs at every
-    basepoint, and the chord subsets that can add to the Conway table of the
-    diagram and of each smoothing candidate's smoothing (walked by
-    :meth:`table` and :meth:`smoothed_tables`).  The first three do not depend
-    on the basepoint: they are kept, and shared by the structures at the
-    word's other rotations (:meth:`members`), which keep these chord labels.
-    The rest is computed when read, by the one verdict a structure serves.
+    endpoint word with its basepoint at :attr:`rotation`, :attr:`shift` gaps
+    on from that of :attr:`word`: mod 2 colorability, the determinant,
+    numberability, each chord's arcs (:attr:`arcs`), the warping degree, the
+    z^2 pairs at every basepoint, the smoothing candidates, and the chord
+    subsets that can add to the Conway table of the diagram and of each
+    candidate's smoothing (walked by :meth:`table` and
+    :meth:`smoothed_tables`).  The first four do not depend on the basepoint:
+    they are kept, and shared by the structures at the word's other rotations
+    (:meth:`members`), which keep these chord labels.  The rest is computed
+    when read, by the one verdict a structure serves.
     The methods taking ``lanes`` (:class:`SignLanes`) evaluate the diagrams of
     all its sign vectors from them at once; ``signs[i]`` is the sign of chord
     ``i + 1``.  No diagram is built but by :meth:`diagram`, on :attr:`word`
@@ -247,12 +244,13 @@ class CensusStructure:
 
     def __init__(self, word):
         self.word = self.rotation = word
+        self.shift = 0
         self.chords = tuple(range(1, len(word) // 2 + 1))
         # chord i + 1 is bit i of a _z2_pairs row, as in lanes.planes
         self._index = {chord: chord - 1 for chord in self.chords}
         # every chord interleaves an even number of others
         self.colorable = _ends_of_opposite_parity(word)
-        self._determinant, self._numberable = None, ()
+        self._determinant, self._numberable, self._arcs = None, (), None
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -269,7 +267,8 @@ class CensusStructure:
     def members(self, count):
         """The structures at rotations 0 to ``count - 1`` of the word (:func:`_rotations`): this
         one, then one :class:`_Member` per other rotation."""
-        return [self, *[_Member(rotated, self) for rotated in _rotations(self.word)[1:count]]]
+        rotations = enumerate(_rotations(self.word)[1:count], 1)
+        return [self, *[_Member(rotated, self, shift) for shift, rotated in rotations]]
 
     def diagram(self, signs):
         return make_diagram([self.word], zip(self.chords, signs))
@@ -279,6 +278,32 @@ class CensusStructure:
         if self._determinant is None:
             self._determinant = _word_determinant((self.word,), self.chords)
         return self._determinant
+
+    @property
+    def arcs(self):
+        """``(chord, a, b, inner, outer, alone)`` for each chord, with ends ``a < b`` in :attr:`word`:
+        whether no chord interleaving it has its tail on the arc between its ends (``inner``), on
+        the arc through the word's basepoint (``outer``), and whether none interleaves it
+        (``alone``).  None of these depends on the basepoint."""
+        if self._arcs is None:
+            ends = {}
+            for p, (chord, is_head) in enumerate(self.word):
+                ends.setdefault(chord, [0, 0])[is_head] = p
+            self._arcs = []
+            for chord in self.chords:
+                a, b = sorted(ends[chord])
+                crossing = [a < t < b for t, h in ends.values() if (a < t < b) != (a < h < b)]
+                self._arcs.append((chord, a, b, not any(crossing), all(crossing), not crossing))
+        return self._arcs
+
+    @property
+    def smoothing_candidates(self):
+        """``(chord, alone)`` for each chord whose interleaving chords all have tails on the
+        basepoint's arc, in :attr:`arcs` order: the arc away from the basepoint holds no such
+        tail.  ``alone`` tells that no chord interleaves it."""
+        shift = self.shift
+        return [(chord, alone) for chord, a, b, inner, outer, alone in self.arcs
+                if (outer if a < shift <= b else inner)]
 
     @property
     def warping_degree(self):
@@ -316,22 +341,31 @@ class CensusStructure:
 
     def table(self, lanes):
         """``conway_pairing_table`` in every lane, as :func:`_table_lanes`."""
-        return _table_lanes(_walks(_layout((self.rotation,), self.chords), len(self.chords)), lanes.planes)
+        planes = _at_tails((self.rotation,), dict(zip(self.chords, lanes.planes)))
+        return _table_lanes(_walks((self.rotation,), len(self.chords)), planes)
 
     def smoothed_tables(self, lanes):
-        """:meth:`table` of each smoothing candidate's smoothing (``_smoothing_candidates`` order)."""
-        return [_table_lanes(_smoothing_subsets((self.rotation,), self.chords, alpha - 1), lanes.planes)
-                for alpha in _smoothing_candidates((self.rotation,), self.chords)]
+        """:meth:`table` of each smoothing candidate's smoothing (:attr:`smoothing_candidates`
+        order).  A candidate that interleaves nothing gets the empty table with no splice and no
+        walk: its smoothing's two circles share no chord, so no subset counts."""
+        planes, tables = dict(zip(self.chords, lanes.planes)), []
+        for chord, alone in self.smoothing_candidates:
+            if alone:
+                tables.append({})
+            else:
+                words, walked = _smoothing_subsets((self.rotation,), chord)
+                tables.append(_table_lanes(walked, _at_tails(words, planes)))
+        return tables
 
 
 class _Member(CensusStructure):
-    """The structure at a rotation of the word of ``orbit``, in ``orbit``'s chord labels, so that
-    its lane ``v`` is ``orbit``'s and it shares ``orbit``'s basepoint-free values.  Only
+    """The structure at rotation ``shift`` of the word of ``orbit``, in ``orbit``'s chord labels,
+    so that its lane ``v`` is ``orbit``'s and it shares ``orbit``'s basepoint-free values.  Only
     :attr:`word` (and :meth:`diagram`) numbers the chords as the census and :func:`recheck` do:
     ``rotation`` renumbered by first occurrence, built when read."""
 
-    def __init__(self, rotation, orbit):
-        self.rotation, self._orbit = rotation, orbit
+    def __init__(self, rotation, orbit, shift):
+        self.rotation, self._orbit, self.shift = rotation, orbit, shift
         self.chords, self._index, self.colorable = orbit.chords, orbit._index, orbit.colorable
 
     @property
@@ -341,6 +375,10 @@ class _Member(CensusStructure):
     @property
     def determinant(self):
         return self._orbit.determinant
+
+    @property
+    def arcs(self):
+        return self._orbit.arcs
 
     def numberable(self, lanes, moduli):
         return self._orbit.numberable(lanes, moduli)

@@ -1,5 +1,5 @@
 """Per-chord interleaving tests, the reference for ``index``, ``indices`` and
-``verify._smoothing_candidates``.
+the census's ``CensusStructure.smoothing_candidates``.
 
 Each reads a chord's endpoints through ``tail``/``head`` and compares cyclic
 open arcs, one chord at a time.

@@ -7,10 +7,14 @@ reference that ``arrows._walks`` must agree with on every subset that adds
 to a sum.  Besides the ascending and descending subsets it yields the first
 one-component subset of each size, which may be neither.
 
-Its subsets come as ``(subset, ascending, descending)`` triples.
-:func:`walk_triples` reads the ``(subset, tails_first)`` pairs of the walk
-under test as such triples, and :func:`signed_sums` and
-:func:`skein_difference` build the reference tables from them.
+It reads a *layout*, ``(tails, heads, bounds)`` (:func:`layout`), and its
+subsets come as ``(subset, ascending, descending)`` triples of chord
+indices.  ``arrows._walks`` reads endpoint words and reports position masks
+``(taken, first)``; :func:`decoded` turns those into ``(subset,
+tails_first)`` chord tuples, checking that the masks are well formed, and
+every test that reads the walk's subsets reads them through it.
+:func:`walk_triples` gives them as this module's triples, and
+:func:`signed_sums` and :func:`skein_difference` build the reference tables.
 """
 
 import itertools
@@ -18,9 +22,78 @@ import itertools
 from vknot.arrows import _walks
 
 
+def layout(circles, chords):
+    """Integer endpoint positions ``(tails, heads, bounds)`` of the endpoint words ``circles``.
+
+    The circles are laid end to end; chord ``i`` (the ``i``-th of
+    ``chords``) has its tail at ``tails[i]`` and its head at ``heads[i]``,
+    and ``bounds`` holds each circle's first position, then the total.
+    """
+    tails, heads = {}, {}
+    bounds = [0]
+    for circle in circles:
+        for pos, (chord, is_head) in enumerate(circle, start=bounds[-1]):
+            (heads if is_head else tails)[chord] = pos
+        bounds.append(bounds[-1] + len(circle))
+    return [tails[c] for c in chords], [heads[c] for c in chords], bounds
+
+
+def endpoints(diagram):
+    """``(layout, signs)`` of a diagram, chords in ``chord_ids`` order."""
+    return layout(diagram.circles, diagram.chord_ids()), [s for _, s in diagram.signs]
+
+
+def layout_words(layout):
+    """The endpoint words of ``layout``, chord ``i`` labelled ``i``."""
+    tails, heads, bounds = layout
+    slots = [None] * bounds[-1]
+    for i, (t, h) in enumerate(zip(tails, heads)):
+        slots[t], slots[h] = (i, False), (i, True)
+    return tuple(tuple(slots[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def decoded(circles, walked):
+    """``(subset, tails_first)`` chord tuples, each sorted, of the ``(taken, first)`` position masks
+    of ``arrows._walks(circles, ...)``.
+
+    ``taken`` must hold both endpoints of each chord of ``subset`` and no
+    other position, and ``first`` only tails of chords of ``subset``.
+    """
+    ends = {}
+    for p, (chord, is_head) in enumerate(itertools.chain.from_iterable(circles)):
+        ends.setdefault(chord, [0, 0])[is_head] = 1 << p
+    out = []
+    for taken, first in walked:
+        subset = tuple(sorted(chord for chord, (t, h) in ends.items() if taken & (t | h)))
+        tails_first = tuple(chord for chord in subset if first & ends[chord][0])
+        assert taken == sum([t | h for chord, (t, h) in ends.items() if chord in subset]), (circles, taken)
+        assert first == sum([ends[chord][0] for chord in tails_first]), (circles, taken, first)
+        out.append((subset, tails_first))
+    return out
+
+
+def chord_walks(layout, max_size, budget=0):
+    """``arrows._walks`` of the words of ``layout`` (:func:`layout_words`), :func:`decoded` to chord
+    indices."""
+    words = layout_words(layout)
+    return decoded(words, _walks(words, max_size, budget))
+
+
+def crossing_change_lists(layout, max_size):
+    """``(same, switched)`` from the budget-1 :func:`chord_walks`, as :func:`_crossing_change_subsets`
+    lists them: at chord index ``i``, the subsets holding ``i`` that count in D and in D^i."""
+    same, switched = [[] for _ in layout[0]], [[] for _ in layout[0]]
+    for subset, first in chord_walks(layout, max_size, budget=1):
+        for i in subset:  # t: the chords first reached tail-first in D, then in D^i
+            for found, t in ((same, len(first)), (switched, len(first) + (-1 if i in first else 1))):
+                if t in (0, len(subset)):
+                    found[i].append((subset, not t, t == len(subset)))
+    return same, switched
+
+
 def walk_triples(layout, max_size):
-    """``(subset, ascending, descending)`` for each subset of ``arrows._walks(layout, max_size)``."""
-    return [(subset, not first, len(first) == len(subset)) for subset, first in _walks(layout, max_size)]
+    """``(subset, ascending, descending)`` for each subset of :func:`chord_walks` with budget 0."""
+    return [(subset, not first, len(first) == len(subset)) for subset, first in chord_walks(layout, max_size)]
 
 
 def signed_sums(classified, signs):

@@ -19,6 +19,7 @@ import os
 import random
 import signal
 
+import indexref
 import pytest
 from braidutil import braid_closure_gauss_code
 
@@ -30,7 +31,7 @@ from vknot.arrows import (
 )
 from vknot.cli import main
 from vknot.determinant import determinant
-from vknot import verify
+from vknot import arrows, verify
 from vknot.diagram import (
     _congruent,
     _first_occurrence,
@@ -62,7 +63,6 @@ from vknot.verify import (
     _Census,
     _corollary_census,
     _main_theorem_census,
-    _smoothing_candidates,
     recheck,
     run_check,
 )
@@ -137,7 +137,7 @@ def warp_and_smoothing_verdict(diagram, config):
             return False
     moduli = [p for p in config.moduli if is_mod_p_numberable(diagram, p)]
     if moduli:
-        for alpha in _smoothing_candidates(diagram.circles, diagram.chord_ids()):
+        for alpha in indexref._smoothing_candidates(diagram):
             table = conway_pairing_table(smooth(diagram, alpha))
             asc1, des1 = table.get(1, (0, 0))
             if asc1 != 0 or not all(_congruent(des1, 0, p) for p in moduli):
@@ -238,7 +238,7 @@ def test_structure_values_match_library_on_census():
             assert _z2_at(lanes, v, z2) == z2_pairings_at_basepoints(G), code
             assert _table_at(lanes, v, table) == conway_pairing_table(G), code
             assert [_table_at(lanes, v, t) for t in smoothed] == [
-                conway_pairing_table(smooth(G, alpha)) for alpha in _smoothing_candidates(G.circles, G.chord_ids())
+                conway_pairing_table(smooth(G, alpha)) for alpha in indexref._smoothing_candidates(G)
             ], code
             checked += 1
     assert next(diagrams, None) is None
@@ -734,6 +734,27 @@ def test_sweep_computes_numberability_once_per_orbit(monkeypatch):
     for name in CENSUS_CHECKS:
         assert run_check(name, SweepConfig(max_chords=4)).failures == 0
     assert counts["_renumbered"] == 0
+
+
+def test_warp_smooth_walks_each_table_once(monkeypatch):
+    # Serial warp-smooth at <= 4 walks the tables of the 125 members with warping degree 0 and
+    # the smoothings of 182 candidates.  The other 1,162 candidates interleave nothing, which the
+    # orbit knows, so they get the empty table with no interleaving test, splice or walk.
+    calls = {"_walks": [], "_smoothing_subsets": [], "_interleaves_nothing": []}
+
+    def counted(name, original):
+        def count(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        return count
+
+    for module, name in ((arrows, "_walks"), (verify, "_walks"), (verify, "_smoothing_subsets"),
+                         (verify, "_interleaves_nothing")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = run_check("warp-smooth", SweepConfig(max_chords=4))
+    assert (report.population, report.failures) == (27893, 0)
+    assert [len(calls[name]) for name in calls] == [125 + 182, 182, 0]
 
 
 def _least_rotation(word):

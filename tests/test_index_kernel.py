@@ -4,7 +4,11 @@ census and of the parity test of mod 2 numberability.
 The reference for the first two is the per-chord interleaving test
 (``indexref``), which reads each endpoint through ``tail``/``head``; the
 reference for the parity test is the labeling walk of
-``alexander_numbering``.
+``alexander_numbering``.  The census finds each chord's arcs once per
+rotation orbit (``CensusStructure.arcs``) and each member picks its
+candidates by its basepoint, so the candidates are compared on every
+member of every orbit, and a member that picks the wrong arc must fail the
+``warp-smooth`` check.
 """
 
 import random
@@ -13,6 +17,7 @@ import indexref
 import pytest
 from vknot.diagram import (
     _ends_of_opposite_parity,
+    _renumbered,
     alexander_numbering,
     index,
     indices,
@@ -22,12 +27,13 @@ from vknot.diagram import (
 )
 from vknot.enumeration import (
     _random_chords,
+    _rotation_orbits,
     enumerate_all_diagrams,
     enumerate_structures,
     random_knot_diagram,
 )
 from vknot.errors import PreconditionError, UnknownChordError
-from vknot.verify import CensusStructure, _smoothing_candidates
+from vknot.verify import CensusStructure, SweepConfig, recheck, run_check
 
 
 def _seeded_knots():
@@ -77,10 +83,48 @@ def test_indices_match_reference_on_seeded_knots():
         _assert_indices_match(_relabeled(G, rng))
 
 
+def _structure_candidates(G):
+    """The smoothing candidates of the knot ``G`` read from its census structure, in ``G``'s labels."""
+    word, label = _renumbered(G.circles[0])
+    chord_of = {new + 1: chord for chord, new in label.items()}
+    return sorted(chord_of[chord] for chord, _ in CensusStructure(word).smoothing_candidates)
+
+
 def test_smoothing_candidates_match_reference():
     for G in [*enumerate_all_diagrams(4), *_seeded_knots()]:
-        got = _smoothing_candidates(G.circles, G.chord_ids())
-        assert list(got) == list(indexref._smoothing_candidates(G)), str(G)
+        assert _structure_candidates(G) == list(indexref._smoothing_candidates(G)), str(G)
+
+
+def test_orbit_candidates_match_reference_on_every_member():
+    # Each member of each rotation orbit with <= 5 chords, in the representative's labels; a
+    # candidate is alone when no chord interleaves it.
+    members = 0
+    for k in range(6):
+        for word, stabilizer in _rotation_orbits(k, False):
+            orbit = CensusStructure(word)
+            for member in orbit.members(max(1, len(word)) // len(stabilizer)):
+                G = make_diagram([member.rotation], dict.fromkeys(orbit.chords, 1))
+                got = member.smoothing_candidates
+                assert [chord for chord, _ in got] == list(indexref._smoothing_candidates(G)), (word, member.shift)
+                for chord, alone in got:
+                    assert alone is not any(indexref._index_terms(G, chord)), (word, member.shift, chord)
+                members += 1
+    assert members == 32055
+
+
+def _candidates_on_the_basepoint_arc(structure):
+    """A wrong reading of the orbit's arcs: the arc holding the basepoint must be free of
+    interleaving tails, not the arc away from it."""
+    shift = structure.shift
+    return [(chord, alone) for chord, a, b, inner, outer, alone in structure.arcs if (inner if a < shift <= b else outer)]
+
+
+def test_candidates_on_the_basepoint_arc_are_caught(monkeypatch):
+    monkeypatch.setattr(CensusStructure, "smoothing_candidates", property(_candidates_on_the_basepoint_arc))
+    config = SweepConfig(max_chords=4)
+    report = run_check("warp-smooth", config)
+    assert report.population == 27893 and report.failures == 834, report
+    assert recheck("warp-smooth", report.counterexamples[0], config) is False
 
 
 def test_index_refuses_links_and_unknown_chords():

@@ -14,18 +14,19 @@ import io
 import itertools
 import math
 import random
+import runpy
 import sys
+from pathlib import Path
 
 import pytest
 from braidutil import braid_closure_gauss_code
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
-from maskwalk import skein_difference, walk_triples
+from maskwalk import crossing_change_lists, endpoints, layout, skein_difference, walk_triples
 from vknot import catalog, cli
 from vknot.arrows import (
     IntPolynomial,
     _crossing_change_tables,
-    _endpoints,
     _walks,
     ascending_polynomial,
     conway_pairing,
@@ -42,12 +43,15 @@ from vknot.enumeration import (
     _random_chords,
     connecting_chords,
     enumerate_all_diagrams,
+    enumerate_structures,
     random_knot_diagram,
     random_link_diagram,
 )
 from vknot.oracle import conway_polynomial
 
 VARIANTS = ("ascending", "descending")
+# run as a script, not imported, so that no bytecode is written under bench/
+BENCH_INPUTS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "inputs.py"))
 
 
 def _classify(G, subsets):
@@ -149,9 +153,7 @@ def test_three_circle_diagrams_match_reference():
 def _held_tables(G):
     """``{chord: difference}``: the skein difference T(D+) - T(D-) at each chord, as
     ``_crossing_change_tables`` holds it."""
-    layout, signs = _endpoints(G)
-    tables = _crossing_change_tables(layout, signs, range(G.num_chords))
-    return {chord: tables[i] for i, chord in enumerate(G.chord_ids())}
+    return _crossing_change_tables(G.circles, dict(G.signs), G.chord_ids())
 
 
 def reference_difference(G, chord):
@@ -233,13 +235,13 @@ def _mask_table(G, max_size, required=None):
     """The signed table of ``G`` up to ``max_size`` chords from the mask walk, over the subsets
     holding chord index ``required`` if it is set."""
     ids = G.chord_ids()
-    mask = mask_qualifying_subsets(_endpoints(G)[0], range(max_size + 1), required)
+    mask = mask_qualifying_subsets(endpoints(G)[0], range(max_size + 1), required)
     return _signed_table(G, [(tuple(ids[i] for i in s), a, d) for s, a, d in mask])
 
 
 def _assert_walk_matches_mask_walk(G, max_sizes):
     # Subset by subset, not only by sums, so that two errors cannot cancel.
-    layout, _ = _endpoints(G)
+    layout, _ = endpoints(G)
     held = _held_tables(G)
     for max_size in max_sizes:
         walk = walk_triples(layout, max_size)
@@ -252,6 +254,43 @@ def _assert_walk_matches_mask_walk(G, max_sizes):
                                     G.sign(chord))
             got = {size: sums for size, sums in held[chord].items() if size <= max_size}
             assert got == want, (str(G), max_size, chord)
+
+
+def _assert_masks_match_mask_walk(layout, max_sizes, label):
+    # The walk's position masks, decoded to chord sets, against the mask walk subset by subset: with
+    # budget 0 the ascending and descending subsets, with budget 1 at each chord the subsets
+    # holding it that count in D and in the crossing change D^i.
+    same, switched = mask_crossing_change_subsets(layout)
+    for max_size in max_sizes:
+        walk = walk_triples(layout, max_size)
+        assert all(a or d for _, a, d in walk), (label, max_size)
+        assert _counting(walk) == _counting(mask_qualifying_subsets(layout, range(max_size + 1))), (label, max_size)
+        want = [[sorted(t for t in found if len(t[0]) <= max_size) for found in lists] for lists in (same, switched)]
+        got = [[sorted(found) for found in lists] for lists in crossing_change_lists(layout, max_size)]
+        assert got == want, (label, max_size)
+
+
+def test_walk_masks_match_mask_walk_on_census():
+    checked = 0
+    for word, _ in enumerate_structures(4):
+        k = len(word) // 2
+        _assert_masks_match_mask_walk(layout((word,), range(1, k + 1)), range(k + 1), word)
+        checked += 1
+    assert checked == 1815
+
+
+def test_walk_masks_match_mask_walk_on_links():
+    rng = random.Random(37)
+    for _ in range(150):
+        G = random_link_diagram(rng.randint(1, 10), rng)
+        _assert_masks_match_mask_walk(endpoints(G)[0], range(G.num_chords + 1), str(G))
+
+
+def test_walk_masks_match_mask_walk_on_table_inputs():
+    braids, virtuals = BENCH_INPUTS["table_inputs"](1)
+    for code in braids + virtuals:
+        G = parse_gauss_code(code)
+        _assert_masks_match_mask_walk(endpoints(G)[0], (0, 1, 2, 3, G.num_chords), code)
 
 
 def test_walk_matches_mask_walk_on_larger_knots():
@@ -276,7 +315,7 @@ def test_size_whose_sums_cancel_is_not_a_key():
     # Two descending z^2 subsets with opposite sign products: size 2 has
     # one-component subsets but both sums are 0, so it is absent.
     G = parse_gauss_code("O1+O2-U3+U1+U2-O3+")
-    layout, _ = _endpoints(G)
+    layout, _ = endpoints(G)
     descending = [s for s, a, d in mask_qualifying_subsets(layout, (2,)) if d]
     assert len(descending) == 2
     assert conway_pairing_table(G) == {0: (1, 1)}
@@ -404,13 +443,13 @@ def test_split_layouts_match_mask_walk_without_walking():
     rng = random.Random(83)
     for G in _split_diagrams(rng):
         assert G.num_circles > 1 and G.circles[0], str(G)
-        layout, signs = _endpoints(G)
+        layout, _ = endpoints(G)
         n = G.num_chords
         assert list(mask_qualifying_subsets(layout, range(n + 1))) == [], str(G)
         assert mask_crossing_change_subsets(layout) == ([[] for _ in range(n)], [[] for _ in range(n)]), str(G)
         for max_size in (1, 2, n):
-            assert _result_and_walk_calls(lambda: _walks(layout, max_size)) == ([], 0), str(G)
-        assert _result_and_walk_calls(lambda: _walks(layout, n, budget=1)) == ([], 0), str(G)
-        tables = _crossing_change_tables(layout, signs, range(n))
-        assert tables == {i: {} for i in range(n)}, str(G)
+            assert _result_and_walk_calls(lambda: _walks(G.circles, max_size)) == ([], 0), str(G)
+        assert _result_and_walk_calls(lambda: _walks(G.circles, n, budget=1)) == ([], 0), str(G)
+        tables = _crossing_change_tables(G.circles, dict(G.signs), G.chord_ids())
+        assert tables == {chord: {} for chord in G.chord_ids()}, str(G)
         assert _table_and_walk_calls(G) == ({}, 0), str(G)

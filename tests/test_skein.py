@@ -19,9 +19,9 @@ import random
 
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
-from maskwalk import signed_sums, skein_difference
+from maskwalk import chord_walks, crossing_change_lists, decoded, endpoints, signed_sums, skein_difference
 from vknot import arrows, verify
-from vknot.arrows import _crossing_change_tables, _endpoints, _smoothing_subsets, _walks
+from vknot.arrows import _crossing_change_tables, _smoothing_subsets
 from vknot.diagram import (
     BasedGaussDiagram,
     _interleaves_nothing,
@@ -45,7 +45,7 @@ from vknot.verify import SweepConfig, recheck, run_check, skein_verdict
 @functools.lru_cache(maxsize=256)
 def reference_table(diagram, chord=None):
     """The signed table of ``diagram`` from the mask walk, over the subsets holding ``chord`` if it is set."""
-    layout, signs = _endpoints(diagram)
+    layout, signs = endpoints(diagram)
     required = None if chord is None else diagram.chord_ids().index(chord)
     return signed_sums(mask_qualifying_subsets(layout, range(diagram.num_chords + 1), required), signs)
 
@@ -83,12 +83,10 @@ def reference_skein_verdict(diagram, config, smoothing=smooth):
 
 
 def _assert_shared_walk_matches(G, chords):
-    layout, signs = _endpoints(G)
-    resolved = [G.chord_ids().index(chord) for chord in chords]
-    tables = _crossing_change_tables(layout, signs, resolved)
-    assert list(tables) == resolved, str(G)
-    for chord, i in zip(chords, resolved):
-        assert tables[i] == reference_difference(G, chord), (str(G), chord)
+    tables = _crossing_change_tables(G.circles, dict(G.signs), chords)
+    assert list(tables) == list(chords), str(G)
+    for chord in chords:
+        assert tables[chord] == reference_difference(G, chord), (str(G), chord)
 
 
 def _verdict(G, config):
@@ -119,18 +117,6 @@ def _by_subset(lists):
     return [sorted((tuple(sorted(s)), a, d) for s, a, d in found) for found in lists]
 
 
-def _walk_crossing_change_subsets(layout):
-    """``(same, switched)`` from the budget-1 walk, as the mask version lists them: at chord
-    index ``i``, the subsets holding ``i`` that count in D and in D^i."""
-    same, switched = [[] for _ in layout[0]], [[] for _ in layout[0]]
-    for subset, first in _walks(layout, len(layout[0]), budget=1):
-        for i in subset:  # t: the chords first reached tail-first in D, then in D^i
-            for found, t in ((same, len(first)), (switched, len(first) + (-1 if i in first else 1))):
-                if t in (0, len(subset)):
-                    found[i].append((subset, not t, t == len(subset)))
-    return same, switched
-
-
 def test_shared_walk_matches_mask_walk():
     # The budget-1 walk lists the mask walk's subsets, and each shared difference is that of their
     # sums, and that of the materialized diagrams' tables.
@@ -138,29 +124,32 @@ def test_shared_walk_matches_mask_walk():
     diagrams = [random_knot_diagram(rng.randint(1, 8), rng) for _ in range(60)]
     diagrams += [random_link_diagram(rng.randint(1, 8), rng) for _ in range(60)]
     for G in diagrams:
-        layout, signs = _endpoints(G)
+        layout, signs = endpoints(G)
         mask = mask_crossing_change_subsets(layout)
-        walk = _walk_crossing_change_subsets(layout)
+        walk = crossing_change_lists(layout, len(layout[0]))
         assert [_by_subset(lists) for lists in walk] == [_by_subset(lists) for lists in mask], str(G)
-        tables = _crossing_change_tables(layout, signs, range(G.num_chords))
-        for (i, diff), chord in zip(tables.items(), G.chord_ids()):
-            switched_signs = signs[:i] + [-signs[i]] + signs[i + 1:]
+        tables = _crossing_change_tables(G.circles, dict(G.signs), G.chord_ids())
+        assert list(tables) == list(G.chord_ids()), str(G)
+        for i, chord in enumerate(G.chord_ids()):
+            diff, switched_signs = tables[chord], signs[:i] + [-signs[i]] + signs[i + 1:]
             want = skein_difference(signed_sums(mask[0][i], signs), signed_sums(mask[1][i], switched_signs), signs[i])
             assert diff == want == reference_difference(G, chord), (str(G), i)
 
 
 def test_smoothing_subsets_match_the_smoothed_diagrams_walk():
-    # In the diagram's chord indices, the subsets of the smoothing's own walk; none exactly when a
-    # knot chord interleaves nothing (a connecting chord of a link merges its circles).
+    # The smoothed diagram's words, and in its chord labels the subsets of the walk of its layout;
+    # none exactly when a knot chord interleaves nothing (a connecting chord of a link merges its
+    # circles).
     checked = 0
     for G in [*enumerate_all_diagrams(4), *_seeded_links()]:
-        ids = G.chord_ids()
-        for i, chord in enumerate(ids):
+        for chord in G.chord_ids():
             smoothed = smooth(G, chord)
-            at = [ids.index(other) for other in smoothed.chord_ids()]
-            want = [(tuple([at[j] for j in subset]), tuple([at[j] for j in first]))
-                    for subset, first in _walks(_endpoints(smoothed)[0], len(at))]
-            got = _smoothing_subsets(G.circles, ids, i)
+            ids = smoothed.chord_ids()
+            want = [(tuple([ids[j] for j in subset]), tuple([ids[j] for j in first]))
+                    for subset, first in chord_walks(endpoints(smoothed)[0], len(ids))]
+            words, walked = _smoothing_subsets(G.circles, chord)
+            assert words == smoothed.circles, (str(G), chord)
+            got = decoded(words, walked)
             assert sorted(got) == sorted(want), (str(G), chord)
             if G.num_circles == 1:
                 assert (got == []) is _interleaves_nothing(G.circles[0], chord), (str(G), chord)

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 import z2ref
+from maskwalk import endpoints
+from maskwalk import layout as endpoint_layout
 
-from vknot.arrows import _endpoints, _plus_mask, _z2, _z2_pairs, _z2_sums
-from vknot.diagram import _layout, _rotations, make_diagram, parse_gauss_code
+from vknot.arrows import _plus_mask, _z2, _z2_pairs, _z2_sums
+from vknot.diagram import _rotations, make_diagram, parse_gauss_code
 from vknot.enumeration import enumerate_structures, random_knot_diagram
 
 # run as a script, not imported, so that no bytecode is written under bench/
@@ -26,7 +28,7 @@ def _expand(rows):
 
 
 def _assert_matches_reference(word, chords, sign_vectors, label):
-    want = z2ref.z2_pairs(_layout((word,), chords))
+    want = z2ref.z2_pairs(endpoint_layout((word,), chords))
     got = _z2_pairs(word, {chord: i for i, chord in enumerate(chords)})
     for variant, pairs, rows in zip(("ascending", "descending"), want, got):
         expanded = _expand(rows)
@@ -39,7 +41,7 @@ def _assert_matches_reference(word, chords, sign_vectors, label):
 
 
 def _assert_diagram_matches_reference(G):
-    _, signs = _endpoints(G)
+    _, signs = endpoints(G)
     for rotated in _rotations(G.circles[0]):
         _assert_matches_reference(rotated, G.chord_ids(), [signs], str(G))
 
@@ -70,7 +72,7 @@ def test_seeded_knots_match_reference():
 def test_large_closures_match_reference(seed):
     for code in BENCH_INPUTS["large_inputs"](seed):
         G = parse_gauss_code(code)
-        _, signs = _endpoints(G)
+        _, signs = endpoints(G)
         _assert_matches_reference(G.circles[0], G.chord_ids(), [signs], code)
 
 
@@ -78,7 +80,7 @@ def test_large_closures_match_reference(seed):
 def test_long_closures_match_reference(crossings):
     code = BENCH_INPUTS["seeded_braid_knot"](random.Random("z2:%d" % crossings), crossings, 5)
     G = parse_gauss_code(code)
-    _, signs = _endpoints(G)
+    _, signs = endpoints(G)
     assert len(signs) == crossings
     _assert_matches_reference(G.circles[0], G.chord_ids(), [signs], crossings)
 
@@ -96,7 +98,7 @@ def test_seeded_links_match_reference():
         (word,) = knot.circles
         cuts = sorted(rng.randint(0, len(word)) for _ in range(1 + i % 2))
         G = make_diagram([word[a:b] for a, b in zip([0, *cuts], [*cuts, len(word)])], knot.signs)
-        layout, signs = _endpoints(G)
+        layout, signs = endpoints(G)
         want = z2ref.z2_pairs(layout)
         assert _z2(G.circles, G.chord_ids(), signs) == z2ref.z2_sums(want, signs), str(G)
         seen.update((G.num_circles, variant) for variant, pairs in enumerate(want) if pairs)
