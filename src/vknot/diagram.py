@@ -217,6 +217,24 @@ def _interleavings(word, planes, ones):
         prefix.append(prefix[-1] + (ones ^ planes[chord] if is_head else planes[chord]))
 
 
+def _spans(word):
+    """``(chord, a, b, crossing, inside)`` for each chord of the one-circle ``word``, with ends
+    ``a < b``, in the order of ``a``.  A chord stands for the bit ``1 << a``: ``crossing`` XORs the
+    bits of the endpoints between ``a`` and ``b``, so it holds the chords interleaving this one
+    (a chord with both ends there cancels), and ``inside`` those whose tail lies between them.
+    One prefix XOR along the word, and one over its tails, give every mask."""
+    first, last, prefix, tails = {}, {}, [0], [0]
+    for pos, (chord, is_head) in enumerate(word):
+        bit = 1 << first.setdefault(chord, pos)
+        last[chord] = pos
+        prefix.append(prefix[-1] ^ bit)
+        tails.append(tails[-1] if is_head else tails[-1] ^ bit)
+    for chord, a in first.items():
+        b = last[chord]
+        crossing = prefix[b] ^ prefix[a + 1]
+        yield chord, a, b, crossing, crossing & (tails[b] ^ tails[a + 1])
+
+
 def indices(diagram):
     """``{chord: index(diagram, chord)}`` for every chord, from :func:`_interleavings`.
 
@@ -250,18 +268,6 @@ def _congruent(a, b, p):
     if p == 0:
         return a == b
     return (a - b) % p == 0
-
-
-def _closed(segment):
-    """True iff every chord with an endpoint in the endpoint sequence ``segment`` has both there."""
-    return len({chord for chord, _ in segment}) * 2 == len(segment)
-
-
-def _interleaves_nothing(word, chord):
-    """True iff no chord of the one-circle ``word`` has exactly one end between the ends of
-    ``chord``, so that its smoothing (:func:`smooth`) leaves two circles that share no chord."""
-    a, b = sorted([word.index((chord, False)), word.index((chord, True))])
-    return _closed(word[a + 1 : b])
 
 
 def _ends_of_opposite_parity(word):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagram import _closed, _first_occurrence, _renumbered, _require_knot, _rotations, make_diagram
+from .diagram import _first_occurrence, _renumbered, _require_knot, _rotations, make_diagram
 
 
 def raw_diagram_count(k):
@@ -198,7 +198,7 @@ def _random_link_words(k, rng):
     while True:
         slots, signs = _random_chords(k, rng)
         split = rng.randint(0, 2 * k)
-        if not _closed(slots[:split]):  # a chord joins the circles
+        if len({chord for chord, _ in slots[:split]}) * 2 != split:  # a chord joins the circles
             return (slots[:split], slots[split:]), signs
 
 

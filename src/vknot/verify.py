@@ -33,10 +33,10 @@ from .determinant import _word_determinant
 from .diagram import (
     _ends_of_opposite_parity,
     _interleavings,
-    _interleaves_nothing,
     _renumbered,
     _require_knot,
     _rotations,
+    _spans,
     _warping_degree,
     make_diagram,
     parse_gauss_code,
@@ -108,27 +108,32 @@ def _population_random_skein(config):
             yield (slots,), signs
 
 
-def skein_verdict(circles, signs, config):
-    """Exact skein identities at every resolvable crossing of the diagram with endpoint words
-    ``circles`` and chord signs ``signs`` (``{chord: sign}``); no diagram is built.
-
-    For a knot every chord is resolved; for a two-circle diagram only chords
-    joining the circles (smoothing a self-chord leaves the one- or two-circle
-    pairing domain).  The skein difference T(D+) - T(D-) at each of them
-    comes from one walk of D (:func:`_crossing_change_tables`) and must be
-    the smoothing's table shifted up one size.  Each smoothing gets its own
-    walk of its own endpoint words (:func:`_smoothing_subsets`), so the
-    identity stays a check.  A knot chord that interleaves nothing is not
-    spliced: its smoothing's two circles share no chord, so its table is
-    empty (:func:`_walks`).
-    """
+def _resolvable(circles, signs):
+    """``{chord: lone}`` for each chord :func:`skein_verdict` resolves in the diagram with endpoint
+    words ``circles`` and chord signs ``signs``: each chord of a knot, ``lone`` if it interleaves
+    nothing (:func:`_spans`); the chords with one end on the first circle of a two-circle diagram
+    (smoothing a self-chord leaves the one- or two-circle pairing domain); none on more circles.
+    The sampled diagrams are those with one."""
     if len(circles) == 1:
-        resolved = list(signs)
-    else:  # the chords with ends on two circles
-        circle_of = {end: ci for ci, circle in enumerate(circles) for end in circle}
-        resolved = [chord for chord in signs if circle_of[chord, False] != circle_of[chord, True]]
+        return {chord: not crossing for chord, _, _, crossing, _ in _spans(circles[0])}
+    first = set(circles[0]) if len(circles) == 2 else ()
+    return {chord: False for chord in signs if ((chord, False) in first) != ((chord, True) in first)}
+
+
+def skein_verdict(circles, signs, config):
+    """Exact skein identities at every crossing that :func:`_resolvable` gives of the diagram with
+    endpoint words ``circles`` and chord signs ``signs`` (``{chord: sign}``); no diagram is built.
+
+    The skein difference T(D+) - T(D-) at each comes from one walk of D
+    (:func:`_crossing_change_tables`) and must be the smoothing's table
+    shifted up one size.  Each smoothing gets its own walk of its own
+    endpoint words (:func:`_smoothing_subsets`), so the identity stays a
+    check.  A lone chord is not spliced: its smoothing's two circles share
+    no chord, so its table is empty (:func:`_walks`).
+    """
+    resolved = _resolvable(circles, signs)
     for chord, diff in _crossing_change_tables(circles, signs, resolved).items():
-        if len(circles) == 1 and _interleaves_nothing(circles[0], chord):
+        if resolved[chord]:
             smoothed = {}
         else:
             words, walked = _smoothing_subsets(circles, chord)
@@ -228,18 +233,18 @@ class CensusStructure:
     of the following reads a sign, so each serves them all, computed from the
     endpoint word with its basepoint at :attr:`rotation`, :attr:`shift` gaps
     on from that of :attr:`word`: mod 2 colorability, the determinant,
-    numberability, each chord's arcs (:attr:`arcs`), the warping degree, the
-    z^2 pairs at every basepoint, the smoothing candidates, and the chord
-    subsets that can add to the Conway table of the diagram and of each
-    candidate's smoothing (walked by :meth:`table` and
-    :meth:`smoothed_tables`).  The first four do not depend on the basepoint:
-    they are kept, and shared by the structures at the word's other rotations
-    (:meth:`members`), which keep these chord labels.  The rest is computed
-    when read, by the one verdict a structure serves.
-    The methods taking ``lanes`` (:class:`SignLanes`) evaluate the diagrams of
-    all its sign vectors from them at once; ``signs[i]`` is the sign of chord
-    ``i + 1``.  No diagram is built but by :meth:`diagram`, on :attr:`word`
-    in the census's numbering.
+    numberability, the chords interleaving each chord and those of them with
+    a tail between its ends (:attr:`arcs`), the warping degree, the z^2 pairs
+    at every basepoint, the smoothing candidates, and the chord subsets that
+    can add to the Conway table of the diagram and of each candidate's
+    smoothing (walked by :meth:`table` and :meth:`smoothed_tables`).  The
+    first four do not depend on the basepoint: they are kept, and shared by
+    the structures at the word's other rotations (:meth:`members`), which
+    keep these chord labels.  The rest is computed when read, by the one
+    verdict a structure serves.  The methods taking ``lanes``
+    (:class:`SignLanes`) evaluate the diagrams of all its sign vectors from
+    them at once; ``signs[i]`` is the sign of chord ``i + 1``.  No diagram is
+    built but by :meth:`diagram`, on :attr:`word` in the census's numbering.
     """
 
     def __init__(self, word):
@@ -250,7 +255,7 @@ class CensusStructure:
         self._index = {chord: chord - 1 for chord in self.chords}
         # every chord interleaves an even number of others
         self.colorable = _ends_of_opposite_parity(word)
-        self._determinant, self._numberable, self._arcs = None, (), None
+        self._numberable = ()
 
     @classmethod
     def from_diagram(cls, diagram):
@@ -273,28 +278,15 @@ class CensusStructure:
     def diagram(self, signs):
         return make_diagram([self.word], zip(self.chords, signs))
 
-    @property
+    @functools.cached_property
     def determinant(self):
-        if self._determinant is None:
-            self._determinant = _word_determinant((self.word,), self.chords)
-        return self._determinant
+        return _word_determinant((self.word,), self.chords)
 
-    @property
+    @functools.cached_property
     def arcs(self):
-        """``(chord, a, b, inner, outer, alone)`` for each chord, with ends ``a < b`` in :attr:`word`:
-        whether no chord interleaving it has its tail on the arc between its ends (``inner``), on
-        the arc through the word's basepoint (``outer``), and whether none interleaves it
-        (``alone``).  None of these depends on the basepoint."""
-        if self._arcs is None:
-            ends = {}
-            for p, (chord, is_head) in enumerate(self.word):
-                ends.setdefault(chord, [0, 0])[is_head] = p
-            self._arcs = []
-            for chord in self.chords:
-                a, b = sorted(ends[chord])
-                crossing = [a < t < b for t, h in ends.values() if (a < t < b) != (a < h < b)]
-                self._arcs.append((chord, a, b, not any(crossing), all(crossing), not crossing))
-        return self._arcs
+        """:func:`_spans` of :attr:`word`: each chord's ends ``a < b`` there, the chords interleaving
+        it and those with a tail between its ends.  None of these depends on the basepoint."""
+        return list(_spans(self.word))
 
     @property
     def smoothing_candidates(self):
@@ -302,8 +294,8 @@ class CensusStructure:
         basepoint's arc, in :attr:`arcs` order: the arc away from the basepoint holds no such
         tail.  ``alone`` tells that no chord interleaves it."""
         shift = self.shift
-        return [(chord, alone) for chord, a, b, inner, outer, alone in self.arcs
-                if (outer if a < shift <= b else inner)]
+        return [(chord, not crossing) for chord, a, b, crossing, inside in self.arcs
+                if not (crossing ^ inside if a < shift <= b else inside)]
 
     @property
     def warping_degree(self):
@@ -560,11 +552,11 @@ class _Census:
 
 
 class _Samples:
-    """The samples ``(circles, signs)`` that ``population(config)`` yields, each checked by
-    ``verdict(circles, signs, config)``; a diagram is built only for a failing sample."""
+    """Samples ``(circles, signs)`` of ``population(config)``, each checked by ``verdict(circles, signs,
+    config)``; only a failing one becomes a diagram.  :func:`recheck` refuses one ``admits`` does not."""
 
-    def __init__(self, population):
-        self.population = population
+    def __init__(self, population, admits):
+        self.population, self.admits = population, admits
 
     def sweep(self, name, verdict_fn, config, shard, num_shards):
         """``(passes, counterexamples)`` of each sample of this shard, a counterexample ``(index, diagram)``.
@@ -579,6 +571,8 @@ class _Samples:
                 yield (1, []) if passed else (0, [(i, make_diagram(circles, signs))])
 
     def recheck(self, name, verdict_fn, diagram, config):
+        if not self.admits(diagram.circles, dict(diagram.signs)):
+            raise PreconditionError("%s is outside the %s check's population" % (diagram, name))
         return verdict_fn(diagram.circles, dict(diagram.signs), config)
 
 
@@ -588,7 +582,7 @@ CHECKS = {
     "cor-det": (_Census(colorable=True), _corollary_census),
     "det-asc": (_Census(colorable=True), _det_vs_ascending_census),
     "main-theorem": (_Census(), _main_theorem_census),
-    "skein": (_Samples(_population_random_skein), skein_verdict),
+    "skein": (_Samples(_population_random_skein, _resolvable), skein_verdict),
     "warp-smooth": (_Census(), _warp_and_smoothing_census),
 }
 
@@ -699,9 +693,8 @@ def run_checks(config=None, names=None):
 def recheck(name, code, config=None):
     """Run the verdict a sweep of check ``name`` runs on one recorded code.
 
-    A one-circle code outside the check's population raises
-    :class:`PreconditionError`, and so does a code with more than one
-    circle on a census check.
+    A code outside the check's population raises :class:`PreconditionError`:
+    on a census check, any code with more than one circle.
     """
     _require_checks([name])
     if config is None:

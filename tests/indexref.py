@@ -1,5 +1,5 @@
-"""Per-chord interleaving tests, the reference for ``index``, ``indices`` and
-the census's ``CensusStructure.smoothing_candidates``.
+"""Per-chord interleaving tests, the reference for ``index``, ``indices``, the
+span kernel ``_spans`` and the census's ``CensusStructure.smoothing_candidates``.
 
 Each reads a chord's endpoints through ``tail``/``head`` and compares cyclic
 open arcs, one chord at a time.

@@ -739,8 +739,9 @@ def test_sweep_computes_numberability_once_per_orbit(monkeypatch):
 def test_warp_smooth_walks_each_table_once(monkeypatch):
     # Serial warp-smooth at <= 4 walks the tables of the 125 members with warping degree 0 and
     # the smoothings of 182 candidates.  The other 1,162 candidates interleave nothing, which the
-    # orbit knows, so they get the empty table with no interleaving test, splice or walk.
-    calls = {"_walks": [], "_smoothing_subsets": [], "_interleaves_nothing": []}
+    # orbit knows from its one pass of the span kernel, so they get the empty table with no
+    # further interleaving test, splice or walk.
+    calls = {"_walks": [], "_smoothing_subsets": [], "_spans": []}
 
     def counted(name, original):
         def count(*args, **kwargs):
@@ -750,11 +751,13 @@ def test_warp_smooth_walks_each_table_once(monkeypatch):
         return count
 
     for module, name in ((arrows, "_walks"), (verify, "_walks"), (verify, "_smoothing_subsets"),
-                         (verify, "_interleaves_nothing")):
+                         (verify, "_spans")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    orbits = sum(1 for k in range(5) for _ in _rotation_orbits(k))
     report = run_check("warp-smooth", SweepConfig(max_chords=4))
-    assert (report.population, report.failures) == (27893, 0)
-    assert [len(calls[name]) for name in calls] == [125 + 182, 182, 0]
+    assert (orbits, report.population, report.failures) == (246, 27893, 0)
+    assert [len(calls["_walks"]), len(calls["_smoothing_subsets"])] == [125 + 182, 182]
+    assert 0 < len(calls["_spans"]) == len(set(calls["_spans"])) <= orbits  # at most one pass per orbit word
 
 
 def _least_rotation(word):

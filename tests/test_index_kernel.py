@@ -1,14 +1,14 @@
-"""Differential tests of ``indices``, of the smoothing candidates of the
-census and of the parity test of mod 2 numberability.
+"""Differential tests of ``indices``, of the span kernel ``_spans``, of the
+smoothing candidates of the census and of the parity test of mod 2
+numberability.
 
-The reference for the first two is the per-chord interleaving test
+The reference for the first three is the per-chord interleaving test
 (``indexref``), which reads each endpoint through ``tail``/``head``; the
 reference for the parity test is the labeling walk of
-``alexander_numbering``.  The census finds each chord's arcs once per
-rotation orbit (``CensusStructure.arcs``) and each member picks its
-candidates by its basepoint, so the candidates are compared on every
-member of every orbit, and a member that picks the wrong arc must fail the
-``warp-smooth`` check.
+``alexander_numbering``.  The census runs the span kernel once per rotation
+orbit (``CensusStructure.arcs``) and each member picks its candidates by its
+basepoint, so the candidates are compared on every member of every orbit,
+and a member that picks the wrong arc must fail the ``warp-smooth`` check.
 """
 
 import random
@@ -18,6 +18,7 @@ import pytest
 from vknot.diagram import (
     _ends_of_opposite_parity,
     _renumbered,
+    _spans,
     alexander_numbering,
     index,
     indices,
@@ -83,6 +84,39 @@ def test_indices_match_reference_on_seeded_knots():
         _assert_indices_match(_relabeled(G, rng))
 
 
+def _assert_spans_match(G):
+    """Each chord's ``crossing`` mask of ``_spans`` holds the chords it interleaves, and its
+    ``inside`` mask those of them whose tail lies between its ends: a term of ``_index_terms`` is
+    +1 when the tail lies on the arc from the chord's head to its tail."""
+    word = G.circles[0]
+
+    def chords(mask):
+        return {word[p][0] for p in range(len(word)) if mask >> p & 1}
+
+    spans = list(_spans(word))
+    assert [chord for chord, *_ in spans] == list(dict.fromkeys(c for c, _ in word)), str(G)
+    for chord, a, b, crossing, inside in spans:
+        assert a < b and {word[a], word[b]} == {(chord, False), (chord, True)}, (str(G), chord)
+        terms = dict(indexref._index_terms(G, chord))
+        assert chords(crossing) == set(terms), (str(G), chord)
+        assert chords(inside) == {other for other, c in terms.items() if (c == 1) is word[a][1]}, (str(G), chord)
+    return len(spans)
+
+
+def test_spans_match_reference_on_census_structures():
+    pairs = 0
+    for word, _ in enumerate_structures(5):
+        pairs += _assert_spans_match(make_diagram([word], {chord: 1 for chord, _ in word}))
+    assert pairs == 158306
+
+
+def test_spans_match_reference_on_seeded_knots_with_sparse_labels():
+    rng = random.Random(8)
+    for G in _seeded_knots():
+        _assert_spans_match(G)
+        _assert_spans_match(_relabeled(G, rng))
+
+
 def _structure_candidates(G):
     """The smoothing candidates of the knot ``G`` read from its census structure, in ``G``'s labels."""
     word, label = _renumbered(G.circles[0])
@@ -116,7 +150,8 @@ def _candidates_on_the_basepoint_arc(structure):
     """A wrong reading of the orbit's arcs: the arc holding the basepoint must be free of
     interleaving tails, not the arc away from it."""
     shift = structure.shift
-    return [(chord, alone) for chord, a, b, inner, outer, alone in structure.arcs if (inner if a < shift <= b else outer)]
+    return [(chord, not crossing) for chord, a, b, crossing, inside in structure.arcs
+            if not (inside if a < shift <= b else crossing ^ inside)]
 
 
 def test_candidates_on_the_basepoint_arc_are_caught(monkeypatch):

@@ -17,6 +17,8 @@ diagrams; its sampler is compared with the diagram generators it draws like.
 import functools
 import random
 
+import indexref
+import pytest
 from maskwalk import _crossing_change_subsets as mask_crossing_change_subsets
 from maskwalk import _qualifying_subsets as mask_qualifying_subsets
 from maskwalk import chord_walks, crossing_change_lists, decoded, endpoints, signed_sums, skein_difference
@@ -24,7 +26,6 @@ from vknot import arrows, verify
 from vknot.arrows import _crossing_change_tables, _smoothing_subsets
 from vknot.diagram import (
     BasedGaussDiagram,
-    _interleaves_nothing,
     _smoothed_words,
     crossing_change,
     make_diagram,
@@ -37,6 +38,7 @@ from vknot.enumeration import (
     random_knot_diagram,
     random_link_diagram,
 )
+from vknot.errors import PreconditionError
 from vknot.verify import SweepConfig, recheck, run_check, skein_verdict
 
 
@@ -152,7 +154,7 @@ def test_smoothing_subsets_match_the_smoothed_diagrams_walk():
             got = decoded(words, walked)
             assert sorted(got) == sorted(want), (str(G), chord)
             if G.num_circles == 1:
-                assert (got == []) is _interleaves_nothing(G.circles[0], chord), (str(G), chord)
+                assert (got == []) is not any(indexref._index_terms(G, chord)), (str(G), chord)
             elif chord in connecting_chords(G):
                 assert got, (str(G), chord)
             checked += 1
@@ -181,6 +183,22 @@ def test_word_sampler_draws_what_the_diagram_generators_draw():
         for (circles, signs), G in zip(samples, diagrams):
             assert tuple(map(tuple, circles)) == G.circles, str(G)
             assert list(signs.items()) == list(G.signs), str(G)  # chords 1..k, in order
+
+
+@pytest.mark.parametrize("code", ["", "O1+U1+;O2+U2+", "O1+U1+;", "O1+U2+;U1+O3+;U3+O2+"])
+def test_recheck_refuses_codes_the_sampler_never_draws(code):
+    # The sampler draws knots with at least one chord and two-circle diagrams with a chord
+    # joining the circles: not the empty knot, a split link, or three circles.
+    with pytest.raises(PreconditionError, match="outside the skein check's population"):
+        recheck("skein", code)
+
+
+def test_recheck_accepts_sampled_codes():
+    config = SweepConfig(samples=20, random_max_chords=5, seed=2)
+    codes = [serialize_gauss_code(G) for G in _sample_diagrams(config)]
+    assert {code.count(";") for code in codes} == {0, 1}
+    for code in codes:
+        assert recheck("skein", code, config) is True, code
 
 
 def _smoothed_words_off_basepoint(circles, chord):
